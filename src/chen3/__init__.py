@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 from .arith_core import (
     EULER_GAMMA,
     FactorTable,
-    PrimeSet,
     build_factor_table,
-    build_prime_set,
     chen_primes,
     classify_chen,
     is_prime_u64,

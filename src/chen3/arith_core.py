@@ -38,17 +38,6 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def prime_bitset(n: int) -> np.ndarray:
-    """Boolean array b with b[x] == True iff x is prime, for 0 <= x <= n."""
-    sieve = np.zeros(n + 1, dtype=bool)
-    if n >= 2:
-        sieve[2:] = True
-        for p in range(2, isqrt(n) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-    return sieve
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -145,23 +134,6 @@ def build_factor_table(
     if lo == 1:
         spf[0] = 1
     return FactorTable(lo=lo, hi=hi, smallest_prime_factor=spf, omega_big=omega)
-
-
-@dataclass(frozen=True)
-class PrimeSet:
-    """The primes up to a bound, as both a sorted list and a bitset."""
-
-    bound: int
-    primes: np.ndarray
-    membership: np.ndarray
-
-    def __contains__(self, p: int) -> bool:
-        return 0 <= p <= self.bound and bool(self.membership[p])
-
-
-def build_prime_set(bound: int) -> PrimeSet:
-    bits = prime_bitset(bound)
-    return PrimeSet(bound=bound, primes=np.nonzero(bits)[0].astype(np.int64), membership=bits)
 
 
 def primorial(w: float) -> int:

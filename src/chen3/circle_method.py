@@ -27,7 +27,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import DomainError, ResourceBudgetError
-from .rosser_sieve import RosserWeights, build_rosser
+from .rosser_sieve import RosserWeights, _class_sums, _lambda_terms, build_rosser
 
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
@@ -93,11 +93,6 @@ class ExpSumEvaluator:
         self.xs = (sel - ctx.b) // ctx.W
         self.logp = np.log(sel.astype(np.float64))
         self.small_primes = [int(p) for p in primes_up_to(max(2, math.ceil(ctx.z0) - 1)) if p < ctx.z0]
-        # bitmask of which sieving primes divide p + 2
-        mask = np.zeros(sel.size, dtype=np.int64)
-        for j, sp in enumerate(self.small_primes):
-            mask |= (((sel + 2) % sp) == 0).astype(np.int64) << j
-        self._mask = mask
         self._weights: dict[str, np.ndarray] = {}
 
     def _rosser(self, sign: str) -> RosserWeights:
@@ -107,26 +102,15 @@ class ExpSumEvaluator:
         if mode not in self.MODES:
             raise DomainError(f"unknown mode {mode!r}")
         if mode not in self._weights:
-            nbits = len(self.small_primes)
+            # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
+            grid = (self.ctx.m + 1, self.ctx.W, self.ctx.b + 2)
             if mode == "moebius":
-                table = np.zeros(1 << nbits)
-                table[0] = 1.0
+                hits = _class_sums(((p, 1) for p in self.small_primes), *grid)
+                w = hits[self.xs] == 0
             else:
                 rw = self._rosser("+" if mode == "rosser_plus" else "-")
-                table = np.zeros(1 << nbits)
-                for bits in range(1 << nbits):
-                    d = 1
-                    for j in range(nbits):
-                        if bits >> j & 1:
-                            d *= self.small_primes[j]
-                    table[bits] = rw.weight(d)
-                # subset-sum transform: entry[m] = sum over submasks of lambda
-                for j in range(nbits):
-                    step = 1 << j
-                    for m in range(1 << nbits):
-                        if m >> j & 1:
-                            table[m] += table[m ^ step]
-            self._weights[mode] = table[self._mask] * self.logp
+                w = _class_sums(_lambda_terms(rw, self.small_primes), *grid)[self.xs]
+            self._weights[mode] = w * self.logp
         return self._weights[mode]
 
     def exp_sum(self, alpha, mode: str) -> ExpSumResult:
@@ -266,6 +250,9 @@ def major_arc_model(
 
     1_{(W,q)=1} mu(q) tau*(a,q) 4 e^{-gamma} k0 S1 W / (phi2(Wq) log n)
         * sum_{y<=m} e(theta y),   theta = alpha - a/q.
+
+    The model is 0 when gcd(W, q) > 1 or mu(q) = 0, so tau* is only
+    evaluated at squarefree q.
     """
     if gcd(a, q) != 1:
         raise DomainError(f"need gcd(a, q) = 1, got a={a}, q={q}")
@@ -274,10 +261,10 @@ def major_arc_model(
     ev = get_evaluator(ctx)
     theta = float(alpha) - a / q
     m = ctx.m
-    if gcd(ctx.W, q) > 1:
+    mu = mult_functions(q).mu
+    if gcd(ctx.W, q) > 1 or mu == 0:
         model = 0j
     else:
-        mu = mult_functions(q).mu
         S1 = singular_series_S1(prime_bound_S1)
         phi2_Wq = float(mult_functions(ctx.W * q).phi2)
         pref = 4.0 * math.exp(-EULER_GAMMA) * ctx.k0 * S1 * ctx.W / (phi2_Wq * math.log(ctx.n))

@@ -4,7 +4,7 @@ Every subcommand emits a JSON report on stdout (timestamp kept in a separate
 top-level field so the payload is reproducible byte-for-byte under a fixed
 seed) and optionally a CSV table.  Exit codes: 0 success, 1 a claimed
 inequality failed numerically, 2 bad configuration/domain, 3 resource budget
-exceeded.
+exceeded, 4 an internal invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .circle_method import (
 from .errors import (
     ConfigError,
     DomainError,
+    InvariantError,
     PaperAssertionError,
     ResourceBudgetError,
 )
@@ -121,7 +122,7 @@ def cmd_arcs(args) -> int:
         kind, a, q = dis.classify(alpha)
         rows.append({"alpha": alpha, "kind": kind, "a": a, "q": q})
     _emit(args, "arcs",
-          {"n": args.n, "W": args.W, "b": args.b, "B": args.B, "samples": args.samples},
+          {"n": args.n, "B": args.B, "samples": args.samples},
           {"Q": dis.Q, "radius": dis.radius, "num_rationals": len(dis.rationals),
            "samples": rows})
     return 0
@@ -242,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("arcs", help="major/minor arc dissection")
     a.add_argument("--n", type=int, required=True)
-    a.add_argument("--W", type=int, default=2)
-    a.add_argument("--b", type=int, default=1)
     a.add_argument("--B", type=float, default=2.0)
     a.add_argument("--samples", type=int, default=20)
     a.add_argument("--seed", type=int, default=0)
@@ -319,6 +318,9 @@ def main(argv=None) -> int:
     except PaperAssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all chen3 modules.
 
 Exit-code mapping used by the CLI: DomainError/ConfigError -> 2,
-ResourceBudgetError -> 3, PaperAssertionError -> 1.
+ResourceBudgetError -> 3, PaperAssertionError -> 1, InvariantError -> 4.
 """
 
 

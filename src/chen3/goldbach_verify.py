@@ -12,12 +12,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith_core import FactorTable, build_factor_table, chen_primes
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 
 def _check_n(n: int) -> None:
     if n < 9 or n % 2 == 0 or n % 3 != 0:
         raise DomainError(f"n must be an odd multiple of 3 with n >= 9, got {n}")
+
+
+def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
+    """u[s] = #{p1 <= p2 in chens : p1 + p2 = s} for 0 <= s <= n, from one
+    FFT self-convolution of the indicator of chens.
+
+    Raises InvariantError unless every convolution value lies within 0.25 of
+    the integer it is rounded to.
+    """
+    ind = np.zeros(n + 1)
+    ind[chens] = 1.0
+    size = 1
+    while size < 2 * (n + 1):
+        size <<= 1
+    # squaring and the rounding error are done in place, and the FFT buffers
+    # dropped early, so the guard adds no array at the memory peak
+    ft = np.fft.rfft(ind, size)
+    ft *= ft
+    conv = np.fft.irfft(ft, size)[: n + 1]
+    del ft
+    ordered = np.rint(conv)  # ordered pairs p1 + p2 = s
+    conv -= ordered
+    err = float(np.max(np.abs(conv, out=conv)))
+    del conv
+    if not err < 0.25:
+        raise InvariantError(f"FFT pair counts are {err:.3g} from the nearest integers")
+    diag = np.zeros(n + 1, dtype=np.int64)
+    doubled = 2 * chens
+    diag[doubled[doubled <= n]] = 1
+    return (ordered.astype(np.int64) + diag) // 2
 
 
 @dataclass(frozen=True)
@@ -82,18 +112,7 @@ def representation_count(n: int, table: FactorTable | None = None) -> int:
     if table is None:
         table = build_factor_table(1, n + 2)
     chens = chen_primes(n - 4, table=table)
-    ind = np.zeros(n + 1)
-    ind[chens] = 1.0
-    size = 1
-    while size < 2 * (n + 1):
-        size <<= 1
-    ft = np.fft.rfft(ind, size)
-    conv = np.fft.irfft(ft * ft, size)[: n + 1]
-    pair_sums = np.rint(conv).astype(np.int64)
-    diag = np.zeros(n + 1, dtype=np.int64)
-    doubled = 2 * chens
-    diag[doubled[doubled <= n]] = 1
-    unordered = (pair_sums + diag) // 2
+    unordered = _pair_counts(chens, n)
     p3s = chens[chens <= n - 4]
     return int(np.sum(unordered[n - p3s]))
 
@@ -137,19 +156,7 @@ def range_survey(
     n_lo = max(n_lo, 9)
     table = build_factor_table(1, n_hi + 2)
     chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
-    # pair-count array via FFT self-convolution of the Chen indicator
-    ind = np.zeros(n_hi + 1)
-    ind[chens] = 1.0
-    size = 1
-    while size < 2 * (n_hi + 1):
-        size <<= 1
-    ft = np.fft.rfft(ind, size)
-    conv = np.fft.irfft(ft * ft, size)[: n_hi + 1]
-    pair_sums = np.rint(conv).astype(np.int64)  # ordered pairs p1 + p2 = s
-    diag = np.zeros(n_hi + 1, dtype=np.int64)
-    doubled = 2 * chens
-    diag[doubled[doubled <= n_hi]] = 1
-    unordered = (pair_sums + diag) // 2
+    unordered = _pair_counts(chens, n_hi)
 
     spf = table.smallest_prime_factor
     om = table.omega_big

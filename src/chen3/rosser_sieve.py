@@ -12,7 +12,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from math import gcd
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -139,16 +140,33 @@ def sandwich_check(
     return SandwichResult(q=q, lower=lower, mid=mid, upper=upper, ok=lower <= mid <= upper)
 
 
+def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(d, lambda(d)) over the stored support, then (p, -1) for the primes
+    p >= D in pool: lambda^-(p) = -1 there although p is not stored."""
+    yield from weights.support.items()
+    if weights.sign == "-":
+        for p in pool:
+            if p >= weights.D:
+                yield int(p), -1
+
+
+def _class_sums(terms: Iterable[tuple[int, int]], size: int, W: int = 1, c: int = 0) -> np.ndarray:
+    """T[x] = sum of v over the pairs (d, v) in terms with d | W x + c, for
+    0 <= x < size, by one strided add per d.
+
+    Needs gcd(c, W) = 1: then d | W x + c holds on exactly the class
+    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise.
+    """
+    T = np.zeros(size, dtype=np.int64)
+    for d, val in terms:
+        if gcd(d, W) == 1:
+            T[-c * pow(W, -1, d) % d :: d] += val
+    return T
+
+
 def divisor_sum_table(weights: RosserWeights, limit: int) -> np.ndarray:
     """T[q] = sum_{d | q} lambda(d) for all 0 <= q <= limit, by sieving."""
-    T = np.zeros(limit + 1, dtype=np.int64)
-    for d, val in weights.support.items():
-        if d <= limit:
-            T[d::d] += val
-    if weights.sign == "-":
-        for p in primes_up_to(limit):
-            if p >= weights.D:
-                T[p::p] -= 1
+    T = _class_sums(_lambda_terms(weights, primes_up_to(limit)), limit + 1)
     T[0] = 0
     return T
 

@@ -71,10 +71,6 @@ class ZnWeight:
         return cls(N, np.full(N, 1.0 / N))
 
 
-def dft(f: ZnWeight) -> np.ndarray:
-    return f.dft
-
-
 def dft_direct(values: np.ndarray, rs) -> np.ndarray:
     """O(N) per frequency direct evaluation, used as the independent oracle."""
     values = np.asarray(values, dtype=np.float64)
@@ -115,36 +111,25 @@ class BohrSet:
         return int(self.members.size)
 
 
-def _norm_le(m: int, N: int, eps_frac: Fraction) -> bool:
-    return Fraction(int(m), N) <= eps_frac
-
-
 def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
     """{x in Z_N : ||x r / N|| <= epsilon for all r in frequencies}.
 
-    Membership uses exact integer arithmetic (||.|| as min(t, N - t)/N with
-    t = x*r mod N); the pigeonhole size bound |B| >= ceil(eps^{|R|} N) - 1 is
-    checked on construction.
+    Membership is exact integer arithmetic: with t = x*r mod N,
+    ||x r / N|| = min(t, N - t)/N <= epsilon iff min(t, N - t) <= floor(epsilon N),
+    the floor taken of the exact rational value of epsilon.  The pigeonhole
+    size bound |B| >= ceil(eps^{|R|} N) - 1 is checked on construction.
     """
     if not (0 < epsilon <= 0.5):
         raise DomainError(f"epsilon must be in (0, 1/2], got {epsilon}")
     freqs = frozenset(int(r) % N for r in frequencies)
-    eps_frac = Fraction(epsilon)
+    T = math.floor(Fraction(epsilon) * N)
     xs = np.arange(N, dtype=np.int64)
     mask = np.ones(N, dtype=bool)
     for r in freqs:
         if r == 0:
             continue
         t = (xs * r) % N
-        m = np.minimum(t, N - t)
-        coarse = m <= epsilon * N + 1e-9
-        mask &= coarse
-        # settle boundary candidates exactly
-        border = coarse & (np.abs(m - epsilon * N) <= 1e-6 * N + 1.0)
-        for x in np.nonzero(border)[0]:
-            t1 = int(xs[x]) * r % N
-            if not _norm_le(min(t1, N - t1), N, eps_frac):
-                mask[x] = False
+        mask &= np.minimum(t, N - t) <= T
     members = np.nonzero(mask)[0].astype(np.int64)
     lower = math.ceil(epsilon ** len(freqs - {0}) * N) - 1
     if members.size < lower:
@@ -638,7 +623,8 @@ def run_transference(
         "stages": [],
     }
 
-    built = build_weights(ledger)
+    table = build_factor_table(1, n + 2)
+    built = build_weights(ledger, table)
     report["stages"].append({
         "stage": "weights",
         "support_sizes": list(built.support_sizes),
@@ -755,5 +741,5 @@ def run_transference(
 
     if ground_truth:
         from .goldbach_verify import representation_count
-        report["ground_truth_representations"] = representation_count(n)
+        report["ground_truth_representations"] = representation_count(n, table=table)
     return report

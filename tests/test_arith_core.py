@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chen3.arith_core import (
     build_factor_table,
-    build_prime_set,
     chen_primes,
     classify_chen,
     factorize,
@@ -79,10 +78,6 @@ class TestPrimes:
 
     def test_count_1e5(self):
         assert primes_up_to(100_000).size == 9592
-
-    def test_prime_set(self):
-        ps = build_prime_set(100)
-        assert 97 in ps and 91 not in ps and -1 not in ps
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=300, deadline=None)

@@ -1,8 +1,10 @@
 import cmath
+import functools
 import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from chen3.arith_core import mult_functions, primes_up_to
@@ -18,6 +20,7 @@ from chen3.circle_method import (
     tau_star,
 )
 from chen3.errors import DomainError
+from chen3.rosser_sieve import build_rosser
 
 CTX = SieveContext(n=3000, W=2, b=1, k0=4)  # z0 = 3000^{1/4} ~ 7.4
 
@@ -76,6 +79,51 @@ class TestExpSum:
         assert rep.bound_plus > 0 and rep.bound_minus > 0
 
 
+class TestInnerWeights:
+    """Every mode against sum of lambda(d) over the divisors d of rad(p + 2)
+    made of sieving primes, for each selected prime p.  The sizes are past an
+    exponential subset table (25 primes) and a 63-bit prime mask (65 primes).
+    Every context has sieving primes p >= D, where lambda^-(p) = -1 though p
+    is not in the stored support."""
+
+    @staticmethod
+    def oracle(ev):
+        """weight -> sum of weight(d) over the divisors d of rad(p + 2) made
+        of sieving primes, times log p, for each selected prime p."""
+        small = np.array(ev.small_primes)
+        divides = (ev.primes[:, None] + 2) % small == 0
+        _, first, inverse = np.unique(np.packbits(divides, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        divisor_lists = []
+        for row in divides[first]:
+            divs = [1]
+            for p in small[row]:
+                divs += [d * int(p) for d in divs]
+            divisor_lists.append(divs)
+
+        def weights(weight) -> np.ndarray:
+            weight = functools.cache(weight)
+            sums = np.array([sum(weight(d) for d in divs) for divs in divisor_lists])
+            return sums[inverse.ravel()] * ev.logp
+
+        return weights
+
+    @pytest.mark.parametrize("n, W, b, k0, nprimes", [
+        (10**5, 2, 1, 2, 65),
+        (10**6, 2, 1, 3, 25),
+        (2 * 10**5, 6, 5, 3, 16),
+    ])
+    def test_against_divisor_oracle(self, n, W, b, k0, nprimes):
+        ctx = SieveContext(n=n, W=W, b=b, k0=k0)
+        ev = get_evaluator(ctx)
+        assert len(ev.small_primes) == nprimes
+        oracle = self.oracle(ev)
+        assert np.array_equal(ev.inner_weights("moebius"), oracle(lambda d: mult_functions(d).mu))
+        for mode, sign in (("rosser_plus", "+"), ("rosser_minus", "-")):
+            rw = build_rosser(ctx.D, sign, primes=np.array(ev.small_primes))
+            assert np.array_equal(ev.inner_weights(mode), oracle(rw.weight)), mode
+
+
 class TestTauStar:
     def _oracle(self, a: int, q: int, ctx: SieveContext) -> complex:
         total = 0j
@@ -123,6 +171,14 @@ class TestMajorArc:
         ctx = SieveContext(n=3000, W=6, b=5)
         cmp = major_arc_model(ctx, 1, 3, 1 / 3)
         assert cmp.model == 0j
+
+    def test_model_zero_when_q_not_squarefree(self):
+        ctx = SieveContext(n=3000, W=2, b=1)
+        for q in (9, 25):
+            for a in (1, 2, q - 1):
+                cmp = major_arc_model(ctx, a, q, a / q)
+                assert cmp.model == 0j
+                assert cmp.actual == exp_sum(ctx, Fraction(a, q), "moebius").value
 
     def test_geometric_sum(self):
         for theta, m in ((0.0, 7), (0.3, 5), (0.123, 11)):

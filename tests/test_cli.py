@@ -1,6 +1,8 @@
 import csv
 import json
 
+import numpy as np
+
 from chen3.cli import main
 
 
@@ -50,6 +52,17 @@ class TestExitCodes:
         assert code == 0
         res = json.loads(out)["payload"]["result"]
         assert res["sandwich_failures"] == []
+
+    def test_invariant_error(self, capsys, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        code, _, err = run(capsys, "goldbach", "--n", "9", "--hi", "99")
+        assert code == 4 and "invariant" in err
+
+    def test_arcs_rejects_removed_flags(self, capsys):
+        for flag in ("--W", "--b"):
+            code, _, _ = run(capsys, "arcs", "--n", "10000", flag, "2")
+            assert code == 2
 
 
 class TestSubcommands:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from chen3.errors import DomainError
+from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     Representation,
     find_representations,
@@ -43,6 +44,22 @@ class TestFind:
             assert representation_count(n, table=table_1e5) == len(
                 find_representations(n, table=table_1e5)
             )
+
+
+class TestPairCountGuard:
+    def test_perturbed_convolution_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        with pytest.raises(InvariantError):
+            representation_count(999)
+        with pytest.raises(InvariantError):
+            range_survey(9, 999)
+
+    def test_small_error_is_rounded_away(self, monkeypatch, table_1e5):
+        want = representation_count(999, table=table_1e5)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 0.2)
+        assert representation_count(999, table=table_1e5) == want
 
 
 class TestSurvey:

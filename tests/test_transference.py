@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chen3.goldbach_verify
+import chen3.transference
+from chen3.arith_core import build_factor_table
 from chen3.errors import ConfigError, DomainError
 from chen3.transference import (
     ZnWeight,
@@ -127,6 +131,26 @@ class TestBohr:
             if min(x * r % N, (N - x * r % N) % N) / N <= eps
         }
         assert got == want
+
+    @given(
+        st.integers(min_value=2, max_value=300),
+        st.sets(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=3),
+        st.one_of(st.floats(min_value=1e-9, max_value=0.5),
+                  st.sampled_from([0.1, 0.125, 0.25, 0.375, 0.5])),
+    )
+    @example(N=8, freqs={1}, eps=0.25)  # eps N = 2 exactly
+    @example(N=240, freqs={7, 11}, eps=0.375)  # eps N = 90 exactly
+    @example(N=10, freqs={1, 3}, eps=0.1)  # Fraction(0.1) is just above 1/10
+    @example(N=1000, freqs={1}, eps=0.1)
+    @example(N=10, freqs={1}, eps=0.3)  # 0.3 * 10 rounds to 3.0; the exact product is below 3
+    @settings(max_examples=150, deadline=None)
+    def test_membership_exact_fraction(self, N, freqs, eps):
+        b = bohr_set(freqs, eps, N)
+        want = [
+            x for x in range(N)
+            if all(Fraction(min(x * r % N, N - x * r % N), N) <= Fraction(eps) for r in freqs)
+        ]
+        assert b.members.tolist() == want
 
 
 class TestSmoothing:
@@ -278,6 +302,19 @@ class TestResidues:
 
 
 class TestPipeline:
+    def test_one_factor_table(self, monkeypatch):
+        calls = []
+
+        def counting(lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return build_factor_table(lo, hi, *args, **kwargs)
+
+        for module in (chen3.transference, chen3.goldbach_verify):
+            monkeypatch.setattr(module, "build_factor_table", counting)
+        rep = run_transference(9999)
+        assert calls == [(1, 10001)]
+        assert rep["ground_truth_representations"] > 0
+
     def test_weight_sums_recorded(self):
         led = choose_parameters(9_999)
         built = build_weights(led)
