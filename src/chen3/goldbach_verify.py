@@ -20,34 +20,50 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must be an odd multiple of 3 with n >= 9, got {n}")
 
 
-def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
-    """u[s] = #{p1 <= p2 in chens : p1 + p2 = s} for 0 <= s <= n, from one
-    FFT self-convolution of the indicator of chens.
+def _sum_counts(xs: np.ndarray, ys: np.ndarray, length: int) -> np.ndarray:
+    """c[s] = #{(x, y) in xs x ys : x + y = s} for 0 <= s < length, from one
+    FFT product of the indicators of xs and ys (nonnegative indices without
+    repeats).  Passing ys is xs squares a single transform.
 
     Raises InvariantError unless every convolution value lies within 0.25 of
     the integer it is rounded to.
     """
-    ind = np.zeros(n + 1)
-    ind[chens] = 1.0
+    top = max(int(xs.max()), int(ys.max())) + 1
     size = 1
-    while size < 2 * (n + 1):
+    while size < max(2 * top, length):  # no index wraps around
         size <<= 1
+
+    def transform(idx):
+        ind = np.zeros(top)
+        ind[idx] = 1.0
+        return np.fft.rfft(ind, size)
+
     # squaring and the rounding error are done in place, and the FFT buffers
     # dropped early, so the guard adds no array at the memory peak
-    ft = np.fft.rfft(ind, size)
-    ft *= ft
-    conv = np.fft.irfft(ft, size)[: n + 1]
+    ft = transform(xs)
+    if ys is xs:
+        ft *= ft
+    else:
+        ft *= transform(ys)
+    conv = np.fft.irfft(ft, size)[:length]
     del ft
-    ordered = np.rint(conv)  # ordered pairs p1 + p2 = s
-    conv -= ordered
+    counts = np.rint(conv)
+    conv -= counts
     err = float(np.max(np.abs(conv, out=conv)))
     del conv
     if not err < 0.25:
         raise InvariantError(f"FFT pair counts are {err:.3g} from the nearest integers")
-    diag = np.zeros(n + 1, dtype=np.int64)
+    return counts.astype(np.int64)
+
+
+def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
+    """u[s] = #{p1 <= p2 in chens : p1 + p2 = s} for 0 <= s <= n, from the
+    ordered counts of _sum_counts."""
+    counts = _sum_counts(chens, chens, n + 1)
     doubled = 2 * chens
-    diag[doubled[doubled <= n]] = 1
-    return (ordered.astype(np.int64) + diag) // 2
+    counts[doubled[doubled <= n]] += 1  # p1 = p2 is counted once among ordered pairs
+    counts //= 2
+    return counts
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
-and the parameter ledger tying everything together.
+and the parameter ledger tying everything together.  Every stage on Z_N
+costs O(N log N) or less; the O(N^2) enumerations that check the FFT routes
+are kept in the tests.
 
 Every inequality whose hypotheses are asymptotic ("sufficiently large n",
 "w >= C5^2") is only *asserted* under the paper profile when its stated
@@ -29,6 +31,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError
+from .goldbach_verify import _sum_counts
 from .rosser_sieve import linear_sieve_F_f
 
 S1_PRIME_BOUND = 10 ** 6
@@ -69,16 +72,6 @@ class ZnWeight:
     @classmethod
     def uniform(cls, N: int) -> "ZnWeight":
         return cls(N, np.full(N, 1.0 / N))
-
-
-def dft_direct(values: np.ndarray, rs) -> np.ndarray:
-    """O(N) per frequency direct evaluation, used as the independent oracle."""
-    values = np.asarray(values, dtype=np.float64)
-    N = values.size
-    x = np.arange(N)
-    return np.array(
-        [np.sum(values * np.exp(-2j * np.pi * x * (r % N) / N)) for r in rs]
-    )
 
 
 @dataclass(frozen=True)
@@ -156,41 +149,30 @@ def convolve(f: ZnWeight, g: ZnWeight) -> ZnWeight:
     return ZnWeight(f.N, np.maximum(vals, 0.0))
 
 
-def convolve_direct(f: ZnWeight, g: ZnWeight) -> np.ndarray:
-    """O(N^2) convolution oracle."""
-    if f.N != g.N:
-        raise DomainError(f"mismatched N: {f.N} vs {g.N}")
-    N = f.N
-    out = np.zeros(N)
-    idx = np.arange(N)
-    for x in range(N):
-        out[x] = float(np.dot(f.values, g.values[(x - idx) % N]))
-    return out
-
-
 def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
-    """sum over x1 + x2 + x3 = target of f(x1) g(x2) h(x3).
+    """sum over x1 + x2 + x3 = target (mod N) of f(x1) g(x2) h(x3).
 
-    Computed both by direct O(N^2) enumeration and via the Fourier identity
-    (1/N) sum_r f~ g~ h~ e(target r / N); the two must agree to 1e-8 relative.
+    Two O(N log N) routes must agree to 1e-8 relative: the Fourier identity
+    (1/N) sum_r f~ g~ h~ e(target r / N), read off one inverse DFT of the
+    cached transforms, and the linear convolution f*g from a zero-padded real
+    FFT, folded mod N and paired with h(target - s).  The second is returned.
     """
     if not (f.N == g.N == h.N):
         raise DomainError("mismatched N")
     N = f.N
-    idx = np.arange(N)
-    direct = 0.0
-    for x1 in range(N):
-        direct += float(f.values[x1] * np.dot(g.values, h.values[(target - x1 - idx) % N]))
-    r = np.arange(N)
-    fourier = float(
-        np.real(np.sum(f.dft * g.dft * h.dft * np.exp(2j * np.pi * (target % N) * r / N))) / N
-    )
-    scale = max(abs(direct), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
-    if abs(direct - fourier) / scale > 1e-8:
+    t = target % N
+    fourier = float(np.fft.ifft(f.dft * g.dft * h.dft)[t].real)
+    size = 1 << (2 * N - 2).bit_length()  # >= 2N - 1: f*g does not wrap
+    fg = np.fft.irfft(np.fft.rfft(f.values, size) * np.fft.rfft(g.values, size), size)
+    folded = fg[:N]
+    folded[: N - 1] += fg[N : 2 * N - 1]
+    linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
+    scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
+    if abs(linear - fourier) / scale > 1e-8:
         raise InvariantError(
-            f"triple_sum mismatch: direct={direct}, fourier={fourier}"
+            f"triple_sum mismatch: linear={linear}, fourier={fourier}"
         )
-    return direct
+    return linear
 
 
 @dataclass(frozen=True)
@@ -301,30 +283,29 @@ class PollardResult:
 def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     """Exact triple-representation count against the theta^3 N^2 bound.
 
-    Hypotheses: N prime, theta_1 + theta_2 + theta_3 > 1 with
+    The X_i are integer sequences or arrays read as sets of residues mod N:
+    entries are reduced mod N and repeats dropped.  Hypotheses: N prime, theta_1 + theta_2 + theta_3 > 1 with
     theta_i = |X_i|/N, and N > 2 theta^-2 where
-    theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).
+    theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
+    sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
+    guarded FFT convolution.
     """
-    X1, X2, X3 = (sorted(int(x) % N for x in X) for X in (X1, X2, X3))
-    th = [len(X) / N for X in (X1, X2, X3)]
+    sets = [np.unique(np.mod(np.asarray(X, dtype=np.int64), N)) for X in (X1, X2, X3)]
+    th = [X.size / N for X in sets]
     theta = min(th[0], th[1], th[2], (sum(th) - 1.0) / 4.0)
     problems = []
     if not is_prime_u64(N):
         problems.append(f"N={N} is not prime")
     if sum(th) <= 1.0:
         problems.append(f"density sum {sum(th):.4f} <= 1")
-    elif N <= 2.0 / theta ** 2:
-        problems.append(f"N={N} <= 2 theta^-2 = {2.0 / theta ** 2:.2f}")
+    elif theta == 0.0 or N <= 2.0 / theta ** 2:
+        problems.append(f"N={N} <= 2 theta^-2 with theta = {theta:.4f}")
     if problems:
         raise DomainError("Pollard hypotheses unmet: " + "; ".join(problems))
-    ind2 = np.zeros(N)
-    ind2[X2] = 1.0
-    ind3 = np.zeros(N)
-    ind3[X3] = 1.0
-    idx = np.arange(N)
-    count = 0
-    for x1 in X1:
-        count += int(round(float(np.dot(ind2, ind3[(y - x1 - idx) % N]))))
+    lin = _sum_counts(sets[1], sets[2], 2 * N - 1)
+    c = lin[:N]
+    c[: N - 1] += lin[N:]
+    count = int(np.sum(c[(y % N - sets[0]) % N]))
     bound = theta ** 3 * N ** 2
     return PollardResult(count=count, theta=theta, bound=bound, ok=count >= bound)
 

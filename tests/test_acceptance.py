@@ -25,11 +25,11 @@ from chen3.transference import (
     ZnWeight,
     bohr_set,
     convolve,
-    convolve_direct,
     pollard_check,
     run_transference,
     triple_sum,
 )
+from oracles import convolve_direct
 
 
 @contextmanager

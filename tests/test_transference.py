@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 import chen3.goldbach_verify
 import chen3.transference
-from chen3.arith_core import build_factor_table
-from chen3.errors import ConfigError, DomainError
+from chen3.arith_core import build_factor_table, chen_primes
+from chen3.errors import ConfigError, DomainError, InvariantError
 from chen3.transference import (
     ZnWeight,
     bohr_set,
     build_weights,
     choose_parameters,
     convolve,
-    convolve_direct,
-    dft_direct,
     paper_kappa_delta_epsilon,
     pollard_check,
     run_transference,
@@ -27,6 +25,7 @@ from chen3.transference import (
     split_residues,
     triple_sum,
 )
+from oracles import convolve_direct, dft_direct, pollard_direct, triple_sum_direct
 
 
 class TestZnWeight:
@@ -198,6 +197,43 @@ class TestTripleSum:
         )
         assert triple_sum(f, g, h, 7) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("N", [23, 101, 1009])
+    @pytest.mark.parametrize("kind", ["random", "chen", "point"])
+    def test_matches_direct(self, N, kind):
+        rng = np.random.default_rng(N)
+        if kind == "random":
+            f, g, h = (ZnWeight(N, rng.random(N)) for _ in range(3))
+        elif kind == "chen":
+            # 1 at x when 6x + b is a Chen prime, the shape of the pipeline weights
+            ps = chen_primes(6 * N + 5)
+            f, g, h = (
+                ZnWeight(N, np.bincount((ps[ps % 6 == b] - b) // 6, minlength=N)[:N])
+                for b in (1, 5, 5)
+            )
+        else:
+            f, g, h = (ZnWeight.point_mass(N, int(x)) for x in rng.integers(N, size=3))
+        scale = f.total() * g.total() * h.total()  # bounds every triple sum
+        for target in (0, 1, int(rng.integers(N)), N - 1):
+            want = triple_sum_direct(f, g, h, target)
+            assert abs(triple_sum(f, g, h, target) - want) <= 1e-12 * scale
+        if kind == "point":
+            hit = int(np.argmax(f.values) + np.argmax(g.values) + np.argmax(h.values))
+            assert triple_sum(f, g, h, hit) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shift, raises", [(2e-8, True), (-2e-8, True), (5e-9, False)])
+    def test_route_mismatch_raises(self, monkeypatch, shift, raises):
+        # point masses hitting the target: both routes give 1, so the shift
+        # of the Fourier route is its relative error
+        N = 13
+        f, g, h = (ZnWeight.point_mass(N, x) for x in (2, 3, 4))
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda a: ifft(a) + shift)
+        if raises:
+            with pytest.raises(InvariantError):
+                triple_sum(f, g, h, 9)
+        else:
+            assert triple_sum(f, g, h, 9) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestPollard:
     def test_exhaustive_small(self):
@@ -228,6 +264,53 @@ class TestPollard:
     def test_rejects_composite_N(self):
         with pytest.raises(DomainError):
             pollard_check(12, range(10), range(10), range(10), 0)
+
+    def test_repeats_are_dropped(self):
+        X = list(range(10))
+        res = pollard_check(11, X + [0, 11, 22], X, X, 3)
+        assert res.count == 91 == pollard_direct(11, X, X, X, 3)
+        assert res.theta == pytest.approx(19 / 44)
+        assert res == pollard_check(11, X, X, X, 3)
+
+    def test_padded_small_sets_fail_hypotheses(self):
+        # 7 of 11 residues each: theta = 5/22 and 2 theta^-2 > 11, however
+        # often the entries repeat
+        X = [0, 1, 2, 3, 4, 5, 6]
+        with pytest.raises(DomainError):
+            pollard_check(11, X + [0, 1, 2], X + [3, 4, 5], X + [6, 6, 6], 3)
+
+    def test_representatives_outside_range(self):
+        rng = np.random.default_rng(11)
+        N = 101
+        sets = [rng.choice(N, size=70, replace=False) for _ in range(3)]
+        want = pollard_check(N, *sets, y=5)
+        assert want.count == pollard_direct(N, *sets, y=5)
+        moved = [s + N * rng.integers(-3, 4, size=s.size) for s in sets]
+        assert pollard_check(N, *moved, y=5 + 2 * N) == want
+        assert pollard_check(N, *moved, y=5 - N) == want
+
+    def test_empty_set_fails_hypotheses(self):
+        with pytest.raises(DomainError):
+            pollard_check(11, [], range(11), range(11), 0)
+
+
+class TestPollardGuard:
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(12)
+        return [rng.choice(101, size=70, replace=False) for _ in range(3)]
+
+    def test_perturbed_convolution_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        with pytest.raises(InvariantError):
+            pollard_check(101, *self.sets(), y=5)
+
+    def test_small_error_is_rounded_away(self, monkeypatch):
+        want = pollard_check(101, *self.sets(), y=5)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 0.2)
+        assert pollard_check(101, *self.sets(), y=5) == want
 
 
 class TestParameters:
@@ -338,3 +421,27 @@ class TestPipeline:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             run_transference(100)
+
+    def test_fft_routes_match_direct(self, monkeypatch):
+        # N = 5077: the Pollard count and the raw triple sum of the pipeline
+        # against their O(N^2) oracles, on the arguments the pipeline passes
+        calls = {"pollard_check": [], "triple_sum": []}
+        for name in calls:
+            fn = getattr(chen3.transference, name)
+
+            def spy(*args, fn=fn, name=name, **kwargs):
+                out = fn(*args, **kwargs)
+                calls[name].append((args, kwargs, out))
+                return out
+
+            monkeypatch.setattr(chen3.transference, name, spy)
+        rep = run_transference(30003, ground_truth=False)
+        assert rep["ledger"]["N"] == 5077
+        [(args, kwargs, pres)] = calls["pollard_check"]
+        assert pres.count == pollard_direct(*args, **kwargs)
+        stages = {s["stage"]: s for s in rep["stages"]}
+        assert stages["pollard"]["count"] == pres.count
+        assert [len(x) for x in args[1:4]] == stages["level_sets"]["sizes"]
+        (args, _, raw), _smoothed = calls["triple_sum"]
+        assert raw == rep["raw_triple_sum"]
+        assert raw == pytest.approx(triple_sum_direct(*args), rel=1e-12)
