@@ -20,7 +20,6 @@ from .circle_method import (
     ExpSumResult,
     SieveContext,
     bv_delta,
-    bv_sum,
     exp_sum,
     major_arc_model,
     minor_major_contrast,

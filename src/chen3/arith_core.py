@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
 
-# Segment size for the segmented factor sieve (entries per chunk).
-DEFAULT_SEGMENT = 1 << 20
-# Hard cap on the total number of table entries built in one call.
+# Hard cap on the number of table entries built in one call.  It keeps every
+# x below 2^31 and every Omega(x) below 2^8, so int32 spf and uint8 Omega
+# cannot wrap.
 DEFAULT_TABLE_BUDGET = 1 << 27
 
 EULER_GAMMA = 0.5772156649015329
@@ -67,17 +67,22 @@ def is_prime_u64(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Smallest prime factor and Omega (with multiplicity) over [lo, hi]."""
+    """Smallest prime factor (int32) and Omega with multiplicity (uint8) of
+    every x in [1, hi], both indexed by x itself; entry 0 is unused."""
 
-    lo: int
     hi: int
     smallest_prime_factor: np.ndarray
     omega_big: np.ndarray
 
+    @property
+    def lo(self) -> int:
+        """First covered x; always 1."""
+        return 1
+
     def _idx(self, x: int) -> int:
-        if not (self.lo <= x <= self.hi):
-            raise DomainError(f"x={x} outside table range [{self.lo}, {self.hi}]")
-        return x - self.lo
+        if not (1 <= x <= self.hi):
+            raise DomainError(f"x={x} outside table range [1, {self.hi}]")
+        return x
 
     def spf(self, x: int) -> int:
         """Smallest prime factor of x (1 for x = 1)."""
@@ -90,50 +95,42 @@ class FactorTable:
     def is_prime(self, x: int) -> bool:
         return x >= 2 and self.spf(x) == x
 
+    def primes(self, bound: int) -> np.ndarray:
+        """All primes <= bound (bound <= hi), as the int64 x with spf(x) = x."""
+        spf = self.smallest_prime_factor[: bound + 1]
+        xs = np.flatnonzero(spf == np.arange(spf.size, dtype=np.int32))
+        return xs[xs >= 2].astype(np.int64, copy=False)
 
-def build_factor_table(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT,
-    budget: int = DEFAULT_TABLE_BUDGET,
-) -> FactorTable:
-    """Build the spf/Omega table for [lo, hi] with a segmented sieve.
 
-    Deterministic; raises ResourceBudgetError when hi - lo + 1 > budget.
+def build_factor_table(hi: int) -> FactorTable:
+    """Build the spf/Omega table for [1, hi].
+
+    One strided smallest-prime-factor sieve, then Omega(x) = Omega(x / spf(x))
+    + 1 filled one block [2^k, 2^(k+1)) at a time: x / spf(x) < 2^k there, so
+    each block reads only finished entries.  Raises ResourceBudgetError, before
+    allocating, when hi > DEFAULT_TABLE_BUDGET.
     """
-    if not (1 <= lo <= hi):
-        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    size = hi - lo + 1
-    if size > budget:
+    if hi < 1:
+        raise DomainError(f"need hi >= 1, got {hi}")
+    if hi > DEFAULT_TABLE_BUDGET:
         raise ResourceBudgetError(
-            f"table of {size} entries exceeds budget of {budget} entries"
+            f"table of {hi} entries exceeds budget of {DEFAULT_TABLE_BUDGET} entries"
         )
-    base = primes_up_to(isqrt(hi))
-    spf = np.zeros(size, dtype=np.int64)
-    omega = np.zeros(size, dtype=np.int16)
-    for seg_lo in range(lo, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        a, b = seg_lo - lo, seg_hi - lo
-        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        for p in base:
-            first = -(-seg_lo // p) * p
-            if first > seg_hi:
-                continue
-            pos = np.arange(first, seg_hi + 1, p, dtype=np.int64) - seg_lo + a
-            unset = spf[pos] == 0
-            spf[pos[unset]] = p
-            while pos.size:
-                rem[pos - a] //= p
-                omega[pos] += 1
-                pos = pos[rem[pos - a] % p == 0]
-        left = rem > 1
-        omega[a : b + 1][left] += 1
-        tail = spf[a : b + 1]
-        tail[tail == 0] = np.where(left, rem, 1)[tail == 0]
-        spf[a : b + 1] = tail
-    if lo == 1:
-        spf[0] = 1
-    return FactorTable(lo=lo, hi=hi, smallest_prime_factor=spf, omega_big=omega)
+    spf = np.zeros(hi + 1, dtype=np.int32)
+    for p in primes_up_to(isqrt(hi)):
+        s = spf[p * p :: p]
+        s[s == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # the primes, and spf(1) = 1
+    omega = np.zeros(hi + 1, dtype=np.uint8)
+    start = 2
+    while start <= hi:
+        stop = min(2 * start, hi + 1)
+        cofactor = np.arange(start, stop, dtype=np.int32)
+        cofactor //= spf[start:stop]
+        omega[start:stop] = omega[cofactor] + 1
+        start = stop
+    return FactorTable(hi=hi, smallest_prime_factor=spf, omega_big=omega)
 
 
 def primorial(w: float) -> int:
@@ -190,19 +187,14 @@ def chen_primes(
     if variant == "strict" and (z is None or not (2 <= z <= bound)):
         raise DomainError("strict variant needs 2 <= z <= bound")
     if table is None:
-        table = build_factor_table(1, bound + 2)
-    if table.lo > 1 or table.hi < bound + 2:
+        table = build_factor_table(bound + 2)
+    if table.hi < bound + 2:
         raise DomainError("table does not cover [1, bound + 2]")
-    xs = np.arange(1, bound + 1, dtype=np.int64)
-    spf = table.smallest_prime_factor[: bound]
-    is_p = spf == xs
-    is_p[: 1] = False  # x = 1
-    omega_p2 = table.omega_big[2 : bound + 2]
-    cond = is_p & (omega_p2 <= 2)
+    ps = table.primes(bound)
+    cond = table.omega_big[ps + 2] <= 2
     if variant == "strict":
-        spf_p2 = table.smallest_prime_factor[2 : bound + 2]
-        cond &= spf_p2 >= z
-    return xs[cond]
+        cond &= table.smallest_prime_factor[ps + 2] >= z
+    return ps[cond]
 
 
 def factorize(x: int) -> list[tuple[int, int]]:

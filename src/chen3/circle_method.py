@@ -322,37 +322,6 @@ def bv_delta(x: int, q: int, primes: np.ndarray | None = None) -> float:
     return float(max(abs(sums[r % q] - target) for r in rs))
 
 
-def bv_sum(x: int, primes: np.ndarray | None = None) -> float:
-    """Finite Bombieri-Vinogradov-shaped sum
-
-    sum_{q <= sqrt(x)/log(x)} max_{y <= x} Delta(y; q),
-
-    with the inner max evaluated exactly at the breakpoints of the piecewise
-    linear deviation (just after each prime and just before the next).
-    """
-    if primes is None:
-        primes = primes_up_to(x)
-    primes = primes[primes <= x]
-    logp = np.log(primes.astype(np.float64))
-    qmax = int(math.sqrt(x) / math.log(x))
-    total = 0.0
-    for q in range(1, qmax + 1):
-        phi = mult_functions(q).phi
-        rs = np.array([r % q for r in range(1, q + 1) if gcd(r, q) == 1])
-        sums = np.zeros(q)
-        best = 0.0
-        residues = primes % q
-        ys = np.append(primes[1:], x).astype(np.float64)
-        for i in range(primes.size):
-            # just before the next breakpoint (sums unchanged, y grows)
-            best = max(best, float(np.max(np.abs(sums[rs] - primes[i] / phi))))
-            sums[residues[i]] += logp[i]
-            best = max(best, float(np.max(np.abs(sums[rs] - primes[i] / phi))),
-                       float(np.max(np.abs(sums[rs] - ys[i] / phi))))
-        total += best
-    return total
-
-
 @dataclass(frozen=True)
 class ContrastReport:
     minor_ratios: tuple[float, ...]

@@ -70,7 +70,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def cmd_chen(args) -> int:
-    table = build_factor_table(1, args.bound + 2)
+    table = build_factor_table(args.bound + 2)
     ps = chen_primes(args.bound, variant=args.variant, z=args.z, table=table)
     if args.csv:
         _write_csv(

@@ -99,9 +99,8 @@ def find_representations(
     Omega(p3 + 2) <= k_cap), ordered by (p1, p2), optionally truncated."""
     _check_n(n)
     if table is None:
-        table = build_factor_table(1, n + 2)
+        table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
-    chen_set = set(int(p) for p in chens)
     spf = table.smallest_prime_factor
     om = table.omega_big
     out: list[Representation] = []
@@ -114,8 +113,8 @@ def find_representations(
             p3 = n - p1 - p2
             if p3 < 2:
                 break
-            if spf[p3 - 1] == p3 and om[p3 + 1] <= k_cap:
-                out.append(Representation(n=n, p1=p1, p2=p2, p3=p3, k_of_p3=int(om[p3 + 1])))
+            if spf[p3] == p3 and om[p3 + 2] <= k_cap:
+                out.append(Representation(n=n, p1=p1, p2=p2, p3=p3, k_of_p3=int(om[p3 + 2])))
                 if limit is not None and len(out) >= limit:
                     return out
     return out
@@ -126,7 +125,7 @@ def representation_count(n: int, table: FactorTable | None = None) -> int:
     (p1 <= p2), via one FFT pair-count instead of pair enumeration."""
     _check_n(n)
     if table is None:
-        table = build_factor_table(1, n + 2)
+        table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, table=table)
     unordered = _pair_counts(chens, n)
     p3s = chens[chens <= n - 4]
@@ -170,15 +169,12 @@ def range_survey(
     if n_hi < n_lo:
         raise DomainError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     n_lo = max(n_lo, 9)
-    table = build_factor_table(1, n_hi + 2)
+    table = build_factor_table(n_hi + 2)
     chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
     unordered = _pair_counts(chens, n_hi)
 
-    spf = table.smallest_prime_factor
-    om = table.omega_big
-    primes = np.nonzero(spf == np.arange(1, n_hi + 3, dtype=np.int64))[0] + 1
-    primes = primes[(primes >= 2) & (primes <= n_hi)]
-    om_shift = om[primes + 1]  # Omega(p + 2)
+    primes = table.primes(n_hi)
+    om_shift = table.omega_big[primes + 2]
 
     rows: list[SurveyRow] = []
     failures: list[int] = []

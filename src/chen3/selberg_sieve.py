@@ -172,10 +172,24 @@ def quadratic_form(system: SelbergSystem) -> Fraction:
     for d1, l1 in items:
         for d2, l2 in items:
             m = d1 * d2 // gcd(d1, d2)
-            union = set(system.chains[d1]) | set(system.chains[d2])
-            om = math.prod(system.omega[p] for p in union)
-            total += l1 * l2 * Fraction(om, m)
+            total += l1 * l2 * Fraction(_omega_of_lcm(system, d1, d2), m)
     return total
+
+
+def _omega_of_lcm(system: SelbergSystem, d1: int, d2: int) -> int:
+    """omega([d1, d2]) for squarefree d1, d2 in the system's support."""
+    union = set(system.chains[d1]) | set(system.chains[d2])
+    return math.prod(system.omega[p] for p in union)
+
+
+def _remainder_pair_sum(system: SelbergSystem) -> float:
+    """sum_{d1, d2} |lambda(d1) lambda(d2)| omega([d1, d2]) over the support."""
+    lam = system.lam_float()
+    return sum(
+        abs(v1 * v2) * _omega_of_lcm(system, d1, d2)
+        for d1, v1 in lam.items()
+        for d2, v2 in lam.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -220,7 +234,6 @@ def pair_count_bound(
     f3, f4 = f1 + 2, f2 + 2
 
     def divisor_indicator(d: int, forms) -> np.ndarray:
-        m = np.zeros(xs.size, dtype=bool)
         r = np.ones(xs.size, dtype=np.int64)
         for f in forms:
             r = (r * (f % d)) % d
@@ -237,17 +250,9 @@ def pair_count_bound(
     qf1 = float(quadratic_form(sys1))
     qf2 = float(quadratic_form(sys2))
     main = (n / W) * qf1 * qf2
-    rem = 0.0
-    items1, items2 = list(lam1.items()), list(lam2.items())
-    for d1, v1 in items1:
-        for d2, v2 in items1:
-            u1 = set(sys1.chains[d1]) | set(sys1.chains[d2])
-            om1 = math.prod(sys1.omega[p] for p in u1)
-            for d3, v3 in items2:
-                for d4, v4 in items2:
-                    u2 = set(sys2.chains[d3]) | set(sys2.chains[d4])
-                    om2 = math.prod(sys2.omega[p] for p in u2)
-                    rem += abs(v1 * v2 * v3 * v4) * om1 * om2
+    # the four-fold sum over (d1, d2) in stage 1 and (d3, d4) in stage 2
+    # factors into the two pair sums
+    rem = _remainder_pair_sum(sys1) * _remainder_pair_sum(sys2)
     bound = main + rem
     tol = 1e-9 * (abs(bound) + 1.0)
     ok = exact_above <= pointwise + tol and pointwise <= bound + tol

@@ -25,6 +25,7 @@ import numpy as np
 from .arith_core import (
     EULER_GAMMA,
     build_factor_table,
+    chen_primes,
     is_prime_u64,
     mult_functions,
     primes_up_to,
@@ -520,21 +521,17 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
     """
     n, W, N = ledger.n, ledger.W, ledger.N
     if table is None:
-        table = build_factor_table(1, n + 2)
+        table = build_factor_table(n + 2)
     S1 = singular_series_S1(S1_PRIME_BOUND)
     phi2_W = float(mult_functions(W).phi2)
-    z1 = n ** 0.1
+    z1 = max(n ** 0.1, 2.0)  # every spf(p + 2) is >= 2
     z0 = n ** (1.0 / ledger.k0)
-    spf = table.smallest_prime_factor
     kap = float(ledger.kappa)
 
-    def chen_support(b: int, xmax: int) -> np.ndarray:
-        xs = np.arange(1, xmax + 1, dtype=np.int64)
-        p = W * xs + b
-        is_p = spf[p - 1] == p
-        om_p2 = table.omega_big[p + 1]
-        strict = spf[p + 1] >= z1
-        return xs[is_p & (om_p2 <= 2) & strict]
+    def support(ps: np.ndarray, b: int) -> np.ndarray:
+        """The x >= 1 with W x + b in ps."""
+        ps = ps[(ps % W == b % W) & (ps > b)]
+        return (ps - b) // W
 
     weights = []
     sums = []
@@ -543,18 +540,15 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
     for i, b in enumerate((ledger.b1, ledger.b2, ledger.b3)):
         if i < 2:
             xmax = (n - b) // (2 * W)
-            xs = chen_support(b, xmax)
+            xs = support(chen_primes(W * xmax + b, "strict", z=z1, table=table), b)
             vals_at = (
                 float(ledger.C2) / S1 / 1000.0
                 * phi2_W * np.log(W * xs + b) ** 2 / n
             )
         else:
             xmax = (n - b) // W
-            allx = np.arange(1, xmax + 1, dtype=np.int64)
-            p = W * allx + b
-            is_p = spf[p - 1] == p
-            coprime = spf[p + 1] >= z0
-            xs = allx[is_p & coprime]
+            ps = table.primes(W * xmax + b)
+            xs = support(ps[table.smallest_prime_factor[ps + 2] >= z0], b)
             vals_at = (
                 math.exp(EULER_GAMMA) * phi2_W
                 * np.log(W * xs + b) * math.log(n)
@@ -604,7 +598,7 @@ def run_transference(
         "stages": [],
     }
 
-    table = build_factor_table(1, n + 2)
+    table = build_factor_table(n + 2)
     built = build_weights(ledger, table)
     report["stages"].append({
         "stage": "weights",

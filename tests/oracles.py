@@ -1,9 +1,13 @@
 """Direct O(N) per value and O(N^2) oracles on Z_N for the FFT routes in
-chen3.transference.  They are independent of the FFT and slow by design."""
+chen3.transference, and the four-fold Selberg remainder sum.  They are
+independent of the fast routes and slow by design."""
+
+import math
 
 import numpy as np
 
 from chen3.errors import DomainError
+from chen3.selberg_sieve import build_selberg
 
 
 def dft_direct(values: np.ndarray, rs) -> np.ndarray:
@@ -54,3 +58,23 @@ def pollard_direct(N: int, X1, X2, X3, y: int) -> int:
     for x1 in X1:
         count += int(round(float(np.dot(ind2, ind3[(y - x1 - idx) % N]))))
     return count
+
+
+def selberg_remainder_direct(n: int, W: int, b: int, M: int, z0: float, z1: float) -> float:
+    """The remainder tally of chen3.selberg_sieve.pair_count_bound as the
+    four-fold sum of |lambda1(d1) lambda1(d2) lambda2(d3) lambda2(d4)|
+    omega1([d1, d2]) omega2([d3, d4]) over both supports."""
+    sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
+    sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
+    items1, items2 = list(sys1.lam_float().items()), list(sys2.lam_float().items())
+    rem = 0.0
+    for d1, v1 in items1:
+        for d2, v2 in items1:
+            u1 = set(sys1.chains[d1]) | set(sys1.chains[d2])
+            om1 = math.prod(sys1.omega[p] for p in u1)
+            for d3, v3 in items2:
+                for d4, v4 in items2:
+                    u2 = set(sys2.chains[d3]) | set(sys2.chains[d4])
+                    om2 = math.prod(sys2.omega[p] for p in u2)
+                    rem += abs(v1 * v2 * v3 * v4) * om1 * om2
+    return rem

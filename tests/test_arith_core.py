@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chen3 import arith_core
 from chen3.arith_core import (
+    DEFAULT_TABLE_BUDGET,
     build_factor_table,
     chen_primes,
     classify_chen,
@@ -48,11 +51,33 @@ class TestFactorTable:
             assert table_1e5.omega(x) == omega_oracle(x), x
             assert table_1e5.spf(x) == spf_oracle(x), x
 
-    def test_segmented_offset_window(self):
-        t = build_factor_table(10**6, 10**6 + 1000, segment_size=256)
-        for x in range(10**6, 10**6 + 1000 + 1):
+    def test_against_trial_division_at_block_seams(self):
+        # Omega is filled one block [2^k, 2^(k+1)) at a time
+        seams = {2**k + e for k in range(1, 18) for e in (-1, 0, 1)}
+        t = build_factor_table(2**17 + 1)
+        for x in sorted(set(range(1, 5001)) | seams):
             assert t.omega(x) == omega_oracle(x), x
             assert t.spf(x) == spf_oracle(x), x
+
+    def test_prime_and_omega_identities(self):
+        hi = 2**20 + 3
+        t = build_factor_table(hi)
+        xs = np.arange(2, hi + 1)
+        ps = primes_up_to(hi)
+        assert np.array_equal(xs[t.smallest_prime_factor[2:] == xs], ps)
+        assert np.array_equal(t.primes(hi), ps)
+        # sum_{x <= hi} Omega(x) = Omega(hi!) = sum_{p^k <= hi} floor(hi / p^k)
+        legendre = 0
+        for p in map(int, ps):
+            pk = p
+            while pk <= hi:
+                legendre += hi // pk
+                pk *= p
+        assert int(np.sum(t.omega_big[1:], dtype=np.int64)) == legendre
+
+    def test_dtypes(self, table_1e5):
+        assert table_1e5.smallest_prime_factor.dtype == np.int32
+        assert table_1e5.omega_big.dtype == np.uint8
 
     def test_out_of_range(self, table_1e5):
         with pytest.raises(DomainError):
@@ -60,9 +85,10 @@ class TestFactorTable:
         with pytest.raises(DomainError):
             table_1e5.spf(100003)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
         with pytest.raises(ResourceBudgetError):
-            build_factor_table(1, 1000, budget=10)
+            build_factor_table(DEFAULT_TABLE_BUDGET + 1)
 
     @given(st.integers(min_value=2, max_value=100_000))
     @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from chen3.selberg_sieve import (
     quadratic_form,
 )
 from chen3.transference import ZnWeight
+from oracles import selberg_remainder_direct
 
 
 class TestOmega:
@@ -77,6 +78,17 @@ class TestPairCount:
         rep = pair_count_bound(n=5000, W=6, b=5, M=2, z0=4.0, z1=10.0)
         assert rep.ok
         assert rep.exact_count >= rep.exact_count_above_z1
+
+    @pytest.mark.parametrize("args", [
+        (10**6, 2, 1, 5, 30, 60),  # the sieve_sums benchmark's arguments
+        (3000, 2, 1, 3, 3.5, 8),
+        (5000, 6, 5, 2, 4, 10),
+    ])
+    def test_remainder_factors_into_pair_sums(self, args):
+        rem = pair_count_bound(*args).remainder_tally
+        direct = selberg_remainder_direct(*args)
+        assert rem > 0
+        assert abs(rem - direct) <= 1e-12 * direct
 
 
 class TestEnergy:

@@ -388,14 +388,14 @@ class TestPipeline:
     def test_one_factor_table(self, monkeypatch):
         calls = []
 
-        def counting(lo, hi, *args, **kwargs):
-            calls.append((lo, hi))
-            return build_factor_table(lo, hi, *args, **kwargs)
+        def counting(hi):
+            calls.append(hi)
+            return build_factor_table(hi)
 
         for module in (chen3.transference, chen3.goldbach_verify):
             monkeypatch.setattr(module, "build_factor_table", counting)
         rep = run_transference(9999)
-        assert calls == [(1, 10001)]
+        assert calls == [10001]
         assert rep["ground_truth_representations"] > 0
 
     def test_weight_sums_recorded(self):
