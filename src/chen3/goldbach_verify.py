@@ -1,8 +1,11 @@
 """Ground-truth verification: odd multiples of 3 as p1 + p2 + p3 with p1, p2
 Chen primes and p3 a prime whose shift p3 + 2 has few prime factors.
 
-Exhaustive at desk scale; the range survey vectorizes the pair counts with a
-single FFT self-convolution of the Chen-prime indicator.
+Exhaustive at desk scale.  The range survey is FFT convolutions: the
+unordered Chen pair counts u come from one self-convolution of the Chen-prime
+indicator, every representation count from u * 1_P over the primes P, and the
+smallest Omega(p3 + 2) from u * 1_{P_k} over the classes
+P_k = {p : Omega(p + 2) = k} in order of k, until every n is resolved.
 """
 
 from __future__ import annotations
@@ -20,40 +23,53 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must be an odd multiple of 3 with n >= 9, got {n}")
 
 
+def _fft_size(top: int, length: int) -> int:
+    """The smallest power of two >= max(2 top, length), so that no sum of two
+    indices below top wraps around."""
+    size = 1
+    while size < max(2 * top, length):
+        size <<= 1
+    return size
+
+
+def _indicator_ft(idx: np.ndarray, top: int, size: int) -> np.ndarray:
+    """rfft, zero-padded to size, of the indicator of idx on [0, top)."""
+    ind = np.zeros(top)
+    ind[idx] = 1.0
+    return np.fft.rfft(ind, size)
+
+
+def _rounded_irfft(ft: np.ndarray, size: int, length: int) -> np.ndarray:
+    """The convolution values irfft(ft, size)[:length] rounded to int64.
+
+    Raises InvariantError unless every value lies within 0.25 of the integer
+    it is rounded to.
+    """
+    conv = np.fft.irfft(ft, size)[:length]
+    counts = np.empty(conv.size, dtype=np.int64)
+    np.rint(conv, out=counts, casting="unsafe")
+    conv -= counts  # the rounding error, in the irfft buffer
+    err = float(np.max(np.abs(conv, out=conv)))
+    if not err < 0.25:
+        raise InvariantError(f"FFT counts are {err:.3g} from the nearest integers")
+    return counts
+
+
 def _sum_counts(xs: np.ndarray, ys: np.ndarray, length: int) -> np.ndarray:
     """c[s] = #{(x, y) in xs x ys : x + y = s} for 0 <= s < length, from one
     FFT product of the indicators of xs and ys (nonnegative indices without
-    repeats).  Passing ys is xs squares a single transform.
-
-    Raises InvariantError unless every convolution value lies within 0.25 of
-    the integer it is rounded to.
+    repeats).  Passing ys is xs squares a single transform.  Guarded by
+    _rounded_irfft.
     """
     top = max(int(xs.max()), int(ys.max())) + 1
-    size = 1
-    while size < max(2 * top, length):  # no index wraps around
-        size <<= 1
-
-    def transform(idx):
-        ind = np.zeros(top)
-        ind[idx] = 1.0
-        return np.fft.rfft(ind, size)
-
-    # squaring and the rounding error are done in place, and the FFT buffers
-    # dropped early, so the guard adds no array at the memory peak
-    ft = transform(xs)
+    size = _fft_size(top, length)
+    # the product is formed in place, so the memory peak is the irfft itself
+    ft = _indicator_ft(xs, top, size)
     if ys is xs:
         ft *= ft
     else:
-        ft *= transform(ys)
-    conv = np.fft.irfft(ft, size)[:length]
-    del ft
-    counts = np.rint(conv)
-    conv -= counts
-    err = float(np.max(np.abs(conv, out=conv)))
-    del conv
-    if not err < 0.25:
-        raise InvariantError(f"FFT pair counts are {err:.3g} from the nearest integers")
-    return counts.astype(np.int64)
+        ft *= _indicator_ft(ys, top, size)
+    return _rounded_irfft(ft, size, length)
 
 
 def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
@@ -132,6 +148,37 @@ def representation_count(n: int, table: FactorTable | None = None) -> int:
     return int(np.sum(unordered[n - p3s]))
 
 
+def _survey_counts(
+    u: np.ndarray, primes: np.ndarray, om_shift: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each n in ns (all below u.size, as are the primes): the count
+    sum_p u[n - p] over the primes p <= n, and the smallest om_shift of a
+    prime p with u[n - p] > 0, or -1 when there is none.
+
+    The counts are u * 1_P from one FFT product; the minimum takes one more
+    product u * 1_{P_k} per class P_k = {p : om_shift(p) = k}, in increasing k,
+    and stops once every n with a positive count is resolved.  u >= 0, so a
+    class count at n is positive exactly when some p in the class is.
+    """
+    top = u.size
+    size = _fft_size(top, top)
+    fu = np.fft.rfft(u.astype(np.float64), size)
+
+    def counts_at_ns(idx):
+        return _rounded_irfft(fu * _indicator_ft(idx, top, size), size, top)[ns]
+
+    rep = counts_at_ns(primes)
+    min_k = np.full(ns.size, -1, dtype=np.int64)
+    open_ = rep > 0
+    for k in np.unique(om_shift).tolist():
+        if not open_.any():
+            break
+        hit = open_ & (counts_at_ns(primes[om_shift == k]) > 0)
+        min_k[hit] = k
+        open_ &= ~hit
+    return rep, min_k
+
+
 @dataclass(frozen=True)
 class SurveyRow:
     n: int
@@ -164,7 +211,8 @@ def range_survey(
     For each n: the number of unordered Chen pairs (p1, p2) with n - p1 - p2
     prime, and the minimum Omega(p3 + 2) over those p3.  A failure is any n
     with min_k > 2 (no representation with all three shifts almost-prime) or
-    with no representation at all.
+    with no representation at all.  Both columns come from FFT convolutions
+    (_survey_counts), O(n_hi log n_hi) for each Omega class reached.
     """
     if n_hi < n_lo:
         raise DomainError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
@@ -176,21 +224,12 @@ def range_survey(
     primes = table.primes(n_hi)
     om_shift = table.omega_big[primes + 2]
 
-    rows: list[SurveyRow] = []
-    failures: list[int] = []
-    start = n_lo + (3 - n_lo) % 6
-    for n in range(start, n_hi + 1, 6):
-        p3s = primes[primes <= n - 4]
-        cnts = unordered[n - p3s]
-        hit = cnts > 0
-        rep_count = int(np.sum(cnts[hit]))
-        if rep_count == 0:
-            rows.append(SurveyRow(n=n, rep_count=0, min_k=-1, has_all_chen=False))
-            failures.append(n)
-            continue
-        min_k = int(np.min(om_shift[: p3s.size][hit]))
-        ok = min_k <= 2
-        rows.append(SurveyRow(n=n, rep_count=rep_count, min_k=min_k, has_all_chen=ok))
-        if not ok:
-            failures.append(n)
+    ns = np.arange(n_lo + (3 - n_lo) % 6, n_hi + 1, 6)
+    rep, min_k = _survey_counts(unordered, primes, om_shift, ns)
+    ok = (rep > 0) & (min_k <= 2)
+    rows = [
+        SurveyRow(n=n, rep_count=c, min_k=k, has_all_chen=a)
+        for n, c, k, a in zip(ns.tolist(), rep.tolist(), min_k.tolist(), ok.tolist())
+    ]
+    failures = ns[~ok].tolist()
     return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)

@@ -1,12 +1,14 @@
 """Direct O(N) per value and O(N^2) oracles on Z_N for the FFT routes in
-chen3.transference, and the four-fold Selberg remainder sum.  They are
-independent of the fast routes and slow by design."""
+chen3.transference, the four-fold Selberg remainder sum, and the per-n range
+survey.  They are independent of the fast routes and slow by design."""
 
 import math
 
 import numpy as np
 
+from chen3.arith_core import build_factor_table, chen_primes
 from chen3.errors import DomainError
+from chen3.goldbach_verify import SurveyReport, SurveyRow, _pair_counts
 from chen3.selberg_sieve import build_selberg
 
 
@@ -78,3 +80,32 @@ def selberg_remainder_direct(n: int, W: int, b: int, M: int, z0: float, z1: floa
                     om2 = math.prod(sys2.omega[p] for p in u2)
                     rem += abs(v1 * v2 * v3 * v4) * om1 * om2
     return rem
+
+
+def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None = None) -> SurveyReport:
+    """chen3.goldbach_verify.range_survey with one gather of the pair counts
+    at n - p3 over every prime p3 <= n - 4 per n, O(#n pi(n))."""
+    n_lo = max(n_lo, 9)
+    table = build_factor_table(n_hi + 2)
+    chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
+    unordered = _pair_counts(chens, n_hi)
+    primes = table.primes(n_hi)
+    om_shift = table.omega_big[primes + 2]
+    rows: list[SurveyRow] = []
+    failures: list[int] = []
+    start = n_lo + (3 - n_lo) % 6
+    for n in range(start, n_hi + 1, 6):
+        p3s = primes[primes <= n - 4]
+        cnts = unordered[n - p3s]
+        hit = cnts > 0
+        rep_count = int(np.sum(cnts[hit]))
+        if rep_count == 0:
+            rows.append(SurveyRow(n=n, rep_count=0, min_k=-1, has_all_chen=False))
+            failures.append(n)
+            continue
+        min_k = int(np.min(om_shift[: p3s.size][hit]))
+        ok = min_k <= 2
+        rows.append(SurveyRow(n=n, rep_count=rep_count, min_k=min_k, has_all_chen=ok))
+        if not ok:
+            failures.append(n)
+    return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)

@@ -76,6 +76,12 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["payload"]["result"]["all_ok"]
 
+    def test_goldbach_survey_to_a_million(self, capsys):
+        code, out, _ = run(capsys, "goldbach", "--n", "9", "--hi", "1000000")
+        assert code == 0
+        res = json.loads(out)["payload"]["result"]
+        assert res["rows"] == 166666 and res["all_ok"]
+
     def test_ssum(self, capsys):
         code, out, _ = run(capsys, "ssum", "--n", "3000", "--alpha", "1/7")
         assert code == 0

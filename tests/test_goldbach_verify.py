@@ -4,10 +4,25 @@ import pytest
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     Representation,
+    _survey_counts,
     find_representations,
     range_survey,
     representation_count,
 )
+from oracles import survey_direct
+
+
+def count_irfft(monkeypatch) -> list[int]:
+    """Wrap np.fft.irfft; the returned list gets one size per call."""
+    irfft = np.fft.irfft
+    sizes: list[int] = []
+
+    def counted(a, n):
+        sizes.append(n)
+        return irfft(a, n)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return sizes
 
 
 class TestFind:
@@ -57,9 +72,11 @@ class TestPairCountGuard:
 
     def test_small_error_is_rounded_away(self, monkeypatch, table_1e5):
         want = representation_count(999, table=table_1e5)
+        want_rows = range_survey(9, 999).rows
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 0.2)
         assert representation_count(999, table=table_1e5) == want
+        assert range_survey(9, 999).rows == want_rows
 
 
 class TestSurvey:
@@ -87,3 +104,56 @@ class TestSurvey:
     def test_domain(self):
         with pytest.raises(DomainError):
             range_survey(100, 50)
+
+    @pytest.mark.parametrize(
+        "n_lo, n_hi, variant, z",
+        [
+            (9, 999, "basic", None),
+            (9, 20001, "basic", None),
+            (1000, 5003, "basic", None),  # n_lo = 4 (mod 6)
+            (9, 20001, "strict", 50),
+            (9, 30001, "strict", 7),
+        ],
+    )
+    def test_matches_direct_survey(self, n_lo, n_hi, variant, z):
+        got = range_survey(n_lo, n_hi, variant, z)
+        want = survey_direct(n_lo, n_hi, variant, z)
+        assert got.rows == want.rows
+        assert got.failures == want.failures
+        if z == 50:
+            unrepresented = [r for r in got.rows if r.rep_count == 0]
+            assert len(unrepresented) == 19 and all(r.min_k == -1 for r in unrepresented)
+
+    def test_three_ffts_at_desk_scale(self, monkeypatch):
+        # the Chen pairs, every count, and class 1, which resolves every n
+        sizes = count_irfft(monkeypatch)
+        range_survey(9, 20001)
+        assert len(sizes) == 3
+
+    def test_later_classes_and_stop(self, monkeypatch):
+        """_survey_counts on a synthetic Omega(p + 2), where classes k >= 2
+        are needed, against the direct minimum."""
+        rng = np.random.default_rng(5)
+        top = 400
+        u = rng.integers(0, 4, size=top) * (rng.random(top) < 0.2)
+        u[:4] = 0
+        primes = np.flatnonzero(rng.random(top) < 0.3)
+        om_shift = rng.choice([1, 2, 3], size=primes.size, p=[0.05, 0.5, 0.45])
+        om_shift[-3:] = 9  # only the largest primes: never needed
+        ns = np.arange(0, top, 3)
+
+        want_rep, want_k = [], []
+        for n in ns.tolist():
+            ps = primes <= n
+            cnts = u[n - primes[ps]]
+            want_rep.append(int(cnts.sum()))
+            want_k.append(int(om_shift[ps][cnts > 0].min()) if cnts.any() else -1)
+
+        sizes = count_irfft(monkeypatch)
+        rep, min_k = _survey_counts(u, primes, om_shift, ns)
+        assert rep.tolist() == want_rep
+        assert min_k.tolist() == want_k
+
+        assert -1 in want_k and max(want_k) == 3
+        # the counts, then classes 1, 2 and 3; class 9 is never convolved
+        assert len(sizes) == 4
