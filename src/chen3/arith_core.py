@@ -25,6 +25,9 @@ DEFAULT_TABLE_BUDGET = 1 << 27
 
 EULER_GAMMA = 0.5772156649015329
 
+# Prime bound of the partial singular series S1 in every weight and model.
+S1_PRIME_BOUND = 10 ** 6
+
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (plain Eratosthenes)."""
@@ -140,13 +143,6 @@ def primorial(w: float) -> int:
         if p < w:
             out *= int(p)
     return out
-
-
-def is_pk(x: int, k: int, table: FactorTable) -> bool:
-    """x in P_k: at most k prime factors with multiplicity.  P_k(1) is True."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return table.omega(x) <= k
 
 
 @dataclass(frozen=True)

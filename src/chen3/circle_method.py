@@ -22,6 +22,7 @@ import numpy as np
 
 from .arith_core import (
     EULER_GAMMA,
+    S1_PRIME_BOUND,
     mult_functions,
     primes_up_to,
     singular_series_S1,
@@ -83,9 +84,9 @@ class ExpSumEvaluator:
 
     MODES = ("moebius", "rosser_plus", "rosser_minus")
 
-    def __init__(self, ctx: SieveContext, budget: int = DEFAULT_SIEVE_BUDGET):
-        if ctx.n > budget:
-            raise ResourceBudgetError(f"n={ctx.n} exceeds sieve budget {budget}")
+    def __init__(self, ctx: SieveContext):
+        if ctx.n > DEFAULT_SIEVE_BUDGET:
+            raise ResourceBudgetError(f"n={ctx.n} exceeds sieve budget {DEFAULT_SIEVE_BUDGET}")
         self.ctx = ctx
         ps = primes_up_to(ctx.n)
         sel = ps[ps % ctx.W == ctx.b % ctx.W]
@@ -244,7 +245,6 @@ def major_arc_model(
     q: int,
     alpha: float,
     dissection: "ArcDissection | None" = None,
-    prime_bound_S1: int = 10 ** 6,
 ) -> MajorArcComparison:
     """Compare S(alpha) against the major-arc main-term model
 
@@ -265,7 +265,7 @@ def major_arc_model(
     if gcd(ctx.W, q) > 1 or mu == 0:
         model = 0j
     else:
-        S1 = singular_series_S1(prime_bound_S1)
+        S1 = singular_series_S1(S1_PRIME_BOUND)
         phi2_Wq = float(mult_functions(ctx.W * q).phi2)
         pref = 4.0 * math.exp(-EULER_GAMMA) * ctx.k0 * S1 * ctx.W / (phi2_Wq * math.log(ctx.n))
         model = mu * tau_star(a, q, ctx) * pref * geometric_phase_sum(theta, m)

@@ -61,7 +61,6 @@ def build_rosser(
     D: float,
     sign: str,
     primes: np.ndarray | None = None,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> RosserWeights:
     """Enumerate the full support of lambda_D^sign by descending-prime DFS.
 
@@ -102,9 +101,9 @@ def build_rosser(
             if k % 2 == check_parity and prefix * p ** 3 >= D:
                 continue
             d = prefix * p
-            if len(support) >= support_cap:
+            if len(support) >= DEFAULT_SUPPORT_CAP:
                 raise ResourceBudgetError(
-                    f"Rosser support exceeds cap of {support_cap} entries"
+                    f"Rosser support exceeds cap of {DEFAULT_SUPPORT_CAP} entries"
                 )
             new_chain = chain + (p,)
             support[d] = -1 if k % 2 else 1

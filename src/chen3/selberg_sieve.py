@@ -19,8 +19,9 @@ from math import gcd
 
 import numpy as np
 
-from .arith_core import primes_up_to
+from .arith_core import build_factor_table, primes_up_to
 from .errors import DomainError, ResourceBudgetError
+from .transference import _folded_convolution
 
 DEFAULT_L_CAP = 500_000
 
@@ -60,7 +61,7 @@ class SelbergSystem:
         return {d: float(v) for d, v in self.lam.items()}
 
 
-def _enumerate_squarefree(primes: list[int], cap: float, l_cap: int):
+def _enumerate_squarefree(primes: list[int], cap: float):
     """All squarefree products < cap of the given primes, with their chains."""
     out = [(1, ())]
     def extend(prod, chain, start):
@@ -68,8 +69,8 @@ def _enumerate_squarefree(primes: list[int], cap: float, l_cap: int):
             p = primes[i]
             if prod * p >= cap:
                 continue
-            if len(out) >= l_cap:
-                raise ResourceBudgetError(f"squarefree support exceeds cap {l_cap}")
+            if len(out) >= DEFAULT_L_CAP:
+                raise ResourceBudgetError(f"squarefree support exceeds cap {DEFAULT_L_CAP}")
             out.append((prod * p, chain + (p,)))
             extend(prod * p, chain + (p,), i + 1)
     extend(1, (), 0)
@@ -84,7 +85,6 @@ def build_selberg(
     k0: int,
     z0: float | None = None,
     z1: float | None = None,
-    l_cap: int = DEFAULT_L_CAP,
 ) -> SelbergSystem:
     """Selberg weights lambda(d) = d/omega(d) * sum_{d | l < z} mu(l/d) mu(l) g(l) / G1.
 
@@ -124,7 +124,7 @@ def build_selberg(
         omega_map[p] = w
     g = {p: Fraction(omega_map[p], p - omega_map[p]) for p in sieve_primes}
 
-    ls = _enumerate_squarefree(sieve_primes, z_cap, l_cap)
+    ls = _enumerate_squarefree(sieve_primes, z_cap)
     g_of: dict[int, Fraction] = {}
     for l, chain in ls:
         val = Fraction(1)
@@ -192,6 +192,21 @@ def _remainder_pair_sum(system: SelbergSystem) -> float:
     )
 
 
+def _lambda_class_sums(lam: dict[int, float], shifts, W: int, size: int) -> np.ndarray:
+    """s[x - 1] = sum of lambda(d) over the d with d | prod_c (W x + c), for
+    1 <= x <= size.  Whether d divides depends only on x mod d, so each d
+    adds lambda(d) by one strided slice per root r in [0, d) of the product."""
+    s = np.zeros(size)
+    for d, v in lam.items():
+        r = np.arange(d, dtype=np.int64)
+        prod = np.ones(d, dtype=np.int64)
+        for c in shifts:
+            prod = prod * ((W * r + c) % d) % d
+        for root in np.flatnonzero(prod == 0):
+            s[(root - 1) % d :: d] += v
+    return s
+
+
 @dataclass(frozen=True)
 class PairCountReport:
     exact_count: int
@@ -211,40 +226,22 @@ def pair_count_bound(
 
     The pointwise form sum_x s1(x)^2 s2(x)^2 dominates every x that survives
     both sieves; primes <= z1 are invisible to the stage-2 sieve, so the
-    asserted comparison uses the count restricted to p1 > z1.
+    asserted comparison uses the count restricted to p1 > z1.  The survivors
+    come from one factor table: spf(p + 2) >= z0.
     """
     sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
     sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
-    lam1 = sys1.lam_float()
-    lam2 = sys2.lam_float()
 
-    ps = primes_up_to(n)
-    sel = ps[ps % W == b % W]
-    small = [int(p) for p in primes_up_to(max(2, math.ceil(z0) - 1)) if p < z0]
-    surv = np.ones(sel.size, dtype=bool)
-    for sp in small:
-        surv &= (sel + 2) % sp != 0
-    survivors = set(int(p) for p in sel[surv])
-    exact = sum(1 for p in survivors if p + W * M in survivors)
-    exact_above = sum(1 for p in survivors if p > z1 and p + W * M in survivors)
+    table = build_factor_table(n + 2)
+    ps = table.primes(n)
+    survivors = ps[(ps % W == b % W) & (table.smallest_prime_factor[ps + 2] >= z0)]
+    paired = np.isin(survivors + W * M, survivors)
+    exact = int(np.count_nonzero(paired))
+    exact_above = int(np.count_nonzero(paired & (survivors > z1)))
 
     xmax = (n - b) // W
-    xs = np.arange(1, xmax + 1, dtype=np.int64)
-    f1, f2 = W * xs + b, W * xs + W * M + b
-    f3, f4 = f1 + 2, f2 + 2
-
-    def divisor_indicator(d: int, forms) -> np.ndarray:
-        r = np.ones(xs.size, dtype=np.int64)
-        for f in forms:
-            r = (r * (f % d)) % d
-        return r == 0
-
-    s1 = np.zeros(xs.size)
-    for d, v in lam1.items():
-        s1 += v * divisor_indicator(d, (f1, f2, f3, f4))
-    s2 = np.zeros(xs.size)
-    for d, v in lam2.items():
-        s2 += v * divisor_indicator(d, (f1, f2))
+    s1 = _lambda_class_sums(sys1.lam_float(), (b, W * M + b, b + 2, W * M + b + 2), W, xmax)
+    s2 = _lambda_class_sums(sys2.lam_float(), (b, W * M + b), W, xmax)
     pointwise = float(np.sum(s1 ** 2 * s2 ** 2))
 
     qf1 = float(quadratic_form(sys1))
@@ -275,14 +272,12 @@ class EnergyReport:
 
 
 def additive_energy(weights) -> EnergyReport:
-    """Additive energy sum_{x1+x4=x2+x3} f(x1)f(x2)f(x3)f(x4) (direct, via the
-    self-convolution) against the Fourier fourth moment sum_r |f~(r)|^4 = N * energy."""
+    """Additive energy sum_{x1+x4=x2+x3} f(x1)f(x2)f(x3)f(x4) = sum_s (f*f)(s)^2,
+    with f*f from the zero-padded FFT fold of triple_sum, against the Fourier
+    fourth moment sum_r |f~(r)|^4 = N * energy from the length-N DFT."""
     values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
     N = values.size
-    conv = np.zeros(N)
-    for s in range(N):
-        conv[s] = float(np.dot(values, values[(s - np.arange(N)) % N]))
-    energy = float(np.sum(conv ** 2))
+    energy = float(np.sum(_folded_convolution(values, values) ** 2))
     ft = np.fft.fft(values)
     moment4 = float(np.sum(np.abs(ft) ** 4))
     denom = max(abs(moment4), 1e-300)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .arith_core import (
     EULER_GAMMA,
+    S1_PRIME_BOUND,
     build_factor_table,
     chen_primes,
     is_prime_u64,
@@ -35,8 +36,8 @@ from .errors import ConfigError, DomainError, InvariantError, PaperAssertionErro
 from .goldbach_verify import _sum_counts
 from .rosser_sieve import linear_sieve_F_f
 
-S1_PRIME_BOUND = 10 ** 6
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
+OVERRIDABLE = ("kappa", "delta", "epsilon", "B", "C1", "C2", "C3", "C4", "C5")
 
 
 @dataclass
@@ -150,6 +151,18 @@ def convolve(f: ZnWeight, g: ZnWeight) -> ZnWeight:
     return ZnWeight(f.N, np.maximum(vals, 0.0))
 
 
+def _folded_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of two length-N arrays: the linear convolution from
+    a zero-padded real FFT of size >= 2N - 1, so that it does not wrap,
+    folded mod N.  Independent of the length-N DFTs of ZnWeight."""
+    N = f.size
+    size = 1 << (2 * N - 2).bit_length()
+    fg = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(g, size), size)
+    folded = fg[:N]
+    folded[: N - 1] += fg[N : 2 * N - 1]
+    return folded
+
+
 def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     """sum over x1 + x2 + x3 = target (mod N) of f(x1) g(x2) h(x3).
 
@@ -163,10 +176,7 @@ def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     N = f.N
     t = target % N
     fourier = float(np.fft.ifft(f.dft * g.dft * h.dft)[t].real)
-    size = 1 << (2 * N - 2).bit_length()  # >= 2N - 1: f*g does not wrap
-    fg = np.fft.irfft(np.fft.rfft(f.values, size) * np.fft.rfft(g.values, size), size)
-    folded = fg[:N]
-    folded[: N - 1] += fg[N : 2 * N - 1]
+    folded = _folded_convolution(f.values, g.values)
     linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
     scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
     if abs(linear - fourier) / scale > 1e-8:
@@ -378,12 +388,12 @@ def paper_kappa_delta_epsilon(varpi: float, C3: float, C4: float):
         return delta, epsilon, kappa
 
 
-def choose_k0(kappa: float, k0_cap: int = DESK_K0_CAP) -> int | None:
+def choose_k0(kappa: float) -> int | None:
     """Smallest integer k0 >= 8 with 20 (F(k0/4) - f(k0/4)) <= kappa^2, or
-    None if no k0 up to the cap passes (the paper-profile kappa is far below
-    the integrator's resolution)."""
+    None if no k0 up to DESK_K0_CAP passes (the paper-profile kappa is far
+    below the integrator's resolution)."""
     target = kappa ** 2 / 20.0
-    for k0 in range(8, k0_cap + 1):
+    for k0 in range(8, DESK_K0_CAP + 1):
         F, f = linear_sieve_F_f(k0 / 4.0)
         if F - f <= target:
             return k0
@@ -431,41 +441,42 @@ def split_residues(n: int, W: int) -> tuple[int, int, int]:
 def choose_parameters(
     n: int,
     profile: str = "desk",
-    C1: float = 1.0,
-    C2: float = 1.0,
-    C3: float = 1.0,
-    C4: float = 1.0,
-    C5: float = 1.0,
     overrides: dict | None = None,
 ) -> ParameterLedger:
     """Resolve every pipeline constant for n, with provenance flags.
 
     Paper profile: delta/epsilon/kappa from the explicit formulas (evaluated
     in arbitrary precision), B = 6^9.  Desk profile: finite stand-ins
-    (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]),
-    all overridable.
+    (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]).
+    overrides may set the inputs in OVERRIDABLE before anything is derived
+    from them; any other key is a ConfigError.
     """
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
     overrides = dict(overrides or {})
-    prov: dict[str, str] = {}
+    unknown = sorted(set(overrides) - set(OVERRIDABLE))
+    if unknown:
+        raise ConfigError(f"cannot override {unknown}: only {', '.join(OVERRIDABLE)}")
+    C1, C2, C3, C4, C5 = (overrides.get(f"C{i}", 1.0) for i in range(1, 6))
     varpi = min(C1 * C2, 1.0) / 10000.0
-    prov["varpi"] = "paper-formula"
+    prov: dict[str, str] = {"varpi": "paper-formula"}
 
     if profile == "paper":
         delta, epsilon, kappa = paper_kappa_delta_epsilon(varpi, C3, C4)
-        prov.update(delta="paper-formula", epsilon="paper-formula", kappa="paper-formula")
         B = 6.0 ** 9
-        prov["B"] = "paper-default"
+        prov.update(dict.fromkeys(("delta", "epsilon", "kappa"), "paper-formula"), B="paper-default")
+    else:
+        kappa, delta, epsilon = 0.5, 0.05, 0.05
+        B = max(1.0, round(math.log(100.0) / math.log(math.log(n))))
+        prov.update(dict.fromkeys(("delta", "epsilon", "kappa", "B"), "desk-default"))
+    # the desk stand-ins keep their desk-default label when overridden
+    prov.update({key: "override" for key in overrides if prov.get(key) != "desk-default"})
+    kappa, delta, epsilon, B = (overrides.get(key, value) for key, value in
+                                zip(("kappa", "delta", "epsilon", "B"), (kappa, delta, epsilon, B)))
+    if profile == "paper":
         k0 = choose_k0_paper(kappa)
         prov["k0"] = "capped-desk-grid" if k0 == DESK_K0_CAP else "paper-rule"
     else:
-        kappa = overrides.pop("kappa", 0.5)
-        delta = overrides.pop("delta", 0.05)
-        epsilon = overrides.pop("epsilon", 0.05)
-        prov.update(delta="desk-default", epsilon="desk-default", kappa="desk-default")
-        B = overrides.pop("B", max(1.0, round(math.log(100.0) / math.log(math.log(n)))))
-        prov["B"] = "desk-default"
         k0 = choose_k0(kappa)
         if k0 is None:
             raise ConfigError(f"no k0 <= {DESK_K0_CAP} satisfies the F-f rule for kappa={kappa}")
@@ -479,17 +490,11 @@ def choose_parameters(
     hi = (1.0 + kap_f ** 2 / 10.0) * n / W
     N = find_prime_in(lo, hi)
     R = N ** 0.1
-    ledger = ParameterLedger(
+    return ParameterLedger(
         n=n, profile=profile, W=W, w=w, b1=b1, b2=b2, b3=b3, N=N, R=R,
         k0=int(k0), B=float(B), kappa=kappa, delta=delta, epsilon=epsilon,
         varpi=varpi, C1=C1, C2=C2, C3=C3, C4=C4, C5=C5, provenance=prov,
     )
-    for key, val in overrides.items():
-        if not hasattr(ledger, key):
-            raise ConfigError(f"unknown override {key!r}")
-        setattr(ledger, key, val)
-        prov[key] = "override"
-    return ledger
 
 
 def choose_k0_paper(kappa) -> int:
@@ -600,6 +605,10 @@ def run_transference(
 
     table = build_factor_table(n + 2)
     built = build_weights(ledger, table)
+    # x1 + x2 + x3 < n' + N on the supports: every Z_N solution is an integer one
+    x_sum = sum(int(np.max(xs, initial=0)) for xs in built.support_x)
+    if x_sum >= n_prime + N:
+        raise InvariantError(f"support maxima sum to {x_sum} >= n' + N = {n_prime + N}")
     report["stages"].append({
         "stage": "weights",
         "support_sizes": list(built.support_sizes),
@@ -689,29 +698,18 @@ def run_transference(
     report["raw_triple_sum"] = cmp_res.raw
     report["raw_triple_sum_positive"] = cmp_res.raw > 0.0
 
-    # lift check: a Z_N solution on the raw supports must be a Z solution
+    # lift check: the lexicographically least (x1, x2) with n' - x1 - x2 in
+    # the a3 support; no wrap, so it is the least Z_N solution too
     lift = None
     s1, s2, s3 = built.support_x
-    set3 = set(int(x) % N for x in s3)
-    found = None
-    for x1 in s1[: 2000]:
-        for x2 in s2[: 2000]:
-            x3 = (n_prime - int(x1) - int(x2)) % N
-            if x3 in set3:
-                found = (int(x1), int(x2), x3)
-                break
-        if found:
+    for x1 in s1:
+        hit = np.isin(n_prime - x1 - s2, s3)
+        if hit.any():
+            x2 = s2[np.argmax(hit)]
+            found = [int(x1), int(x2), int(n_prime - x1 - x2)]
+            primes = [W * x + b for x, b in zip(found, (ledger.b1, ledger.b2, ledger.b3))]
+            lift = {"x": found, "primes": primes, "lifts_to_integers": sum(primes) == n}
             break
-    if found:
-        x1, x2, x3 = found
-        p1, p2, p3 = W * x1 + ledger.b1, W * x2 + ledger.b2, W * x3 + ledger.b3
-        lift = {
-            "x": list(found),
-            "primes": [p1, p2, p3],
-            "lifts_to_integers": p1 + p2 + p3 == n,
-        }
-        if not lift["lifts_to_integers"]:
-            raise InvariantError("Z_N solution failed to lift to the integers")
     report["lift_check"] = lift
 
     if ground_truth:

@@ -1,15 +1,21 @@
 """Direct O(N) per value and O(N^2) oracles on Z_N for the FFT routes in
-chen3.transference, the four-fold Selberg remainder sum, and the per-n range
-survey.  They are independent of the fast routes and slow by design."""
+chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
+divisor indicator per d, the four-fold Selberg remainder sum, and the per-n
+range survey.  They are independent of the fast routes and slow by design."""
 
 import math
 
 import numpy as np
 
-from chen3.arith_core import build_factor_table, chen_primes
+from chen3.arith_core import build_factor_table, chen_primes, primes_up_to
 from chen3.errors import DomainError
 from chen3.goldbach_verify import SurveyReport, SurveyRow, _pair_counts
-from chen3.selberg_sieve import build_selberg
+from chen3.selberg_sieve import (
+    PairCountReport,
+    _remainder_pair_sum,
+    build_selberg,
+    quadratic_form,
+)
 
 
 def dft_direct(values: np.ndarray, rs) -> np.ndarray:
@@ -109,3 +115,74 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
         if not ok:
             failures.append(n)
     return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)
+
+
+def pair_count_direct(
+    n: int, W: int, b: int, M: int, z0: float, z1: float
+) -> PairCountReport:
+    """chen3.selberg_sieve.pair_count_bound with its own sieve of p + 2 by the
+    primes below z0, a set of survivors, and one divisor indicator of length
+    xmax = (n - b)/W per d in each Selberg support."""
+    sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
+    sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
+    lam1 = sys1.lam_float()
+    lam2 = sys2.lam_float()
+
+    ps = primes_up_to(n)
+    sel = ps[ps % W == b % W]
+    small = [int(p) for p in primes_up_to(max(2, math.ceil(z0) - 1)) if p < z0]
+    surv = np.ones(sel.size, dtype=bool)
+    for sp in small:
+        surv &= (sel + 2) % sp != 0
+    survivors = set(int(p) for p in sel[surv])
+    exact = sum(1 for p in survivors if p + W * M in survivors)
+    exact_above = sum(1 for p in survivors if p > z1 and p + W * M in survivors)
+
+    xmax = (n - b) // W
+    xs = np.arange(1, xmax + 1, dtype=np.int64)
+    f1, f2 = W * xs + b, W * xs + W * M + b
+    f3, f4 = f1 + 2, f2 + 2
+
+    def divisor_indicator(d: int, forms) -> np.ndarray:
+        r = np.ones(xs.size, dtype=np.int64)
+        for f in forms:
+            r = (r * (f % d)) % d
+        return r == 0
+
+    s1 = np.zeros(xs.size)
+    for d, v in lam1.items():
+        s1 += v * divisor_indicator(d, (f1, f2, f3, f4))
+    s2 = np.zeros(xs.size)
+    for d, v in lam2.items():
+        s2 += v * divisor_indicator(d, (f1, f2))
+    pointwise = float(np.sum(s1 ** 2 * s2 ** 2))
+
+    qf1 = float(quadratic_form(sys1))
+    qf2 = float(quadratic_form(sys2))
+    main = (n / W) * qf1 * qf2
+    # the four-fold sum over (d1, d2) in stage 1 and (d3, d4) in stage 2
+    # factors into the two pair sums
+    rem = _remainder_pair_sum(sys1) * _remainder_pair_sum(sys2)
+    bound = main + rem
+    tol = 1e-9 * (abs(bound) + 1.0)
+    ok = exact_above <= pointwise + tol and pointwise <= bound + tol
+    return PairCountReport(
+        exact_count=exact,
+        exact_count_above_z1=exact_above,
+        sieve_bound=bound,
+        main_term=main,
+        remainder_tally=rem,
+        pointwise_qf=pointwise,
+        ok=ok,
+    )
+
+
+def energy_direct(weights) -> float:
+    """Additive energy sum_s (f*f)(s)^2 on Z_N, one O(N) sum per s of the
+    cyclic self-convolution."""
+    values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
+    N = values.size
+    conv = np.zeros(N)
+    for s in range(N):
+        conv[s] = float(np.dot(values, values[(s - np.arange(N)) % N]))
+    return float(np.sum(conv ** 2))

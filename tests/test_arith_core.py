@@ -13,7 +13,6 @@ from chen3.arith_core import (
     chen_primes,
     classify_chen,
     factorize,
-    is_pk,
     is_prime_u64,
     mult_functions,
     primes_up_to,
@@ -140,11 +139,6 @@ class TestChen:
     def test_classify_rejects_composite(self, table_1e5):
         with pytest.raises(DomainError):
             classify_chen(15, table_1e5)
-
-    def test_is_pk(self, table_1e5):
-        assert is_pk(1, 0, table_1e5)
-        assert is_pk(49, 2, table_1e5)
-        assert not is_pk(30, 2, table_1e5)
 
 
 class TestMultFunctions:

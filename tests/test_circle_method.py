@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from chen3.arith_core import mult_functions, primes_up_to
+from chen3 import circle_method
 from chen3.circle_method import (
     ArcDissection,
+    ExpSumEvaluator,
     SieveContext,
     bv_delta,
     exp_sum,
@@ -19,7 +21,7 @@ from chen3.circle_method import (
     spm_comparison,
     tau_star,
 )
-from chen3.errors import DomainError
+from chen3.errors import DomainError, ResourceBudgetError
 from chen3.rosser_sieve import build_rosser
 
 CTX = SieveContext(n=3000, W=2, b=1, k0=4)  # z0 = 3000^{1/4} ~ 7.4
@@ -51,6 +53,12 @@ class TestExpSum:
             got = exp_sum(CTX, alpha, "moebius").value
             want = brute_moebius_sum(CTX, alpha)
             assert got == pytest.approx(want, abs=1e-8 * (abs(want) + 1))
+
+    def test_sieve_budget(self, monkeypatch):
+        monkeypatch.setattr(circle_method, "DEFAULT_SIEVE_BUDGET", 3000)
+        assert ExpSumEvaluator(CTX).xs.size > 0  # n = 3000 is within the budget
+        with pytest.raises(ResourceBudgetError):
+            ExpSumEvaluator(SieveContext(n=3001, W=2, b=1, k0=4))
 
     def test_periodicity(self):
         a = exp_sum(CTX, Fraction(2, 7), "moebius").value

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 
+from chen3 import rosser_sieve
 from chen3.cli import main
 
 
@@ -58,6 +59,15 @@ class TestExitCodes:
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
         code, _, err = run(capsys, "goldbach", "--n", "9", "--hi", "99")
         assert code == 4 and "invariant" in err
+
+    def test_derived_override_is_a_config_error(self, capsys):
+        code, _, err = run(capsys, "transfer", "--n", "99999", "--override", "W=30")
+        assert code == 2 and "error" in err
+
+    def test_resource_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)
+        code, _, err = run(capsys, "rosser", "--D", "100")
+        assert code == 3 and "resource limit" in err
 
     def test_arcs_rejects_removed_flags(self, capsys):
         for flag in ("--W", "--b"):

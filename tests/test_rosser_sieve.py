@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chen3.arith_core import EULER_GAMMA, factorize, mult_functions, primes_up_to
-from chen3.errors import DomainError
+from chen3 import rosser_sieve
+from chen3.errors import DomainError, ResourceBudgetError
 from chen3.rosser_sieve import (
     LinearSieveFns,
     build_rosser,
@@ -43,6 +44,13 @@ class TestSupport:
                 assert len(set(chain)) == len(chain)
                 assert math.prod(chain) == d
                 assert w.support[d] == (-1) ** len(chain)
+
+    def test_support_budget(self, monkeypatch):
+        # the '-' support at D = 10 has 5 entries, 1, 2, 3, 5, 7; the '+' has 2
+        monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 4)
+        assert len(build_rosser(10, "+").support) == 2
+        with pytest.raises(ResourceBudgetError):
+            build_rosser(10, "-")
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chen3.errors import DomainError
+from chen3 import selberg_sieve
+from chen3.errors import DomainError, ResourceBudgetError
 from chen3.selberg_sieve import (
     additive_energy,
     build_selberg,
@@ -13,7 +14,7 @@ from chen3.selberg_sieve import (
     quadratic_form,
 )
 from chen3.transference import ZnWeight
-from oracles import selberg_remainder_direct
+from oracles import energy_direct, pair_count_direct, selberg_remainder_direct
 
 
 class TestOmega:
@@ -60,6 +61,14 @@ class TestWeights:
         s = build_selberg(1, M=1, W=2, n=10**6, k0=8)
         assert 3 in s.skipped_primes
 
+    def test_support_budget(self, monkeypatch):
+        # stage 1 at W = 6, M = 5, z0 = 12: the squarefree l < 12 built from
+        # 5, 7, 11 are 1, 5, 7, 11
+        monkeypatch.setattr(selberg_sieve, "DEFAULT_L_CAP", 4)
+        assert len(build_selberg(1, M=5, W=6, n=10**4, k0=8, z0=12.0).lam) == 4
+        with pytest.raises(ResourceBudgetError):
+            build_selberg(1, M=5, W=6, n=10**4, k0=8, z0=36.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             build_selberg(3, M=1, W=2, n=100, k0=8)
@@ -78,6 +87,20 @@ class TestPairCount:
         rep = pair_count_bound(n=5000, W=6, b=5, M=2, z0=4.0, z1=10.0)
         assert rep.ok
         assert rep.exact_count >= rep.exact_count_above_z1
+
+    @pytest.mark.parametrize("args, exact", [
+        ((10**6, 2, 1, 5, 30, 60), 0),  # the sieve_sums benchmark's arguments
+        ((10**6, 2, 1, 3, 30, 60), 658),
+        ((3000, 2, 1, 3, 3.5, 8), None),
+        ((5000, 6, 5, 2, 4, 10), None),
+        ((2 * 10**5, 6, 1, 2, 10, 40), None),  # 3 divides every p + 2
+        ((10**5, 30, 7, 1, 20, 40), None),
+    ])
+    def test_matches_direct(self, args, exact):
+        rep = pair_count_bound(*args)
+        assert rep == pair_count_direct(*args)
+        if exact is not None:
+            assert rep.exact_count == exact
 
     @pytest.mark.parametrize("args", [
         (10**6, 2, 1, 5, 30, 60),  # the sieve_sums benchmark's arguments
@@ -120,3 +143,9 @@ class TestEnergy:
                     for x3 in range(N)
                 )
                 assert e.energy_count == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [17, 101, 509])
+    def test_matches_direct(self, N):
+        w = ZnWeight(N, np.random.default_rng(N).random(N))
+        want = energy_direct(w)
+        assert abs(additive_energy(w).energy_count - want) <= 1e-12 * want

@@ -361,6 +361,16 @@ class TestParameters:
         with pytest.raises(ConfigError):
             choose_parameters(99_999, overrides={"bogus": 1})
 
+    def test_constant_override_reaches_varpi(self):
+        led = choose_parameters(99_999, overrides={"C2": 0.5})
+        assert led.C2 == 0.5 and led.provenance["C2"] == "override"
+        assert led.varpi == pytest.approx(0.5e-4)
+
+    def test_derived_values_cannot_be_overridden(self):
+        for key, val in (("W", 30.0), ("b1", 7.0), ("N", 16880.0), ("varpi", 0.1)):
+            with pytest.raises(ConfigError):
+                choose_parameters(99_999, overrides={key: val})
+
     def test_bad_profile(self):
         with pytest.raises(ConfigError):
             choose_parameters(99_999, profile="galaxy")
@@ -417,6 +427,36 @@ class TestPipeline:
         stages = {s["stage"]: s for s in rep["stages"]}
         assert stages["threesum_comparison"]["status"] == "diagnostic"
         assert rep["ground_truth_representations"] > 0
+
+    def test_lift_is_least_witness(self):
+        n = 30003
+        rep = run_transference(n, ground_truth=False)
+        led = choose_parameters(n)
+        s1, s2, s3 = build_weights(led).support_x
+        in_s3 = set(s3.tolist())
+        want = next(
+            [x1, x2, rep["n_prime"] - x1 - x2]
+            for x1 in s1.tolist()
+            for x2 in s2.tolist()
+            if rep["n_prime"] - x1 - x2 in in_s3
+        )
+        lift = rep["lift_check"]
+        assert lift["x"] == want
+        assert sum(lift["primes"]) == n and lift["lifts_to_integers"]
+
+    def test_wrapping_supports_raise(self, monkeypatch):
+        # the supports at n = 9999 reach x1 + x2 + x3 = 827 + 827 + 1656
+        n, x_sum = 9999, 3310
+        led = choose_parameters(n)
+        n_prime = (n - led.b1 - led.b2 - led.b3) // led.W
+        assert sum(int(xs.max()) for xs in build_weights(led).support_x) == x_sum
+        for N, raises in ((x_sum - n_prime, True), (x_sum - n_prime + 1, False)):
+            monkeypatch.setattr(chen3.transference, "find_prime_in", lambda lo, hi, N=N: N)
+            if raises:
+                with pytest.raises(InvariantError):
+                    run_transference(n, ground_truth=False)
+            else:
+                assert run_transference(n, ground_truth=False)["ledger"]["N"] == N
 
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
