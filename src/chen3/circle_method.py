@@ -6,7 +6,11 @@ The central objects are the sums over primes p <= n with p = b (mod W)
 
 where w(p) is either the indicator of gcd(p+2, P(z0)) = 1 (mode "moebius")
 or the Rosser divisor sum over d | (p+2, P(z0)) (modes "rosser_plus" /
-"rosser_minus").  Rational alpha = a/q gets exact integer phase reduction.
+"rosser_minus").  Rational alpha = a/q gets exact integer phase reduction,
+and with q at most the number of terms it is a complete sum over the
+residues mod q: S(a/q) = sum_{r mod q} c_q(r) e(ar/q), where c_q(r) sums the
+weights of the terms with x = r (mod q).  The class sums c_q cost one pass
+over the terms per (mode, q); each a then costs O(q).
 """
 
 from __future__ import annotations
@@ -78,8 +82,11 @@ class ExpSumResult:
 class ExpSumEvaluator:
     """Precomputes the weighted prime sequence for one context.
 
-    Reusable across alphas and modes; each exp_sum evaluation is a single
-    vectorized phase sum.
+    Reusable across alphas and modes.  A rational a/q with q at most the
+    number of terms is a complete sum over the class sums mod q, kept for the
+    current q only: one residue array xs mod q and one class-sum array per
+    mode, both replaced when q changes.  A float alpha, or a larger q, is one
+    vectorized phase sum over the terms.
     """
 
     MODES = ("moebius", "rosser_plus", "rosser_minus")
@@ -95,6 +102,9 @@ class ExpSumEvaluator:
         self.logp = np.log(sel.astype(np.float64))
         self.small_primes = [int(p) for p in primes_up_to(max(2, math.ceil(ctx.z0) - 1)) if p < ctx.z0]
         self._weights: dict[str, np.ndarray] = {}
+        self._q = 0
+        self._residues: np.ndarray | None = None
+        self._class_sums: dict[str, np.ndarray] = {}
 
     def _rosser(self, sign: str) -> RosserWeights:
         return build_rosser(self.ctx.D, sign, primes=np.array(self.small_primes, dtype=np.int64))
@@ -116,18 +126,41 @@ class ExpSumEvaluator:
 
     def exp_sum(self, alpha, mode: str) -> ExpSumResult:
         w = self.inner_weights(mode)
-        if isinstance(alpha, Fraction):
-            a, q = alpha.numerator % alpha.denominator, alpha.denominator
-            t = ((a * (self.xs % q)) % q) / q
-            alpha_f = float(alpha)
+        if isinstance(alpha, Fraction) and 1 < alpha.denominator <= w.size:
+            q = alpha.denominator
+            value = self._complete_sum(alpha.numerator % q, q, mode, w)
         else:
-            alpha_f = float(alpha)
-            t = (alpha_f % 1.0) * self.xs % 1.0
-        if np.all(t == 0.0):
-            value = complex(np.sum(w), 0.0)
-        else:
-            value = complex(np.sum(w * np.exp(2j * np.pi * t)))
-        return ExpSumResult(alpha=alpha_f, value=value, weight_mode=mode, term_count=int(w.size))
+            t = self._phases(alpha)
+            if np.all(t == 0.0):
+                value = complex(np.sum(w), 0.0)
+            else:
+                value = complex(np.sum(w * np.exp(2j * np.pi * t)))
+        return ExpSumResult(alpha=float(alpha), value=value, weight_mode=mode, term_count=int(w.size))
+
+    def _phases(self, alpha) -> np.ndarray:
+        """alpha x mod 1 for each term x, reduced exactly in integers when
+        alpha is a Fraction."""
+        if not isinstance(alpha, Fraction):
+            return (float(alpha) % 1.0) * self.xs % 1.0
+        a, q = alpha.numerator % alpha.denominator, alpha.denominator
+        r = self.xs % q
+        if a * int(r.max(initial=0)) < 2**63:
+            return (a * r) % q / q
+        # the int64 products would wrap: reduce in Python integers
+        return ((r.astype(object) * a) % q / q).astype(np.float64)
+
+    def _complete_sum(self, a: int, q: int, mode: str, w: np.ndarray) -> complex:
+        """sum_{r mod q} c_q(r) e(ar/q) for 0 < a < q <= the number of terms,
+        with w the weights of mode."""
+        if q != self._q:
+            self._q, self._residues, self._class_sums = q, self.xs % q, {}
+        c = self._class_sums.get(mode)
+        if c is None:
+            c = np.bincount(self._residues, weights=w, minlength=q)
+            self._class_sums[mode] = c
+        # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, so a r < 2^63
+        t = (a * np.arange(q, dtype=np.int64)) % q / q
+        return complex(np.dot(c, np.exp(2j * np.pi * t)))
 
     def at_zero(self, mode: str) -> float:
         return float(np.sum(self.inner_weights(mode)))

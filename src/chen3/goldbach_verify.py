@@ -24,12 +24,21 @@ def _check_n(n: int) -> None:
 
 
 def _fft_size(top: int, length: int) -> int:
-    """The smallest power of two >= max(2 top, length), so that no sum of two
-    indices below top wraps around."""
-    size = 1
-    while size < max(2 * top, length):
-        size <<= 1
-    return size
+    """The smallest 2^a 3^b 5^c >= max(2 top, length), so that no sum of two
+    indices below top wraps around.  pocketfft runs these sizes about as
+    fast per point as powers of two, and they lie much closer to the target.
+    """
+    target = max(2 * top, length, 1)
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches the target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _indicator_ft(idx: np.ndarray, top: int, size: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError
-from .goldbach_verify import _sum_counts
+from .goldbach_verify import _fft_size, _sum_counts
 from .rosser_sieve import linear_sieve_F_f
 
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
@@ -144,19 +144,20 @@ def bohr_indicator(bohr: BohrSet) -> ZnWeight:
 
 
 def convolve(f: ZnWeight, g: ZnWeight) -> ZnWeight:
-    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y)."""
+    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), carrying its DFT
+    f~ g~, which the clip at 0 moves only by rounding."""
     if f.N != g.N:
         raise DomainError(f"mismatched N: {f.N} vs {g.N}")
-    vals = np.fft.ifft(f.dft * g.dft).real
-    return ZnWeight(f.N, np.maximum(vals, 0.0))
+    spec = f.dft * g.dft
+    return ZnWeight(f.N, np.maximum(np.fft.ifft(spec).real, 0.0), _dft=spec)
 
 
 def _folded_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Cyclic convolution of two length-N arrays: the linear convolution from
-    a zero-padded real FFT of size >= 2N - 1, so that it does not wrap,
+    a zero-padded real FFT of size >= 2N, so that it does not wrap,
     folded mod N.  Independent of the length-N DFTs of ZnWeight."""
     N = f.size
-    size = 1 << (2 * N - 2).bit_length()
+    size = _fft_size(N, N)
     fg = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(g, size), size)
     folded = fg[:N]
     folded[: N - 1] += fg[N : 2 * N - 1]
@@ -469,8 +470,7 @@ def choose_parameters(
         kappa, delta, epsilon = 0.5, 0.05, 0.05
         B = max(1.0, round(math.log(100.0) / math.log(math.log(n))))
         prov.update(dict.fromkeys(("delta", "epsilon", "kappa", "B"), "desk-default"))
-    # the desk stand-ins keep their desk-default label when overridden
-    prov.update({key: "override" for key in overrides if prov.get(key) != "desk-default"})
+    prov.update(dict.fromkeys(overrides, "override"))
     kappa, delta, epsilon, B = (overrides.get(key, value) for key, value in
                                 zip(("kappa", "delta", "epsilon", "B"), (kappa, delta, epsilon, B)))
     if profile == "paper":

@@ -1,9 +1,12 @@
 """Direct O(N) per value and O(N^2) oracles on Z_N for the FFT routes in
 chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
-divisor indicator per d, the four-fold Selberg remainder sum, and the per-n
-range survey.  They are independent of the fast routes and slow by design."""
+divisor indicator per d, the four-fold Selberg remainder sum, the per-n
+range survey, and the per-term phase sum behind chen3.circle_method's
+complete sums mod q.  They are independent of the fast routes and slow by
+design."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,6 +19,14 @@ from chen3.selberg_sieve import (
     build_selberg,
     quadratic_form,
 )
+
+
+def exp_sum_direct(ev, alpha: Fraction, mode: str) -> complex:
+    """S(a/q) = sum over the terms of w(x) e(a x / q), one phase per term, with
+    a x reduced mod q in Python integers."""
+    a, q = alpha.numerator, alpha.denominator
+    t = np.array([(a * int(x)) % q / q for x in ev.xs])
+    return complex(np.sum(ev.inner_weights(mode) * np.exp(2j * np.pi * t)))
 
 
 def dft_direct(values: np.ndarray, rs) -> np.ndarray:

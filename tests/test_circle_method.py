@@ -23,6 +23,7 @@ from chen3.circle_method import (
 )
 from chen3.errors import DomainError, ResourceBudgetError
 from chen3.rosser_sieve import build_rosser
+from oracles import exp_sum_direct
 
 CTX = SieveContext(n=3000, W=2, b=1, k0=4)  # z0 = 3000^{1/4} ~ 7.4
 
@@ -85,6 +86,56 @@ class TestExpSum:
         rep = spm_comparison(CTX, [0.13, 0.29, Fraction(1, 3), 0.481])
         assert rep.ok
         assert rep.bound_plus > 0 and rep.bound_minus > 0
+
+
+# the contexts of the sieve_sums benchmark: the contrast and major-arc
+# queries, and the S+/S/S- comparisons
+BENCH_CONTEXTS = [dict(n=10**6, W=6, b=5, k0=4), dict(n=2 * 10**5, W=6, b=5, k0=3)]
+
+
+class TestCompleteSums:
+    """Rationals a/q with q at most the number of terms go through the class
+    sums mod q; the per-term phase sum is the oracle."""
+
+    @pytest.fixture(scope="class", params=BENCH_CONTEXTS, ids=("contrast", "spm"))
+    def ev(self, request):
+        return ExpSumEvaluator(SieveContext(**request.param))
+
+    @pytest.mark.parametrize("mode", ExpSumEvaluator.MODES)
+    def test_against_direct(self, ev, mode):
+        m = ev.xs.size
+        alphas = [Fraction(0), Fraction(1), Fraction(5), Fraction(-3),  # q = 1, a = 0 mod q
+                  Fraction(1, 2), Fraction(7, 37), Fraction(-3, 7), Fraction(-1, 40),
+                  Fraction(-998, 997), Fraction(1, m), Fraction(-1, m),  # q = terms
+                  Fraction(1, m + 1), Fraction(-2, m + 1)]  # the direct fallback
+        scale = 1e-12 * ev.at_zero("moebius")
+        for alpha in alphas:
+            got = ev.exp_sum(alpha, mode).value
+            assert abs(got - exp_sum_direct(ev, alpha, mode)) <= scale, alpha
+
+    def test_route_by_q(self, ev):
+        m = ev.xs.size
+        ev.exp_sum(Fraction(1, m), "moebius")  # q = the number of terms: class sums
+        assert ev._q == m
+        # one more, and far more, stay on the direct phase sum; the last one
+        # needs the Python-integer reduction, as a x mod q exceeds 2^63
+        for alpha in (Fraction(1, m + 1), Fraction(1, 10**15), Fraction(10**15 + 1, 10**16)):
+            got = ev.exp_sum(alpha, "moebius").value
+            assert abs(got - exp_sum_direct(ev, alpha, "moebius")) <= 1e-12 * ev.at_zero("moebius")
+        # the cache still holds q = m, and nothing of length q was built
+        assert ev._q == m and ev._residues.size == m and "moebius" in ev._class_sums
+        assert all(c.size == m for c in ev._class_sums.values())
+
+    def test_cache_holds_current_q_only(self):
+        ev = ExpSumEvaluator(SieveContext(**BENCH_CONTEXTS[1]))
+        for q in range(2, 60):
+            for mode in ExpSumEvaluator.MODES:
+                ev.exp_sum(Fraction(1, q), mode)
+            assert ev._q == q and ev._residues.size == ev.xs.size
+            assert sorted(ev._class_sums) == sorted(ExpSumEvaluator.MODES)
+            assert all(c.size == q for c in ev._class_sums.values())
+        ev.exp_sum(Fraction(1, 61), "moebius")
+        assert list(ev._class_sums) == ["moebius"]
 
 
 class TestInnerWeights:

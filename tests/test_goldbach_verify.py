@@ -4,6 +4,7 @@ import pytest
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     Representation,
+    _fft_size,
     _survey_counts,
     find_representations,
     range_survey,
@@ -59,6 +60,27 @@ class TestFind:
             assert representation_count(n, table=table_1e5) == len(
                 find_representations(n, table=table_1e5)
             )
+
+
+def test_fft_size_is_least_smooth_size():
+    """Against a brute-force search: the least 2^a 3^b 5^c >= each target."""
+    def smooth(s):
+        for p in (2, 3, 5):
+            while s % p == 0:
+                s //= p
+        return s == 1
+
+    limit = 2 * 10**4
+    least = np.zeros(limit + 1, dtype=np.int64)
+    nxt = limit  # 2 * 10^4 = 2^5 5^4 is itself 5-smooth
+    for s in range(limit, 0, -1):
+        if smooth(s):
+            nxt = s
+        least[s] = nxt
+    for target in range(1, 10**4 + 1):
+        assert _fft_size(0, target) == least[target], target
+        assert _fft_size(target, 0) == least[2 * target], target
+        assert _fft_size(target // 3, target) == least[target], target
 
 
 class TestPairCountGuard:

@@ -64,6 +64,16 @@ class TestConvolve:
         with pytest.raises(DomainError):
             convolve(ZnWeight.uniform(8), ZnWeight.uniform(9))
 
+    @pytest.mark.parametrize("N", [64, 101, 16879])
+    def test_passes_the_product_spectrum(self, N):
+        rng = np.random.default_rng(N)
+        f = ZnWeight(N, rng.random(N) * (rng.random(N) < 0.1))
+        g = ZnWeight(N, rng.random(N))
+        fg = convolve(f, g)
+        assert fg._dft is not None  # f~ g~, not recomputed from the values
+        mass = f.total() * g.total()
+        assert np.max(np.abs(fg.dft - np.fft.fft(fg.values))) <= 1e-9 * mass
+
     def test_mass_multiplies(self):
         f, g = ZnWeight.uniform(32), ZnWeight.point_mass(32, 5)
         assert convolve(f, g).total() == pytest.approx(1.0)
@@ -357,7 +367,8 @@ class TestParameters:
 
     def test_overrides(self):
         led = choose_parameters(99_999, overrides={"kappa": 0.3})
-        assert led.kappa == 0.3 and led.provenance["kappa"] == "desk-default"
+        assert led.kappa == 0.3 and led.provenance["kappa"] == "override"
+        assert led.provenance["delta"] == "desk-default"
         with pytest.raises(ConfigError):
             choose_parameters(99_999, overrides={"bogus": 1})
 
