@@ -126,7 +126,7 @@ class ExpSumEvaluator:
 
     def exp_sum(self, alpha, mode: str) -> ExpSumResult:
         w = self.inner_weights(mode)
-        if isinstance(alpha, Fraction) and 1 < alpha.denominator <= w.size:
+        if isinstance(alpha, Fraction) and alpha.denominator <= w.size:
             q = alpha.denominator
             value = self._complete_sum(alpha.numerator % q, q, mode, w)
         else:
@@ -138,19 +138,15 @@ class ExpSumEvaluator:
         return ExpSumResult(alpha=float(alpha), value=value, weight_mode=mode, term_count=int(w.size))
 
     def _phases(self, alpha) -> np.ndarray:
-        """alpha x mod 1 for each term x, reduced exactly in integers when
-        alpha is a Fraction."""
+        """alpha x mod 1 for each term x, reduced exactly in Python integers
+        when alpha is a Fraction."""
         if not isinstance(alpha, Fraction):
             return (float(alpha) % 1.0) * self.xs % 1.0
-        a, q = alpha.numerator % alpha.denominator, alpha.denominator
-        r = self.xs % q
-        if a * int(r.max(initial=0)) < 2**63:
-            return (a * r) % q / q
-        # the int64 products would wrap: reduce in Python integers
-        return ((r.astype(object) * a) % q / q).astype(np.float64)
+        a, q = alpha.numerator, alpha.denominator
+        return (self.xs.astype(object) * a % q / q).astype(np.float64)
 
     def _complete_sum(self, a: int, q: int, mode: str, w: np.ndarray) -> complex:
-        """sum_{r mod q} c_q(r) e(ar/q) for 0 < a < q <= the number of terms,
+        """sum_{r mod q} c_q(r) e(ar/q) for 0 <= a < q <= the number of terms,
         with w the weights of mode."""
         if q != self._q:
             self._q, self._residues, self._class_sums = q, self.xs % q, {}
