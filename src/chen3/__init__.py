@@ -8,7 +8,6 @@ from .arith_core import (
     FactorTable,
     build_factor_table,
     chen_primes,
-    classify_chen,
     is_prime_u64,
     mult_functions,
     primes_up_to,

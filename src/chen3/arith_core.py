@@ -82,22 +82,6 @@ class FactorTable:
         """First covered x; always 1."""
         return 1
 
-    def _idx(self, x: int) -> int:
-        if not (1 <= x <= self.hi):
-            raise DomainError(f"x={x} outside table range [1, {self.hi}]")
-        return x
-
-    def spf(self, x: int) -> int:
-        """Smallest prime factor of x (1 for x = 1)."""
-        return int(self.smallest_prime_factor[self._idx(x)])
-
-    def omega(self, x: int) -> int:
-        """Number of prime factors of x counted with multiplicity."""
-        return int(self.omega_big[self._idx(x)])
-
-    def is_prime(self, x: int) -> bool:
-        return x >= 2 and self.spf(x) == x
-
     def primes(self, bound: int) -> np.ndarray:
         """All primes <= bound (bound <= hi), as the int64 x with spf(x) = x."""
         spf = self.smallest_prime_factor[: bound + 1]
@@ -143,29 +127,6 @@ def primorial(w: float) -> int:
         if p < w:
             out *= int(p)
     return out
-
-
-@dataclass(frozen=True)
-class ChenClassification:
-    p: int
-    variant: str  # "basic" or "strict"
-    z: float | None
-    is_chen: bool
-
-
-def classify_chen(p: int, table: FactorTable, variant: str = "basic", z: float | None = None) -> ChenClassification:
-    """Chen predicate for a prime p: Omega(p+2) <= 2, plus for the strict
-    variant no prime factor of p+2 below z."""
-    if not table.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    ok = table.omega(p + 2) <= 2
-    if variant == "strict":
-        if z is None or z < 2:
-            raise DomainError("strict variant needs z >= 2")
-        ok = ok and table.spf(p + 2) >= z
-    elif variant != "basic":
-        raise DomainError(f"unknown variant {variant!r}")
-    return ChenClassification(p=p, variant=variant, z=z, is_chen=ok)
 
 
 def chen_primes(

@@ -36,11 +36,6 @@ from .rosser_sieve import RosserWeights, _class_sums, _lambda_terms, build_rosse
 
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
-# Empirical desk-profile ceiling for |S(alpha)| / S(0) on sampled minor-arc
-# rationals at n >= 10^6; fixed after the first oracle run of the contrast
-# experiment and re-checked by the acceptance suite.
-MINOR_RATIO_MAX_DESK = 0.5
-
 
 @dataclass(frozen=True)
 class SieveContext:
@@ -334,14 +329,11 @@ class ArcDissection:
         return ("minor", None, None)
 
 
-def bv_delta(x: int, q: int, primes: np.ndarray | None = None) -> float:
+def bv_delta(x: int, q: int) -> float:
     """max over reduced residues r of |theta(x; q, r) - x/phi(q)|."""
     if q < 1 or x < 2:
         raise DomainError(f"need q >= 1 and x >= 2, got q={q}, x={x}")
-    if primes is None:
-        primes = primes_up_to(x)
-    else:
-        primes = primes[primes <= x]
+    primes = primes_up_to(x)
     logp = np.log(primes.astype(np.float64))
     sums = np.zeros(q)
     np.add.at(sums, primes % q, logp)

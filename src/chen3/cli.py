@@ -35,7 +35,7 @@ from .errors import (
     ResourceBudgetError,
 )
 from .goldbach_verify import find_representations, range_survey
-from .rosser_sieve import build_rosser, divisor_sum_table
+from .rosser_sieve import build_rosser, sandwich_check
 from .selberg_sieve import build_selberg, quadratic_form
 from .transference import pollard_check, run_transference
 
@@ -73,11 +73,8 @@ def cmd_chen(args) -> int:
     table = build_factor_table(args.bound + 2)
     ps = chen_primes(args.bound, variant=args.variant, z=args.z, table=table)
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["p", "omega_p_plus_2"],
-            [(int(p), table.omega(int(p) + 2)) for p in ps],
-        )
+        _write_csv(args.csv, ["p", "omega_p_plus_2"],
+                   zip(ps.tolist(), table.omega_big[ps + 2].tolist()))
     _emit(args, "chen", {"bound": args.bound, "variant": args.variant, "z": args.z},
           {"count": int(ps.size), "largest": int(ps[-1]) if ps.size else None})
     return 0
@@ -87,30 +84,20 @@ def cmd_rosser(args) -> int:
     w = build_rosser(args.D, args.sign)
     result = {"support_size": len(w.support),
               "sum_of_weights": int(sum(w.support.values()))}
+    ok = True
     if args.sandwich_limit:
         wp = w if args.sign == "+" else build_rosser(args.D, "+")
         wm = w if args.sign == "-" else build_rosser(args.D, "-")
-        Tp = divisor_sum_table(wp, args.sandwich_limit)
-        Tm = divisor_sum_table(wm, args.sandwich_limit)
-        qs = np.arange(args.sandwich_limit + 1)
-        sq = np.ones(args.sandwich_limit + 1, dtype=bool)
-        for p in range(2, int(args.sandwich_limit ** 0.5) + 1):
-            sq[p * p :: p * p] = False
-        mid = np.zeros(args.sandwich_limit + 1, dtype=np.int64)
-        mid[1] = 1
-        mask = sq & (qs >= 1)
-        bad = np.nonzero(mask & ((Tm > mid) | (mid > Tp)))[0]
-        result["sandwich_checked"] = int(np.sum(mask))
-        result["sandwich_failures"] = [int(q) for q in bad[:10]]
-        if bad.size:
-            _emit(args, "rosser", vars(args), result)
-            return 1
+        checked, bad = sandwich_check(wp, wm, args.sandwich_limit)
+        result["sandwich_checked"] = checked
+        result["sandwich_failures"] = bad[:10].tolist()
+        ok = not bad.size
     if args.csv:
         _write_csv(args.csv, ["d", "weight"], sorted(w.support.items()))
     _emit(args, "rosser",
           {"D": args.D, "sign": args.sign, "sandwich_limit": args.sandwich_limit},
           result)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_arcs(args) -> int:

@@ -101,16 +101,6 @@ class Representation:
     p3: int
     k_of_p3: int
 
-    def validate(self, table: FactorTable, variant: str = "basic", z: float | None = None) -> bool:
-        if self.p1 + self.p2 + self.p3 != self.n or self.p1 > self.p2:
-            return False
-        for p in (self.p1, self.p2):
-            if not table.is_prime(p) or table.omega(p + 2) > 2:
-                return False
-            if variant == "strict" and table.spf(p + 2) < (z or 2):
-                return False
-        return table.is_prime(self.p3) and table.omega(self.p3 + 2) == self.k_of_p3
-
 
 def find_representations(
     n: int,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .arith_core import EULER_GAMMA, factorize, is_prime_u64, primes_up_to
+from .arith_core import EULER_GAMMA, primes_up_to
 from .errors import DomainError, ResourceBudgetError
 
 DEFAULT_SUPPORT_CAP = 5_000_000
@@ -29,7 +29,7 @@ class RosserWeights:
 
     The stored support covers d < D.  For the '-' weight the chain condition
     at k = 1 is vacuous, so lambda^-(p) = -1 for *every* prime p, including
-    p >= D; weight() handles those on the fly (every composite d >= D is 0
+    p >= D; _lambda_terms adds those (every composite d >= D is 0
     automatically, since the last checked condition forces d < D).  This is
     what makes the Moebius sandwich hold for all squarefree q.
     """
@@ -38,23 +38,6 @@ class RosserWeights:
     sign: str  # "+" or "-"
     support: dict[int, int]
     chains: dict[int, tuple[int, ...]]
-
-    def weight(self, d: int) -> int:
-        if d in self.support:
-            return self.support[d]
-        if self.sign == "-" and d >= self.D and is_prime_u64(d):
-            return -1
-        return 0
-
-    def divisor_sum(self, q_primes: Iterable[int]) -> int:
-        """Sum of lambda(d) over divisors d of the squarefree q = prod(q_primes)."""
-        total = self.support[1]
-        divs = [1]
-        for p in q_primes:
-            new = [d * p for d in divs]
-            total += sum(self.weight(d) for d in new)
-            divs.extend(new)
-        return total
 
 
 def build_rosser(
@@ -114,31 +97,6 @@ def build_rosser(
     return RosserWeights(D=D, sign=sign, support=support, chains=chains)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    q: int
-    lower: int
-    mid: int
-    upper: int
-    ok: bool
-
-
-def sandwich_check(
-    q: int, weights_plus: RosserWeights, weights_minus: RosserWeights
-) -> SandwichResult:
-    """Check sum lambda^-(d) <= sum mu(d) <= sum lambda^+(d) over d | q."""
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
-    fac = factorize(q)
-    if any(e > 1 for _, e in fac):
-        raise DomainError(f"q={q} is not squarefree")
-    q_primes = [p for p, _ in fac]
-    lower = weights_minus.divisor_sum(q_primes)
-    upper = weights_plus.divisor_sum(q_primes)
-    mid = 1 if q == 1 else 0
-    return SandwichResult(q=q, lower=lower, mid=mid, upper=upper, ok=lower <= mid <= upper)
-
-
 def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> Iterator[tuple[int, int]]:
     """(d, lambda(d)) over the stored support, then (p, -1) for the primes
     p >= D in pool: lambda^-(p) = -1 there although p is not stored."""
@@ -168,6 +126,28 @@ def divisor_sum_table(weights: RosserWeights, limit: int) -> np.ndarray:
     T = _class_sums(_lambda_terms(weights, primes_up_to(limit)), limit + 1)
     T[0] = 0
     return T
+
+
+def sandwich_check(
+    weights_plus: RosserWeights, weights_minus: RosserWeights, limit: int
+) -> tuple[int, np.ndarray]:
+    """Check sum lambda^-(d) <= sum mu(d) <= sum lambda^+(d) over d | q at
+    every squarefree q <= limit, from the two divisor-sum tables.
+
+    Returns the number of squarefree q checked and the q where it fails.
+    """
+    if limit < 1:
+        raise DomainError(f"limit must be >= 1, got {limit}")
+    squarefree = np.ones(limit + 1, dtype=bool)
+    squarefree[0] = False
+    for p in primes_up_to(isqrt(limit)):
+        squarefree[p * p :: p * p] = False
+    mid = np.zeros(limit + 1, dtype=np.int64)
+    mid[1] = 1  # sum of mu(d) over d | q is [q = 1]
+    lower = divisor_sum_table(weights_minus, limit)
+    upper = divisor_sum_table(weights_plus, limit)
+    bad = np.flatnonzero(squarefree & ((lower > mid) | (mid > upper)))
+    return int(np.count_nonzero(squarefree)), bad
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,7 @@ def omega_stage2(p: int, W: int, M: int) -> int:
 @dataclass
 class SelbergSystem:
     stage: int
-    z_lo: float
-    z_hi: float
     omega: dict[int, int]
-    g: dict[int, Fraction]
     G1: Fraction
     lam: dict[int, Fraction]
     chains: dict[int, tuple[int, ...]]
@@ -103,11 +100,9 @@ def build_selberg(
     if stage == 1:
         lo, hi = 2.0, z0
         om = lambda p: omega_stage1(p, W, M)
-        z_cap = z0
     else:
         lo, hi = z0, z1
         om = lambda p: omega_stage2(p, W, M)
-        z_cap = z1
     sieve_primes, skipped = [], []
     omega_map: dict[int, int] = {}
     for p in primes_up_to(max(2, math.ceil(hi) - 1)):
@@ -124,7 +119,7 @@ def build_selberg(
         omega_map[p] = w
     g = {p: Fraction(omega_map[p], p - omega_map[p]) for p in sieve_primes}
 
-    ls = _enumerate_squarefree(sieve_primes, z_cap)
+    ls = _enumerate_squarefree(sieve_primes, hi)
     g_of: dict[int, Fraction] = {}
     for l, chain in ls:
         val = Fraction(1)
@@ -154,10 +149,7 @@ def build_selberg(
 
     return SelbergSystem(
         stage=stage,
-        z_lo=lo,
-        z_hi=hi,
         omega=omega_map,
-        g=g,
         G1=G1,
         lam=lam,
         chains=chains_of_d,

@@ -193,7 +193,6 @@ class SmoothResult:
     mass_in: float
     mass_out: float
     fourier_closeness_max: float
-    fourier_closeness_ok: bool
     sup_value: float
     sup_bound: float
     sup_ok: bool
@@ -204,13 +203,12 @@ def smooth_and_bound(
     a: ZnWeight,
     bohr: BohrSet,
     kappa: float,
-    spec: Spectrum | None = None,
     sup_assert: bool = False,
 ) -> SmoothResult:
     """Smooth a by the normalized Bohr indicator twice: a' = a * b * b.
 
     Checks mass preservation exactly (b~(0) = 1), the Fourier closeness
-    |1 - b~(r)| <= 16 eps^2 on the generating spectrum (asserted), and the
+    |1 - b~(r)| <= 16 eps^2 on the Bohr set's frequencies (asserted), and the
     sup bound sup a' <= (1 + 2 kappa)/N (asserted only when sup_assert, i.e.
     when the paper-profile hypotheses hold; recorded otherwise).
     """
@@ -220,11 +218,9 @@ def smooth_and_bound(
     if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
         raise InvariantError("smoothing did not preserve mass")
     closeness = 0.0
-    freqs = spec.members if spec is not None else tuple(bohr.frequencies)
-    for r in freqs:
-        closeness = max(closeness, abs(1.0 - b.dft[int(r) % b.N]))
-    closeness_ok = closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12
-    if not closeness_ok:
+    for r in bohr.frequencies:
+        closeness = max(closeness, abs(1.0 - b.dft[r]))
+    if not closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12:
         raise InvariantError(
             f"|1 - b~(r)| = {closeness} exceeds 16 eps^2 = {16 * bohr.epsilon ** 2}"
         )
@@ -240,7 +236,6 @@ def smooth_and_bound(
         mass_in=mass_in,
         mass_out=mass_out,
         fourier_closeness_max=closeness,
-        fourier_closeness_ok=closeness_ok,
         sup_value=sup_value,
         sup_bound=sup_bound,
         sup_ok=sup_ok,
@@ -647,7 +642,7 @@ def run_transference(
                 2.0 / (w_val - 2) + 0.9 * float(ledger.kappa) ** 2
             ) / float(ledger.kappa) if w_val > 2 else False
         sup_assert = profile == "paper" and precond
-        res = smooth_and_bound(wt, bo, float(ledger.kappa), spec=sp, sup_assert=sup_assert)
+        res = smooth_and_bound(wt, bo, float(ledger.kappa), sup_assert=sup_assert)
         smooth.append(res)
         sup_flags.append({
             "sup_value": res.sup_value,

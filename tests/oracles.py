@@ -1,16 +1,23 @@
-"""Direct O(N) per value and O(N^2) oracles on Z_N for the FFT routes in
+"""Direct oracles for the array and FFT routes of chen3, independent of them
+and slow by design: O(N) per value and O(N^2) sums on Z_N for
 chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum, the per-n
-range survey, and the per-term phase sum behind chen3.circle_method's
-complete sums mod q.  They are independent of the fast routes and slow by
-design."""
+range survey, the per-term phase sum behind chen3.circle_method's complete
+sums mod q, and per-item trial-division checks of a Rosser weight, its
+divisor sum, a Chen prime and a Goldbach representation."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from chen3.arith_core import build_factor_table, chen_primes, primes_up_to
+from chen3.arith_core import (
+    build_factor_table,
+    chen_primes,
+    factorize,
+    is_prime_u64,
+    primes_up_to,
+)
 from chen3.errors import DomainError
 from chen3.goldbach_verify import SurveyReport, SurveyRow, _pair_counts
 from chen3.selberg_sieve import (
@@ -197,3 +204,40 @@ def energy_direct(weights) -> float:
     for s in range(N):
         conv[s] = float(np.dot(values, values[(s - np.arange(N)) % N]))
     return float(np.sum(conv ** 2))
+
+
+def rosser_weight(weights, d: int) -> int:
+    """lambda(d): the stored value, else -1 at a prime d >= D for the '-'
+    weight (Miller-Rabin), else 0."""
+    if d in weights.support:
+        return weights.support[d]
+    if weights.sign == "-" and d >= weights.D and is_prime_u64(d):
+        return -1
+    return 0
+
+
+def rosser_divisor_sum(weights, q: int) -> int:
+    """sum of lambda(d) over d | q, one rosser_weight per squarefree divisor
+    of q (lambda vanishes off the squarefree d)."""
+    divs = [1]
+    for p, _ in factorize(q):
+        divs += [d * p for d in divs]
+    return sum(rosser_weight(weights, d) for d in divs)
+
+
+def is_chen_direct(p: int, variant: str = "basic", z: float | None = None) -> bool:
+    """p prime and Omega(p + 2) <= 2, and for the strict variant no prime
+    factor of p + 2 below z, by trial division."""
+    fac = factorize(p + 2)
+    ok = is_prime_u64(p) and sum(e for _, e in fac) <= 2
+    return ok and (variant != "strict" or fac[0][0] >= (z or 2))
+
+
+def representation_ok(rep, variant: str = "basic", z: float | None = None) -> bool:
+    """rep.n = p1 + p2 + p3 with p1 <= p2 Chen primes and p3 a prime with
+    Omega(p3 + 2) = rep.k_of_p3, by trial division."""
+    if rep.p1 + rep.p2 + rep.p3 != rep.n or rep.p1 > rep.p2:
+        return False
+    if not (is_chen_direct(rep.p1, variant, z) and is_chen_direct(rep.p2, variant, z)):
+        return False
+    return is_prime_u64(rep.p3) and sum(e for _, e in factorize(rep.p3 + 2)) == rep.k_of_p3

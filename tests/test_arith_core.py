@@ -11,7 +11,6 @@ from chen3.arith_core import (
     DEFAULT_TABLE_BUDGET,
     build_factor_table,
     chen_primes,
-    classify_chen,
     factorize,
     is_prime_u64,
     mult_functions,
@@ -20,6 +19,7 @@ from chen3.arith_core import (
     singular_series_S1,
 )
 from chen3.errors import DomainError, ResourceBudgetError
+from oracles import is_chen_direct
 
 
 def omega_oracle(x: int) -> int:
@@ -47,16 +47,16 @@ def spf_oracle(x: int) -> int:
 class TestFactorTable:
     def test_against_trial_division(self, table_1e5):
         for x in list(range(1, 500)) + [9991, 30030, 65536, 99991, 100002]:
-            assert table_1e5.omega(x) == omega_oracle(x), x
-            assert table_1e5.spf(x) == spf_oracle(x), x
+            assert table_1e5.omega_big[x] == omega_oracle(x), x
+            assert table_1e5.smallest_prime_factor[x] == spf_oracle(x), x
 
     def test_against_trial_division_at_block_seams(self):
         # Omega is filled one block [2^k, 2^(k+1)) at a time
         seams = {2**k + e for k in range(1, 18) for e in (-1, 0, 1)}
         t = build_factor_table(2**17 + 1)
         for x in sorted(set(range(1, 5001)) | seams):
-            assert t.omega(x) == omega_oracle(x), x
-            assert t.spf(x) == spf_oracle(x), x
+            assert t.omega_big[x] == omega_oracle(x), x
+            assert t.smallest_prime_factor[x] == spf_oracle(x), x
 
     def test_prime_and_omega_identities(self):
         hi = 2**20 + 3
@@ -78,12 +78,6 @@ class TestFactorTable:
         assert table_1e5.smallest_prime_factor.dtype == np.int32
         assert table_1e5.omega_big.dtype == np.uint8
 
-    def test_out_of_range(self, table_1e5):
-        with pytest.raises(DomainError):
-            table_1e5.omega(0)
-        with pytest.raises(DomainError):
-            table_1e5.spf(100003)
-
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
         with pytest.raises(ResourceBudgetError):
@@ -92,7 +86,7 @@ class TestFactorTable:
     @given(st.integers(min_value=2, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_spf_divides_and_is_prime(self, table_1e5, x):
-        p = table_1e5.spf(x)
+        p = int(table_1e5.smallest_prime_factor[x])
         assert x % p == 0 and is_prime_u64(p)
 
 
@@ -127,7 +121,8 @@ class TestChen:
 
     def test_seven_is_chen(self, table_1e5):
         # 7 + 2 = 9 = 3^2 has Omega = 2
-        assert classify_chen(7, table_1e5).is_chen
+        assert table_1e5.omega_big[9] == 2
+        assert 7 in chen_primes(7, table=table_1e5)
 
     def test_strict_variant(self, table_1e5):
         basic = set(chen_primes(200, table=table_1e5).tolist())
@@ -136,9 +131,17 @@ class TestChen:
         assert 3 in basic and 3 not in strict  # 3 + 2 = 5 < 10... spf(5)=5 < 10
         assert 17 in strict  # 19 is prime >= 10
 
-    def test_classify_rejects_composite(self, table_1e5):
-        with pytest.raises(DomainError):
-            classify_chen(15, table_1e5)
+    def test_matches_per_prime_predicate(self, table_1e5):
+        ps = primes_up_to(20_000).tolist()
+        for variant, z in (("basic", None), ("strict", 2), ("strict", 10), ("strict", 100)):
+            want = [p for p in ps if is_chen_direct(p, variant, z)]
+            assert chen_primes(20_000, variant=variant, z=z, table=table_1e5).tolist() == want
+
+    def test_domain(self, table_1e5):
+        for kwargs in ({"bound": 1}, {"bound": 100, "variant": "strict"},
+                       {"bound": 100_001, "table": table_1e5}):
+            with pytest.raises(DomainError):
+                chen_primes(**kwargs)
 
 
 class TestMultFunctions:

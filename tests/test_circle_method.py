@@ -23,7 +23,7 @@ from chen3.circle_method import (
 )
 from chen3.errors import DomainError, ResourceBudgetError
 from chen3.rosser_sieve import build_rosser
-from oracles import exp_sum_direct
+from oracles import exp_sum_direct, rosser_weight
 
 CTX = SieveContext(n=3000, W=2, b=1, k0=4)  # z0 = 3000^{1/4} ~ 7.4
 
@@ -181,7 +181,7 @@ class TestInnerWeights:
         assert np.array_equal(ev.inner_weights("moebius"), oracle(lambda d: mult_functions(d).mu))
         for mode, sign in (("rosser_plus", "+"), ("rosser_minus", "-")):
             rw = build_rosser(ctx.D, sign, primes=np.array(ev.small_primes))
-            assert np.array_equal(ev.inner_weights(mode), oracle(rw.weight)), mode
+            assert np.array_equal(ev.inner_weights(mode), oracle(lambda d: rosser_weight(rw, d))), mode
 
 
 class TestTauStar:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 
 from chen3 import rosser_sieve
+from chen3.arith_core import factorize
 from chen3.cli import main
 
 
@@ -24,6 +25,9 @@ class TestChen:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 14
         assert rows[0]["p"] == "2"
+        for row in rows:
+            big_omega = sum(e for _, e in factorize(int(row["p"]) + 2))
+            assert row["omega_p_plus_2"] == str(big_omega), row
 
     def test_timestamp_isolated(self, capsys):
         code, out, _ = run(capsys, "chen", "--bound", "30")
@@ -46,6 +50,8 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "goldbach", "--n", "10")
         assert code == 2 and "error" in err
+        code, _, err = run(capsys, "rosser", "--D", "100", "--sandwich-limit", "-5")
+        assert code == 2 and "error" in err
 
     def test_rosser_sandwich_clean(self, capsys):
         code, out, _ = run(capsys, "rosser", "--D", "100", "--sign", "+",
@@ -53,6 +59,22 @@ class TestExitCodes:
         assert code == 0
         res = json.loads(out)["payload"]["result"]
         assert res["sandwich_failures"] == []
+
+    def test_rosser_sandwich_failure(self, capsys, monkeypatch, tmp_path):
+        # lambda^- sums shifted by +5 break the lower side at every small q
+        table = rosser_sieve.divisor_sum_table
+        monkeypatch.setattr(rosser_sieve, "divisor_sum_table",
+                            lambda w, limit: table(w, limit) + 5 * (w.sign == "-"))
+        csv_path = tmp_path / "weights.csv"
+        code, out, _ = run(capsys, "rosser", "--D", "100", "--sign", "-",
+                           "--sandwich-limit", "500", "--csv", str(csv_path))
+        assert code == 1
+        payload = json.loads(out)["payload"]
+        assert payload["config"] == {"D": 100.0, "sign": "-", "sandwich_limit": 500}
+        assert payload["result"]["sandwich_failures"] == [1, 2, 3, 5, 6, 7, 10, 11, 13, 14]
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == payload["result"]["support_size"]
 
     def test_invariant_error(self, capsys, monkeypatch):
         irfft = np.fft.irfft

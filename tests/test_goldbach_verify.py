@@ -10,7 +10,7 @@ from chen3.goldbach_verify import (
     range_survey,
     representation_count,
 )
-from oracles import survey_direct
+from oracles import representation_ok, survey_direct
 
 
 def count_irfft(monkeypatch) -> list[int]:
@@ -46,9 +46,13 @@ class TestFind:
 
     def test_validate(self, table_1e5):
         reps = find_representations(45, table=table_1e5)
-        assert all(r.validate(table_1e5) for r in reps)
+        assert reps and all(representation_ok(r) for r in reps)
         bogus = Representation(n=45, p1=5, p2=7, p3=33, k_of_p3=1)
-        assert not bogus.validate(table_1e5)
+        assert not representation_ok(bogus)
+        strict = find_representations(99, variant="strict", z=5, table=table_1e5)
+        assert strict and all(representation_ok(r, "strict", 5) for r in strict)
+        basic = find_representations(99, table=table_1e5)
+        assert {r for r in basic if representation_ok(r, "strict", 5)} == set(strict)
 
     def test_domain(self):
         for bad in (8, 10, 25, 3):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chen3.arith_core import EULER_GAMMA, factorize, mult_functions, primes_up_to
 from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
+from oracles import rosser_divisor_sum, rosser_weight
 from chen3.rosser_sieve import (
     LinearSieveFns,
     build_rosser,
@@ -29,11 +30,11 @@ class TestSupport:
 
     def test_plus_D100_sample(self):
         w = build_rosser(100, "+")
-        assert w.weight(1) == 1 and w.weight(6) == 1
+        assert rosser_weight(w, 1) == 1 and rosser_weight(w, 6) == 1
         # chain (7, 2): odd position 1 needs 7^3 < 100 -- fails
-        assert w.weight(7) == 0 and w.weight(14) == 0
+        assert rosser_weight(w, 7) == 0 and rosser_weight(w, 14) == 0
         # chain (3,): 3^3 = 27 < 100
-        assert w.weight(3) == -1
+        assert rosser_weight(w, 3) == -1
         assert all(d < 100 for d in w.support)
 
     def test_support_is_squarefree_descending(self):
@@ -59,35 +60,57 @@ class TestSupport:
             build_rosser(10, "x")
 
 
+def squarefree_count(x: int) -> int:
+    """#{squarefree q <= x} = sum over d <= sqrt(x) of mu(d) floor(x / d^2)."""
+    return sum(mult_functions(d).mu * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))
+
+
 class TestSandwich:
     def test_example_q15(self):
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
-        r = sandwich_check(15, wp, wm)
-        assert (r.lower, r.mid, r.upper, r.ok) == (-1, 0, 1, True)
+        assert divisor_sum_table(wm, 15)[15] == -1
+        assert divisor_sum_table(wp, 15)[15] == 1
+        checked, bad = sandwich_check(wp, wm, 15)
+        assert checked == 11 and bad.size == 0  # 1 2 3 5 6 7 10 11 13 14 15
 
     def test_q1(self):
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
-        r = sandwich_check(1, wp, wm)
-        assert r.mid == 1 and r.ok
+        assert divisor_sum_table(wm, 1)[1] == divisor_sum_table(wp, 1)[1] == 1
+        checked, bad = sandwich_check(wp, wm, 1)
+        assert checked == 1 and bad.size == 0
 
-    def test_rejects_non_squarefree(self):
+    def test_rejects_limit_below_one(self):
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
         with pytest.raises(DomainError):
-            sandwich_check(12, wp, wm)
+            sandwich_check(wp, wm, 0)
 
     @given(st.integers(min_value=1, max_value=5000))
     @settings(max_examples=200, deadline=None)
-    def test_sandwich_property_D100(self, q):
-        if any(e > 1 for _, e in factorize(q)):
-            return
+    def test_sandwich_property_D100(self, limit):
         wp, wm = build_rosser(100, "+"), build_rosser(100, "-")
-        assert sandwich_check(q, wp, wm).ok
+        checked, bad = sandwich_check(wp, wm, limit)
+        assert checked == squarefree_count(limit) and bad.size == 0
+
+    def test_reports_failures(self):
+        # lambda^- in the upper slot fails exactly where sum lambda^- < sum mu
+        wm = build_rosser(50, "-")
+        checked, bad = sandwich_check(wm, wm, 2000)
+        want = [q for q in range(1, 2001)
+                if mult_functions(q).mu != 0 and rosser_divisor_sum(wm, q) < (q == 1)]
+        assert checked == squarefree_count(2000)
+        assert want and bad.tolist() == want
 
     def test_divisor_sum_table_matches_pointwise(self):
-        wp = build_rosser(50, "+")
-        T = divisor_sum_table(wp, 2000)
-        for q in (1, 2, 15, 30, 210, 1155):
-            assert T[q] == wp.divisor_sum([p for p, _ in factorize(q)])
+        squarefree = [(q, factorize(q)) for q in range(1, 2001)]
+        squarefree = [(q, fac) for q, fac in squarefree if all(e == 1 for _, e in fac)]
+        for D in (10, 50, 500):
+            # q with a prime factor >= D, where lambda^-(p) is not stored
+            assert any(fac[-1][0] >= D for q, fac in squarefree[1:])
+            for sign in "+-":
+                w = build_rosser(D, sign)
+                T = divisor_sum_table(w, 2000)
+                for q, _ in squarefree:
+                    assert T[q] == rosser_divisor_sum(w, q), (D, sign, q)
 
 
 class TestMainTerm:

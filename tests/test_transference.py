@@ -166,12 +166,20 @@ class TestSmoothing:
     def test_beta_one_on_spectrum(self):
         rng = np.random.default_rng(8)
         N = 257
-        w = ZnWeight(N, rng.random(N) / N)
-        sp = spectrum(w, 0.05)
-        b = bohr_set(sp.members, 0.1, N)
-        res = smooth_and_bound(w, b, kappa=0.5, spec=sp)
-        assert res.fourier_closeness_max <= 16 * 0.1**2 + 1e-12
-        assert res.mass_out == pytest.approx(res.mass_in, rel=1e-12)
+        x = np.arange(N)
+        noise = ZnWeight(N, rng.random(N) / N)  # spectrum {0}
+        wave = ZnWeight(N, (1.0 + 0.5 * np.cos(2 * np.pi * 5 * x / N)) / N)  # {0, 5, N - 5}
+        for w, size in ((noise, 1), (wave, 3)):
+            sp = spectrum(w, 0.05)
+            b = bohr_set(sp.members, 0.1, N)
+            res = smooth_and_bound(w, b, kappa=0.5)
+            ind = np.zeros(N)
+            ind[b.members] = 1.0 / b.size
+            want = np.max(np.abs(1.0 - dft_direct(ind, sp.members)))
+            assert len(sp.members) == size
+            assert res.fourier_closeness_max == pytest.approx(want, abs=1e-12)
+            assert res.fourier_closeness_max <= 16 * 0.1**2 + 1e-12
+            assert res.mass_out == pytest.approx(res.mass_in, rel=1e-12)
 
     def test_smoothing_flattens(self):
         N = 101
