@@ -16,7 +16,6 @@ from .arith_core import (
 )
 from .circle_method import (
     ArcDissection,
-    ExpSumResult,
     SieveContext,
     bv_delta,
     exp_sum,

@@ -45,8 +45,6 @@ class SieveContext:
     W: int
     b: int
     k0: int = 8
-    z0: float | None = None
-    D: float | None = None
 
     def __post_init__(self):
         if self.W < 2 or self.W % 2 != 0:
@@ -55,23 +53,21 @@ class SieveContext:
             raise DomainError(f"need 1 <= b <= W, got b={self.b}")
         if gcd(self.b * (self.b + 2), self.W) != 1:
             raise DomainError(f"gcd(b(b+2), W) != 1 for b={self.b}, W={self.W}")
-        if self.z0 is None:
-            object.__setattr__(self, "z0", self.n ** (1.0 / self.k0))
-        if self.D is None:
-            object.__setattr__(self, "D", self.n ** 0.32)
+
+    @property
+    def z0(self) -> float:
+        """Inner sieving level n^{1/k0}: the weights sift p + 2 by the primes below it."""
+        return self.n ** (1.0 / self.k0)
+
+    @property
+    def D(self) -> float:
+        """Rosser level of distribution n^{0.32}."""
+        return self.n ** 0.32
 
     @property
     def m(self) -> int:
         """Length of the x-range: floor((n - b) / W)."""
         return (self.n - self.b) // self.W
-
-
-@dataclass(frozen=True)
-class ExpSumResult:
-    alpha: float
-    value: complex
-    weight_mode: str
-    term_count: int
 
 
 class ExpSumEvaluator:
@@ -119,18 +115,12 @@ class ExpSumEvaluator:
             self._weights[mode] = w * self.logp
         return self._weights[mode]
 
-    def exp_sum(self, alpha, mode: str) -> ExpSumResult:
+    def exp_sum(self, alpha, mode: str) -> complex:
         w = self.inner_weights(mode)
         if isinstance(alpha, Fraction) and alpha.denominator <= w.size:
             q = alpha.denominator
-            value = self._complete_sum(alpha.numerator % q, q, mode, w)
-        else:
-            t = self._phases(alpha)
-            if np.all(t == 0.0):
-                value = complex(np.sum(w), 0.0)
-            else:
-                value = complex(np.sum(w * np.exp(2j * np.pi * t)))
-        return ExpSumResult(alpha=float(alpha), value=value, weight_mode=mode, term_count=int(w.size))
+            return self._complete_sum(alpha.numerator % q, q, mode, w)
+        return complex(np.sum(w * np.exp(2j * np.pi * self._phases(alpha))))
 
     def _phases(self, alpha) -> np.ndarray:
         """alpha x mod 1 for each term x, reduced exactly in Python integers
@@ -162,7 +152,7 @@ def get_evaluator(ctx: SieveContext) -> ExpSumEvaluator:
     return ExpSumEvaluator(ctx)
 
 
-def exp_sum(ctx: SieveContext, alpha, mode: str = "moebius") -> ExpSumResult:
+def exp_sum(ctx: SieveContext, alpha, mode: str = "moebius") -> complex:
     return get_evaluator(ctx).exp_sum(alpha, mode)
 
 
@@ -191,9 +181,9 @@ def spm_comparison(ctx: SieveContext, alphas) -> SpmReport:
     tol = 1e-9 * (abs(s0) + 1.0)
     rows = []
     for alpha in alphas:
-        sp = ev.exp_sum(alpha, "rosser_plus").value
-        s = ev.exp_sum(alpha, "moebius").value
-        sm = ev.exp_sum(alpha, "rosser_minus").value
+        sp = ev.exp_sum(alpha, "rosser_plus")
+        s = ev.exp_sum(alpha, "moebius")
+        sm = ev.exp_sum(alpha, "rosser_minus")
         lp = abs(sp - s)
         lm = abs(s - sm)
         ok = lp <= bound_plus + tol and lm <= bound_minus + tol
@@ -228,18 +218,11 @@ def tau_star(a: int, q: int, ctx: SieveContext) -> complex:
     total = 0j
     for d in divisors:
         e = q // d
-        # r = -b * W^{-1} mod d, r = -(b+2) * W^{-1} mod e
-        r1 = (-b * pow(W, -1, d)) % d if d > 1 else 0
-        r2 = (-(b + 2) * pow(W, -1, e)) % e if e > 1 else 0
-        # CRT combine (d, e coprime)
-        if d == 1:
-            r = r2 % q
-        elif e == 1:
-            r = r1 % q
-        else:
-            r = (r1 + d * ((r2 - r1) * pow(d, -1, e) % e)) % q
-        if r == 0:
-            r = q
+        # r = -b * W^{-1} mod d, r = -(b+2) * W^{-1} mod e, combined by CRT
+        # (d, e coprime; pow(x, -1, 1) = 0 covers d = 1 and e = 1)
+        r1 = (-b * pow(W, -1, d)) % d
+        r2 = (-(b + 2) * pow(W, -1, e)) % e
+        r = (r1 + d * ((r2 - r1) * pow(d, -1, e) % e)) % q or q
         total += cmath.exp(2j * cmath.pi * a * r / q)
     return total
 
@@ -293,7 +276,7 @@ def major_arc_model(
         phi2_Wq = float(mult_functions(ctx.W * q).phi2)
         pref = 4.0 * math.exp(-EULER_GAMMA) * ctx.k0 * S1 * ctx.W / (phi2_Wq * math.log(ctx.n))
         model = mu * tau_star(a, q, ctx) * pref * geometric_phase_sum(theta, m)
-    actual = ev.exp_sum(Fraction(a, q) if theta == 0.0 else alpha, "moebius").value
+    actual = ev.exp_sum(Fraction(a, q) if theta == 0.0 else alpha, "moebius")
     s0 = ev.at_zero("moebius")
     return MajorArcComparison(
         a=a, q=q, alpha=float(alpha), model=model, actual=actual,
@@ -377,12 +360,12 @@ def minor_major_contrast(
         a = int(rng.integers(1, q))
         while gcd(a, q) != 1:
             a = int(rng.integers(1, q))
-        minor.append(abs(ev.exp_sum(Fraction(a, q), "moebius").value) / s0)
+        minor.append(abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0)
     major = []
     for q in range(1, major_q_max + 1):
         for a in range(1, q + 1):
             if gcd(a, q) == 1:
-                major.append(abs(ev.exp_sum(Fraction(a, q), "moebius").value) / s0)
+                major.append(abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0)
     med_minor = float(np.median(minor))
     med_major = float(np.median(major))
     return ContrastReport(

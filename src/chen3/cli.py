@@ -118,7 +118,7 @@ def cmd_arcs(args) -> int:
 def cmd_ssum(args) -> int:
     ctx = SieveContext(n=args.n, W=args.W, b=args.b, k0=args.k0)
     alpha = _parse_rational(args.alpha)
-    val = exp_sum(ctx, alpha, mode=args.mode).value
+    val = exp_sum(ctx, alpha, mode=args.mode)
     result = {"alpha": str(alpha), "mode": args.mode,
               "value": [val.real, val.imag], "abs": abs(val)}
     if args.major_arc and alpha.denominator > 1:

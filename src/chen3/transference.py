@@ -6,16 +6,18 @@ and the parameter ledger tying everything together.  Every stage on Z_N
 costs O(N log N) or less; the O(N^2) enumerations that check the FFT routes
 are kept in the tests.
 
-Every inequality whose hypotheses are asymptotic ("sufficiently large n",
-"w >= C5^2") is only *asserted* under the paper profile when its stated
-hypotheses hold numerically; under the desk profile it is computed and
-reported with a status flag.
+The stage functions compute their inequalities and return the numbers with
+an ok flag; none of them reads the profile.  `run_transference` alone decides
+what is asserted: under the paper profile each asymptotic inequality whose
+stated hypotheses hold numerically ("sufficiently large n", "w >= C5^2") is
+asserted, and a failure raises PaperAssertionError; otherwise, and always
+under the desk profile, it is reported with status "diagnostic".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -105,6 +107,12 @@ class BohrSet:
     def size(self) -> int:
         return int(self.members.size)
 
+    @property
+    def pigeonhole_lower(self) -> int:
+        """ceil(eps^|R| N) - 1 over the nonzero frequencies R: a lower bound
+        on the size."""
+        return math.ceil(self.epsilon ** len(self.frequencies - {0}) * self.N) - 1
+
 
 def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
     """{x in Z_N : ||x r / N|| <= epsilon for all r in frequencies}.
@@ -125,13 +133,13 @@ def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
             continue
         t = (xs * r) % N
         mask &= np.minimum(t, N - t) <= T
-    members = np.nonzero(mask)[0].astype(np.int64)
-    lower = math.ceil(epsilon ** len(freqs - {0}) * N) - 1
-    if members.size < lower:
+    bohr = BohrSet(frequencies=freqs, epsilon=epsilon, N=N,
+                   members=np.nonzero(mask)[0].astype(np.int64))
+    if bohr.size < bohr.pigeonhole_lower:
         raise InvariantError(
-            f"Bohr set of size {members.size} below pigeonhole bound {lower}"
+            f"Bohr set of size {bohr.size} below pigeonhole bound {bohr.pigeonhole_lower}"
         )
-    return BohrSet(frequencies=freqs, epsilon=epsilon, N=N, members=members)
+    return bohr
 
 
 def bohr_indicator(bohr: BohrSet) -> ZnWeight:
@@ -196,21 +204,16 @@ class SmoothResult:
     sup_value: float
     sup_bound: float
     sup_ok: bool
-    sup_asserted: bool
 
 
-def smooth_and_bound(
-    a: ZnWeight,
-    bohr: BohrSet,
-    kappa: float,
-    sup_assert: bool = False,
-) -> SmoothResult:
+def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float) -> SmoothResult:
     """Smooth a by the normalized Bohr indicator twice: a' = a * b * b.
 
-    Checks mass preservation exactly (b~(0) = 1), the Fourier closeness
-    |1 - b~(r)| <= 16 eps^2 on the Bohr set's frequencies (asserted), and the
-    sup bound sup a' <= (1 + 2 kappa)/N (asserted only when sup_assert, i.e.
-    when the paper-profile hypotheses hold; recorded otherwise).
+    Checks mass preservation exactly (b~(0) = 1) and the Fourier closeness
+    |1 - b~(r)| <= 16 eps^2 on the Bohr set's frequencies, raising
+    InvariantError if either fails.  The sup bound sup a' <= (1 + 2 kappa)/N
+    is computed and returned as sup_ok; whether it is asserted is the
+    caller's decision.
     """
     b = bohr_indicator(bohr)
     sm = convolve(convolve(a, b), b)
@@ -226,11 +229,6 @@ def smooth_and_bound(
         )
     sup_value = float(np.max(sm.values))
     sup_bound = (1.0 + 2.0 * kappa) / a.N
-    sup_ok = sup_value <= sup_bound + 1e-15
-    if sup_assert and not sup_ok:
-        raise PaperAssertionError(
-            f"sup a' = {sup_value} exceeds (1+2kappa)/N = {sup_bound}"
-        )
     return SmoothResult(
         weight=sm,
         mass_in=mass_in,
@@ -238,8 +236,7 @@ def smooth_and_bound(
         fourier_closeness_max=closeness,
         sup_value=sup_value,
         sup_bound=sup_bound,
-        sup_ok=sup_ok,
-        sup_asserted=sup_assert,
+        sup_ok=sup_value <= sup_bound + 1e-15,
     )
 
 
@@ -250,7 +247,6 @@ class ThreeSumComparison:
     diff: float
     budget: float
     ok: bool
-    asserted: bool
 
 
 def threesum_comparison(
@@ -270,12 +266,8 @@ def threesum_comparison(
         3072.0 * eps ** 2 * (C3 ** 2.4 * delta ** -2.4 + 5.0 * C4 * delta ** -4)
         + 72.0 * C3 ** (24 / 13) * C4 ** (3 / 13) * delta ** (1 / 13)
     ) / a1.N
-    ok = diff <= budget
-    asserted = ledger.profile == "paper"
-    if asserted and not ok:
-        raise PaperAssertionError(f"threesum diff {diff} exceeds budget {budget}")
     return ThreeSumComparison(
-        raw=raw, smoothed=smoothed, diff=diff, budget=budget, ok=ok, asserted=asserted
+        raw=raw, smoothed=smoothed, diff=diff, budget=budget, ok=diff <= budget
     )
 
 
@@ -526,7 +518,6 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
     phi2_W = float(mult_functions(W).phi2)
     z1 = max(n ** 0.1, 2.0)  # every spf(p + 2) is >= 2
     z0 = n ** (1.0 / ledger.k0)
-    kap = float(ledger.kappa)
 
     def support(ps: np.ndarray, b: int) -> np.ndarray:
         """The x >= 1 with W x + b in ps."""
@@ -561,10 +552,6 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         sums.append(zw.total())
         sizes.append(int(xs.size))
         supports.append(xs)
-    if ledger.profile == "paper" and not (1 - kap ** 2 <= sums[2] <= 1 + kap ** 2):
-        raise PaperAssertionError(
-            f"sum a3 = {sums[2]} outside [1 - kappa^2, 1 + kappa^2]"
-        )
     return BuiltWeights(
         a1=weights[0], a2=weights[1], a3=weights[2],
         support_sizes=tuple(sizes), sums=tuple(sums),
@@ -582,11 +569,24 @@ def run_transference(
 
     Stages: ledger -> residue split -> weights -> DFT -> spectra -> Bohr sets
     -> smoothing -> level sets -> Pollard count -> three-fold sums.  Exact
-    identities are asserted; asymptotic inequalities are logged with an
-    asserted/diagnostic status and never fail a desk run.
+    identities are asserted by the stages themselves.  The four asymptotic
+    inequalities (the a3 mass band, the sup bounds, the level-set bound and
+    the three-sum budget) each get their status from `claim`, and never fail
+    a desk run.
     """
     if n % 2 == 0 or n % 3 != 0:
         raise DomainError(f"n must be odd with 3 | n, got {n}")
+
+    def claim(ok: bool, message: str, precondition: bool = True) -> str:
+        """The status of one inequality: "asserted" under the paper profile
+        when its precondition holds (raising PaperAssertionError(message) if
+        ok is false), "diagnostic" otherwise."""
+        if profile != "paper" or not precondition:
+            return "diagnostic"
+        if not ok:
+            raise PaperAssertionError(message)
+        return "asserted"
+
     ledger = choose_parameters(n, profile=profile, overrides=overrides)
     N, W = ledger.N, ledger.W
     n_prime = (n - ledger.b1 - ledger.b2 - ledger.b3) // W
@@ -600,6 +600,10 @@ def run_transference(
 
     table = build_factor_table(n + 2)
     built = build_weights(ledger, table)
+    kappa = float(ledger.kappa)
+    band = [1 - kappa ** 2, 1 + kappa ** 2]
+    a3_sum_status = claim(band[0] <= built.sums[2] <= band[1],
+                          f"sum a3 = {built.sums[2]} outside [1 - kappa^2, 1 + kappa^2]")
     # x1 + x2 + x3 < n' + N on the supports: every Z_N solution is an integer one
     x_sum = sum(int(np.max(xs, initial=0)) for xs in built.support_x)
     if x_sum >= n_prime + N:
@@ -608,8 +612,8 @@ def run_transference(
         "stage": "weights",
         "support_sizes": list(built.support_sizes),
         "sums": list(built.sums),
-        "a3_sum_band": [1 - float(ledger.kappa) ** 2, 1 + float(ledger.kappa) ** 2],
-        "a3_sum_status": "asserted" if profile == "paper" else "diagnostic",
+        "a3_sum_band": band,
+        "a3_sum_status": a3_sum_status,
     })
 
     delta, eps = float(ledger.delta), float(ledger.epsilon)
@@ -626,9 +630,7 @@ def run_transference(
         "stage": "bohr_sets",
         "epsilon": eps,
         "sizes": [b.size for b in bohrs],
-        "pigeonhole_lower": [
-            math.ceil(eps ** len(b.frequencies - {0}) * N) - 1 for b in bohrs
-        ],
+        "pigeonhole_lower": [b.pigeonhole_lower for b in bohrs],
     })
 
     w_val = ledger.w
@@ -636,20 +638,20 @@ def run_transference(
     sup_flags = []
     for i, (wt, bo, sp) in enumerate(zip((built.a1, built.a2, built.a3), bohrs, specs)):
         if i < 2:
-            precond = eps ** len(sp.members) >= ledger.C5 / (float(ledger.kappa) * math.sqrt(w_val))
+            precond = eps ** len(sp.members) >= ledger.C5 / (kappa * math.sqrt(w_val))
         else:
             precond = eps ** len(sp.members) >= (
-                2.0 / (w_val - 2) + 0.9 * float(ledger.kappa) ** 2
-            ) / float(ledger.kappa) if w_val > 2 else False
-        sup_assert = profile == "paper" and precond
-        res = smooth_and_bound(wt, bo, float(ledger.kappa), sup_assert=sup_assert)
+                2.0 / (w_val - 2) + 0.9 * kappa ** 2
+            ) / kappa if w_val > 2 else False
+        res = smooth_and_bound(wt, bo, kappa)
         smooth.append(res)
         sup_flags.append({
             "sup_value": res.sup_value,
             "sup_bound": res.sup_bound,
             "sup_ok": res.sup_ok,
             "precondition_holds": bool(precond),
-            "status": "asserted" if sup_assert else "diagnostic",
+            "status": claim(res.sup_ok, f"sup a' = {res.sup_value} exceeds "
+                            f"(1+2kappa)/N = {res.sup_bound}", precondition=precond),
             "fourier_closeness_max": res.fourier_closeness_max,
         })
     report["stages"].append({"stage": "smoothing", "per_weight": sup_flags})
@@ -657,20 +659,21 @@ def run_transference(
     varpi = float(ledger.varpi)
     level = [np.nonzero(r.weight.values >= varpi / N)[0] for r in smooth]
     a3_lower = (1.0 - 3.0 * varpi) * N
+    a3_lower_ok = bool(level[2].size >= a3_lower)
     report["stages"].append({
         "stage": "level_sets",
         "sizes": [int(ls.size) for ls in level],
         "A3_lower_bound": a3_lower,
-        "A3_lower_ok": bool(level[2].size >= a3_lower),
-        "A3_lower_status": "asserted" if profile == "paper" else "diagnostic",
+        "A3_lower_ok": a3_lower_ok,
+        "A3_lower_status": claim(a3_lower_ok, f"|A3| = {level[2].size} below "
+                                 f"(1 - 3 varpi) N = {a3_lower}"),
     })
 
     thetas = [ls.size / N for ls in level]
     pollard_entry: dict = {"stage": "pollard", "thetas": thetas}
     try:
         pres = pollard_check(N, level[0], level[1], level[2], n_prime % N)
-        pollard_entry.update(count=pres.count, theta=pres.theta,
-                             bound=pres.bound, ok=pres.ok, status="computed")
+        pollard_entry.update(asdict(pres), status="computed")
     except DomainError as exc:
         pollard_entry.update(status="hypotheses-unmet", detail=str(exc))
     report["stages"].append(pollard_entry)
@@ -683,12 +686,8 @@ def run_transference(
     )
     report["stages"].append({
         "stage": "threesum_comparison",
-        "raw": cmp_res.raw,
-        "smoothed": cmp_res.smoothed,
-        "diff": cmp_res.diff,
-        "budget": cmp_res.budget,
-        "ok": cmp_res.ok,
-        "status": "asserted" if cmp_res.asserted else "diagnostic",
+        **asdict(cmp_res),
+        "status": claim(cmp_res.ok, f"threesum diff {cmp_res.diff} exceeds budget {cmp_res.budget}"),
     })
     report["raw_triple_sum"] = cmp_res.raw
     report["raw_triple_sum_positive"] = cmp_res.raw > 0.0

@@ -4,7 +4,8 @@ chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum, the per-n
 range survey, the per-term phase sum behind chen3.circle_method's complete
 sums mod q, and per-item trial-division checks of a Rosser weight, its
-divisor sum, a Chen prime and a Goldbach representation."""
+divisor sum, a Chen prime and a Goldbach representation.  Also the count of
+squarefree q <= x as a Moebius sum over d^2, against the sandwich check."""
 
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from chen3.arith_core import (
     chen_primes,
     factorize,
     is_prime_u64,
+    mult_functions,
     primes_up_to,
 )
 from chen3.errors import DomainError
@@ -241,3 +243,8 @@ def representation_ok(rep, variant: str = "basic", z: float | None = None) -> bo
     if not (is_chen_direct(rep.p1, variant, z) and is_chen_direct(rep.p2, variant, z)):
         return False
     return is_prime_u64(rep.p3) and sum(e for _, e in factorize(rep.p3 + 2)) == rep.k_of_p3
+
+
+def squarefree_count(x: int) -> int:
+    """#{squarefree q <= x} = sum over d <= sqrt(x) of mu(d) floor(x / d^2)."""
+    return sum(mult_functions(d).mu * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))

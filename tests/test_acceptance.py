@@ -19,7 +19,7 @@ from chen3.circle_method import (
     spm_comparison,
 )
 from chen3.goldbach_verify import range_survey
-from chen3.rosser_sieve import build_rosser, divisor_sum_table, linear_sieve_F_f
+from chen3.rosser_sieve import build_rosser, linear_sieve_F_f, sandwich_check
 from chen3.selberg_sieve import additive_energy, build_selberg, quadratic_form
 from chen3.transference import (
     ZnWeight,
@@ -29,7 +29,7 @@ from chen3.transference import (
     run_transference,
     triple_sum,
 )
-from oracles import convolve_direct
+from oracles import convolve_direct, squarefree_count
 
 
 @contextmanager
@@ -46,21 +46,15 @@ def criterion(number: int, name: str):
 
 
 def test_criterion_1_rosser_sandwich():
-    """Moebius sandwich holds for every squarefree q <= 1e5, D in {10, 1e3, 1e5}."""
+    """Moebius sandwich holds for every squarefree q <= 1e5, D in {10, 1e3, 1e5}:
+    sandwich_check finds no failure and checks all sum mu(d) floor(1e5/d^2) q."""
     with criterion(1, "Rosser sandwich, exhaustive"):
         limit = 100_000
-        qs = np.arange(limit + 1)
-        squarefree = np.ones(limit + 1, dtype=bool)
-        for p in range(2, math.isqrt(limit) + 1):
-            squarefree[p * p :: p * p] = False
-        mu_sum = np.zeros(limit + 1, dtype=np.int64)
-        mu_sum[1] = 1  # sum_{d|q} mu(d) = [q = 1]
-        mask = squarefree & (qs >= 1)
+        want = squarefree_count(limit)
         for D in (10, 10**3, 10**5):
-            lower = divisor_sum_table(build_rosser(D, "-"), limit)
-            upper = divisor_sum_table(build_rosser(D, "+"), limit)
-            bad = np.nonzero(mask & ((lower > mu_sum) | (mu_sum > upper)))[0]
+            checked, bad = sandwich_check(build_rosser(D, "+"), build_rosser(D, "-"), limit)
             assert bad.size == 0, f"D={D}: first failures {bad[:5].tolist()}"
+            assert checked == want, f"D={D}: checked {checked} of {want} squarefree q"
 
 
 def test_criterion_2_singular_series():

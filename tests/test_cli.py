@@ -86,6 +86,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "transfer", "--n", "99999", "--override", "W=30")
         assert code == 2 and "error" in err
 
+    def test_paper_assertion(self, capsys):
+        # the level-set bound |A3| >= (1 - 3 varpi) N fails at n = 99999
+        code, _, err = run(capsys, "transfer", "--n", "99999", "--profile", "paper",
+                           "--override", "kappa=0.9", "--override", "delta=0.05",
+                           "--override", "epsilon=0.05")
+        assert code == 1
+        assert err.startswith("assertion failed: |A3| = 13172 below (1 - 3 varpi) N")
+
     def test_resource_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)
         code, _, err = run(capsys, "rosser", "--D", "100")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chen3.arith_core import EULER_GAMMA, factorize, mult_functions, primes_up_to
 from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
-from oracles import rosser_divisor_sum, rosser_weight
+from oracles import rosser_divisor_sum, rosser_weight, squarefree_count
 from chen3.rosser_sieve import (
     LinearSieveFns,
     build_rosser,
@@ -58,11 +58,6 @@ class TestSupport:
             build_rosser(1, "+")
         with pytest.raises(DomainError):
             build_rosser(10, "x")
-
-
-def squarefree_count(x: int) -> int:
-    """#{squarefree q <= x} = sum over d <= sqrt(x) of mu(d) floor(x / d^2)."""
-    return sum(mult_functions(d).mu * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))
 
 
 class TestSandwich:

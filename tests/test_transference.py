@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import chen3.goldbach_verify
 import chen3.transference
 from chen3.arith_core import build_factor_table, chen_primes
-from chen3.errors import ConfigError, DomainError, InvariantError
+from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError
 from chen3.transference import (
     ZnWeight,
     bohr_set,
@@ -504,3 +505,89 @@ class TestPipeline:
         (args, _, raw), _smoothed = calls["triple_sum"]
         assert raw == rep["raw_triple_sum"]
         assert raw == pytest.approx(triple_sum_direct(*args), rel=1e-12)
+
+
+# n = 99999 under the paper profile with finite kappa, delta and epsilon.  At
+# delta = 0.2 every inequality whose precondition holds is true (a3's sup
+# precondition is false); at delta = 0.05 the level-set bound fails.
+PAPER_N = 99_999
+PASSING = {"kappa": 0.9, "delta": 0.2, "epsilon": 0.05}
+FAILING = {"kappa": 0.9, "delta": 0.05, "epsilon": 0.05}
+
+
+def _halved(res):
+    """A smoothing result whose weight is zero at every even x."""
+    N = res.weight.N
+    return replace(res, weight=ZnWeight(N, res.weight.values * (np.arange(N) % 2)))
+
+
+# stage -> (stage function to wrap, edit of its result, start of the message)
+FORCED = {
+    "weights": ("build_weights", lambda b: replace(b, sums=b.sums[:2] + (5.0,)), "sum a3 = 5.0"),
+    "smoothing": ("smooth_and_bound", lambda r: replace(r, sup_ok=False), "sup a' = "),
+    "level_sets": ("smooth_and_bound", _halved, "|A3| = "),
+    "threesum_comparison": ("threesum_comparison", lambda c: replace(c, ok=False), "threesum diff"),
+}
+
+
+def _claims(stage: dict) -> tuple[list, list]:
+    """The statuses and ok flags of the claimed inequalities in one stage."""
+    name = stage["stage"]
+    if name == "weights":
+        lo, hi = stage["a3_sum_band"]
+        return [stage["a3_sum_status"]], [lo <= stage["sums"][2] <= hi]
+    if name == "smoothing":
+        per = stage["per_weight"]
+        return [w["status"] for w in per], [w["sup_ok"] for w in per]
+    if name == "level_sets":
+        return [stage["A3_lower_status"]], [stage["A3_lower_ok"]]
+    return [stage["status"]], [stage["ok"]]
+
+
+def _stages(profile: str) -> dict:
+    """The stages, by name, of the n = 99999 run with the PASSING overrides."""
+    rep = run_transference(PAPER_N, profile, PASSING, ground_truth=False)
+    return {s["stage"]: s for s in rep["stages"]}
+
+
+class TestPaperClaims:
+    def test_passing_run_asserts(self):
+        stages = _stages("paper")
+        assert [_claims(stages[name]) for name in FORCED] == [
+            (["asserted"], [True]),
+            (["asserted", "asserted", "diagnostic"], [True, True, True]),
+            (["asserted"], [True]),
+            (["asserted"], [True]),
+        ]
+        assert [w["precondition_holds"] for w in stages["smoothing"]["per_weight"]] == [
+            True, True, False]
+
+    def test_level_set_bound_fails(self):
+        with pytest.raises(PaperAssertionError,
+                           match=r"^\|A3\| = 13172 below \(1 - 3 varpi\) N = 17345\.79"):
+            run_transference(PAPER_N, "paper", FAILING, ground_truth=False)
+
+    @pytest.mark.parametrize("name", list(FORCED))
+    def test_forced_failure(self, monkeypatch, name):
+        fn_name, edit, message = FORCED[name]
+        fn = getattr(chen3.transference, fn_name)
+        monkeypatch.setattr(chen3.transference, fn_name, lambda *a: edit(fn(*a)))
+        with pytest.raises(PaperAssertionError) as info:
+            _stages("paper")
+        assert str(info.value).startswith(message)
+        statuses, oks = _claims(_stages("desk")[name])
+        assert set(statuses) == {"diagnostic"} and not any(oks)
+
+    def test_sup_without_precondition_is_diagnostic(self, monkeypatch):
+        # a3's sup bound fails, but its precondition is false: no assertion
+        calls = []
+        fn = chen3.transference.smooth_and_bound
+
+        def third_fails(*args):
+            calls.append(args)
+            res = fn(*args)
+            return replace(res, sup_ok=False) if len(calls) == 3 else res
+
+        monkeypatch.setattr(chen3.transference, "smooth_and_bound", third_fails)
+        a3 = _stages("paper")["smoothing"]["per_weight"][2]
+        assert (a3["sup_ok"], a3["precondition_holds"], a3["status"]) == (False, False, "diagnostic")
