@@ -107,11 +107,11 @@ class ExpSumEvaluator:
             # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
             grid = (self.ctx.m + 1, self.ctx.W, self.ctx.b + 2)
             if mode == "moebius":
-                hits = _class_sums(((p, 1) for p in self.small_primes), *grid)
-                w = hits[self.xs] == 0
+                small = np.array(self.small_primes, dtype=np.int64)
+                w = _class_sums(small, np.ones_like(small), *grid)[self.xs] == 0
             else:
                 rw = self._rosser("+" if mode == "rosser_plus" else "-")
-                w = _class_sums(_lambda_terms(rw, self.small_primes), *grid)[self.xs]
+                w = _class_sums(*_lambda_terms(rw, self.small_primes), *grid)[self.xs]
             self._weights[mode] = w * self.logp
         return self._weights[mode]
 

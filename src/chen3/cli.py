@@ -82,8 +82,7 @@ def cmd_chen(args) -> int:
 
 def cmd_rosser(args) -> int:
     w = build_rosser(args.D, args.sign)
-    result = {"support_size": len(w.support),
-              "sum_of_weights": int(sum(w.support.values()))}
+    result = {"support_size": int(w.d.size), "sum_of_weights": int(w.value.sum())}
     ok = True
     if args.sandwich_limit:
         wp = w if args.sign == "+" else build_rosser(args.D, "+")
@@ -93,7 +92,8 @@ def cmd_rosser(args) -> int:
         result["sandwich_failures"] = bad[:10].tolist()
         ok = not bad.size
     if args.csv:
-        _write_csv(args.csv, ["d", "weight"], sorted(w.support.items()))
+        order = np.argsort(w.d)
+        _write_csv(args.csv, ["d", "weight"], zip(w.d[order].tolist(), w.value[order].tolist()))
     _emit(args, "rosser",
           {"D": args.D, "sign": args.sign, "sandwich_limit": args.sandwich_limit},
           result)

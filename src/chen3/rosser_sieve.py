@@ -9,11 +9,11 @@ sums sandwich the Moebius divisor sum on every squarefree integer.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator
+from functools import cached_property
+from math import isqrt
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,21 +23,34 @@ from .errors import DomainError, ResourceBudgetError
 DEFAULT_SUPPORT_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RosserWeights:
-    """Sparse map d -> lambda_D(d) together with each d's prime chain.
+    """lambda_D^sign on its stored support d < D, as arrays in level order.
 
-    The stored support covers d < D.  For the '-' weight the chain condition
-    at k = 1 is vacuous, so lambda^-(p) = -1 for *every* prime p, including
-    p >= D; _lambda_terms adds those (every composite d >= D is 0
-    automatically, since the last checked condition forces d < D).  This is
-    what makes the Moebius sandwich hold for all squarefree q.
+    Entry i is d[i] = d[parent[i]] * prime[i] with lambda(d[i]) = value[i] =
+    (-1)^k, k the length of its prime chain; the root d = 1 has parent -1 and
+    prime 1.  The chains of length k (level k) follow those of length k - 1,
+    so every parent precedes its children, the parent indices never decrease,
+    and a chain is read by following the parent links.
+
+    For the '-' weight the chain condition at k = 1 is vacuous, so
+    lambda^-(p) = -1 for *every* prime p, including p >= D; _lambda_terms adds
+    those (every composite d >= D is 0 automatically, since the last checked
+    condition forces d < D).  This is what makes the Moebius sandwich hold
+    for all squarefree q.
     """
 
     D: float
     sign: str  # "+" or "-"
-    support: dict[int, int]
-    chains: dict[int, tuple[int, ...]]
+    d: np.ndarray
+    value: np.ndarray
+    parent: np.ndarray
+    prime: np.ndarray
+
+    @cached_property
+    def support(self) -> dict[int, int]:
+        """The map d -> lambda(d) over the stored support, in level order."""
+        return dict(zip(self.d.tolist(), self.value.tolist()))
 
 
 def build_rosser(
@@ -45,85 +58,111 @@ def build_rosser(
     sign: str,
     primes: np.ndarray | None = None,
 ) -> RosserWeights:
-    """Enumerate the full support of lambda_D^sign by descending-prime DFS.
+    """Enumerate the full support of lambda_D^sign one chain length at a time.
 
-    A branch is pruned as soon as either the running product reaches D or the
-    cube condition at the position just filled fails; both conditions are
-    inherited by every extension.  Products are compared to D exactly
-    (integers vs. float via strict <).
+    The children of a level-k product d with last prime p_k are the d p with
+    p < p_k, d p < D and, at a checked position k + 1, d p^3 < D.  Both
+    conditions hold for every smaller p once they hold for one, so each
+    node's admissible primes are a prefix of the ascending primes: one
+    searchsorted against a float bound with slack finds its end, and exact
+    integer checks of the prefix's last prime settle the boundary.  The
+    support count is checked against DEFAULT_SUPPORT_CAP before each level
+    is allocated.
     """
     if D <= 1:
         raise DomainError(f"D must be > 1, got {D}")
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+    if D > 2.0 ** 62:
+        raise DomainError(f"D must be at most 2^62 so that d p^3 fits in int64, got {D}")
     if primes is None:
         primes = primes_up_to(max(2, math.ceil(D) - 1))
-    plist = [int(p) for p in primes if p < D]
-    plist.sort(reverse=True)
-    neg = [-p for p in plist]  # ascending, for bisecting the descending list
-
-    support: dict[int, int] = {1: 1}
-    chains: dict[int, tuple[int, ...]] = {1: ()}
+    P = np.unique(np.asarray(primes, dtype=np.int64))
+    P = P[P < D]
+    top = math.ceil(D) - 1  # the largest integer below D: d p < D iff d p <= top
 
     # '+' checks odd positions, '-' checks even positions.
     check_parity = 1 if sign == "+" else 0
+    d = np.ones(1, dtype=np.int64)
+    nxt = np.array([P.size])  # the children of node i use the primes P[:nxt[i]]
+    levels = [(d, np.ones(1, dtype=np.int64), np.full(1, -1), d)]
+    total, k = 1, 1
+    while d.size:
+        checked = k % 2 == check_parity
+        lim = D / d
+        if checked:
+            lim = np.cbrt(lim)  # lim > 1, so the cube root is the smaller bound
+        cnt = np.minimum(nxt, np.searchsorted(P, lim * (1.0 + 1e-9), side="right"))
+        i = np.flatnonzero(cnt)
+        while i.size:  # drop the last prime of each prefix while it fails exactly
+            last = P[cnt[i] - 1]
+            i = i[d[i] * (last ** 3 if checked else last) > top]
+            cnt[i] -= 1
+            i = i[cnt[i] > 0]
+        size = int(cnt.sum())
+        if total + size > DEFAULT_SUPPORT_CAP:
+            raise ResourceBudgetError(
+                f"Rosser support exceeds cap of {DEFAULT_SUPPORT_CAP} entries"
+            )
+        parent = np.repeat(np.arange(d.size), cnt)
+        nxt = np.arange(size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        d = d[parent] * P[nxt]
+        levels.append((d, np.full(size, (-1) ** k), parent + total - cnt.size, P[nxt]))
+        total += size
+        k += 1
+    d, value, parent, prime = (np.concatenate(a) for a in zip(*levels))
+    return RosserWeights(D=D, sign=sign, d=d, value=value, parent=parent, prime=prime)
 
-    def extend(prefix: int, chain: tuple[int, ...], start: int) -> None:
-        k = len(chain) + 1
-        # skip ahead to the first prime small enough to pass both conditions
-        # (conservative float bound; the exact integer checks below settle
-        # boundary cases)
-        lim = D / prefix
-        if k % 2 == check_parity:
-            lim = min(lim, lim ** (1.0 / 3.0))
-        i0 = max(start, bisect.bisect_left(neg, -lim * (1.0 + 1e-9)))
-        for i in range(i0, len(plist)):
-            p = plist[i]
-            if prefix * p >= D:
-                continue
-            if k % 2 == check_parity and prefix * p ** 3 >= D:
-                continue
-            d = prefix * p
-            if len(support) >= DEFAULT_SUPPORT_CAP:
-                raise ResourceBudgetError(
-                    f"Rosser support exceeds cap of {DEFAULT_SUPPORT_CAP} entries"
-                )
-            new_chain = chain + (p,)
-            support[d] = -1 if k % 2 else 1
-            chains[d] = new_chain
-            extend(d, new_chain, i + 1)
 
-    extend(1, (), 0)
-    return RosserWeights(D=D, sign=sign, support=support, chains=chains)
-
-
-def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> Iterator[tuple[int, int]]:
+def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """(d, lambda(d)) over the stored support, then (p, -1) for the primes
     p >= D in pool: lambda^-(p) = -1 there although p is not stored."""
-    yield from weights.support.items()
-    if weights.sign == "-":
-        for p in pool:
-            if p >= weights.D:
-                yield int(p), -1
+    if weights.sign == "+":
+        return weights.d, weights.value
+    pool = np.asarray(pool, dtype=np.int64)
+    extra = pool[pool >= weights.D]
+    return (np.concatenate((weights.d, extra)),
+            np.concatenate((weights.value, np.full(extra.size, -1))))
 
 
-def _class_sums(terms: Iterable[tuple[int, int]], size: int, W: int = 1, c: int = 0) -> np.ndarray:
-    """T[x] = sum of v over the pairs (d, v) in terms with d | W x + c, for
-    0 <= x < size, by one strided add per d.
+def _class_sums(d: np.ndarray, v: np.ndarray, size: int, W: int = 1, c: int = 0) -> np.ndarray:
+    """T[x] = sum of v[i] over the i with d[i] | W x + c, for 0 <= x < size.
 
     Needs gcd(c, W) = 1: then d | W x + c holds on exactly the class
-    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise.
+    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise.  Each
+    d <= sqrt(size) adds its value by one strided slice.  The larger d have
+    at most sqrt(size) class members each; sorted by member count, the d
+    with an m-th member are a prefix, and one np.add.at adds all of their
+    m-th members at once (two classes can meet at one x).
     """
     T = np.zeros(size, dtype=np.int64)
-    for d, val in terms:
-        if gcd(d, W) == 1:
-            T[-c * pow(W, -1, d) % d :: d] += val
+    d, v = np.asarray(d, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    keep = np.gcd(d, W) == 1
+    d, v = d[keep], v[keep]
+    # W r = k d - c with k = c d^{-1} mod W, read off per residue of d mod W,
+    # and r = (k d - c) / W evaluated without forming k d
+    res, which = np.unique(d % W, return_inverse=True)
+    k = np.array([c * pow(t, -1, W) % W for t in res.tolist()], dtype=np.int64)[which]
+    r = (k * (d // W) + (k * (d % W) - c) // W) % d
+
+    strided = d <= isqrt(size)
+    for di, ri, vi in zip(d[strided].tolist(), r[strided].tolist(), v[strided].tolist()):
+        T[ri::di] += vi
+    d, x, v = d[~strided], r[~strided], v[~strided]
+    count = np.where(x < size, (size - x + d - 1) // d, 0)
+    order = np.argsort(-count, kind="stable")
+    d, x, v, count = d[order], x[order], v[order], count[order]
+    # ends[m] = #{count > m}: the prefix with an m-th member
+    ends = np.searchsorted(-count, -np.arange(count[0] if count.size else 0), side="left")
+    for n in ends.tolist():
+        np.add.at(T, x[:n], v[:n])
+        x[:n] += d[:n]
     return T
 
 
 def divisor_sum_table(weights: RosserWeights, limit: int) -> np.ndarray:
     """T[q] = sum_{d | q} lambda(d) for all 0 <= q <= limit, by sieving."""
-    T = _class_sums(_lambda_terms(weights, primes_up_to(limit)), limit + 1)
+    T = _class_sums(*_lambda_terms(weights, primes_up_to(limit)), limit + 1)
     T[0] = 0
     return T
 
@@ -180,15 +219,20 @@ def sieve_main_term(
             omega_cache[p] = v
         return omega_cache[p]
 
-    value = 0.0
-    for d, val in weights.support.items():
-        chain = weights.chains[d]
-        if any(p >= z for p in chain):
-            continue
-        term = val
-        for p in chain:
-            term *= om(p) / p
-        value += term
+    # f(d) = prod of omega(p)/p over the chain of d, level by level along the
+    # parent links; a prime p >= z contributes 0, which its descendants inherit
+    last = weights.prime[1:]
+    below = last < z
+    used = np.unique(last[below])
+    step = np.zeros(last.size)
+    step[below] = np.array([om(p) / p for p in used.tolist()])[np.searchsorted(used, last[below])]
+    f = np.ones(weights.d.size)
+    lo = 1
+    while lo < f.size:
+        hi = int(np.searchsorted(weights.parent, lo))
+        f[lo:hi] = f[weights.parent[lo:hi]] * step[lo - 1 : hi - 1]
+        lo = hi
+    value = math.fsum((weights.value * f).tolist())
 
     product = 1.0
     for p in primes_up_to(max(2, math.ceil(z) - 1)):

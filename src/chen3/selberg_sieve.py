@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -158,13 +157,26 @@ def build_selberg(
 
 
 def quadratic_form(system: SelbergSystem) -> Fraction:
-    """sum_{d1, d2} lambda(d1) lambda(d2) omega([d1,d2]) / [d1,d2]; equals 1/G1."""
-    items = list(system.lam.items())
+    """sum_{d1, d2} lambda(d1) lambda(d2) omega([d1,d2]) / [d1,d2]; equals 1/G1.
+
+    f(d) = omega(d)/d is multiplicative, so f([d1, d2]) = f(d1) f(d2) / f(g)
+    with g = (d1, d2), and 1/f(g) = sum_{k | g} h(k) with h(p) = p/omega(p) - 1.
+    The form is therefore diagonal, sum_k h(k) y_k^2 with
+    y_k = sum_{k | d} lambda(d) f(d): one Fraction addition per pair k | d.
+    """
+    y: dict[int, Fraction] = {}
+    for d, lam in system.lam.items():
+        chain = system.chains[d]
+        term = lam * Fraction(math.prod(system.omega[p] for p in chain), d)
+        divisors = [1]
+        for p in chain:
+            divisors += [k * p for k in divisors]
+        for k in divisors:
+            y[k] = y.get(k, 0) + term
     total = Fraction(0)
-    for d1, l1 in items:
-        for d2, l2 in items:
-            m = d1 * d2 // gcd(d1, d2)
-            total += l1 * l2 * Fraction(_omega_of_lcm(system, d1, d2), m)
+    for k, yk in y.items():
+        h = math.prod(Fraction(p - system.omega[p], system.omega[p]) for p in system.chains[k])
+        total += h * yk * yk
     return total
 
 

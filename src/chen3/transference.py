@@ -461,6 +461,12 @@ def choose_parameters(
     kappa, delta, epsilon, B = (overrides.get(key, value) for key, value in
                                 zip(("kappa", "delta", "epsilon", "B"), (kappa, delta, epsilon, B)))
     if profile == "paper":
+        # a run at 0.0 fails late, or spends O(N^2) on a spectrum of every frequency
+        underflow = [key for key, value in (("kappa", kappa), ("delta", delta), ("epsilon", epsilon))
+                     if key not in overrides and float(value) == 0.0]
+        if underflow:
+            raise ConfigError(f"paper-profile values underflow to 0.0 as floats: "
+                              f"{', '.join(underflow)}; override each with KEY=VALUE")
         k0 = choose_k0_paper(kappa)
         prov["k0"] = "capped-desk-grid" if k0 == DESK_K0_CAP else "paper-rule"
     else:

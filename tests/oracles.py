@@ -1,14 +1,18 @@
 """Direct oracles for the array and FFT routes of chen3, independent of them
 and slow by design: O(N) per value and O(N^2) sums on Z_N for
 chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
-divisor indicator per d, the four-fold Selberg remainder sum, the per-n
-range survey, the per-term phase sum behind chen3.circle_method's complete
-sums mod q, and per-item trial-division checks of a Rosser weight, its
-divisor sum, a Chen prime and a Goldbach representation.  Also the count of
+divisor indicator per d, the four-fold Selberg remainder sum and the
+double-loop Selberg quadratic form, the per-n range survey, the per-term
+phase sum behind chen3.circle_method's complete sums mod q, the Rosser
+support by depth-first search, the divisor-class sums by one strided add
+per d, and per-item trial-division checks of a Rosser weight, its divisor
+sum, a Chen prime and a Goldbach representation.  Also the count of
 squarefree q <= x as a Moebius sum over d^2, against the sandwich check."""
 
+import bisect
 import math
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from chen3.selberg_sieve import (
     PairCountReport,
     _remainder_pair_sum,
     build_selberg,
-    quadratic_form,
 )
 
 
@@ -137,6 +140,18 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
     return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)
 
 
+def quadratic_form_direct(system) -> Fraction:
+    """sum_{d1, d2} lambda(d1) lambda(d2) omega([d1, d2]) / [d1, d2] over every
+    pair of the support, with omega([d1, d2]) from the union of the chains."""
+    total = Fraction(0)
+    for d1, l1 in system.lam.items():
+        for d2, l2 in system.lam.items():
+            union = set(system.chains[d1]) | set(system.chains[d2])
+            omega = math.prod(system.omega[p] for p in union)
+            total += l1 * l2 * Fraction(omega, d1 * d2 // gcd(d1, d2))
+    return total
+
+
 def pair_count_direct(
     n: int, W: int, b: int, M: int, z0: float, z1: float
 ) -> PairCountReport:
@@ -177,8 +192,8 @@ def pair_count_direct(
         s2 += v * divisor_indicator(d, (f1, f2))
     pointwise = float(np.sum(s1 ** 2 * s2 ** 2))
 
-    qf1 = float(quadratic_form(sys1))
-    qf2 = float(quadratic_form(sys2))
+    qf1 = float(quadratic_form_direct(sys1))
+    qf2 = float(quadratic_form_direct(sys2))
     main = (n / W) * qf1 * qf2
     # the four-fold sum over (d1, d2) in stage 1 and (d3, d4) in stage 2
     # factors into the two pair sums
@@ -248,3 +263,40 @@ def representation_ok(rep, variant: str = "basic", z: float | None = None) -> bo
 def squarefree_count(x: int) -> int:
     """#{squarefree q <= x} = sum over d <= sqrt(x) of mu(d) floor(x / d^2)."""
     return sum(mult_functions(d).mu * (x // (d * d)) for d in range(1, math.isqrt(x) + 1))
+
+
+def rosser_support_direct(D: float, sign: str, primes=None) -> tuple[dict, dict]:
+    """(d -> lambda_D^sign(d), d -> prime chain of d) by depth-first search
+    over descending primes, each product compared to D in Python integers."""
+    if primes is None:
+        primes = primes_up_to(max(2, math.ceil(D) - 1))
+    plist = sorted((int(p) for p in primes if p < D), reverse=True)
+    neg = [-p for p in plist]  # ascending, for bisecting the descending list
+    support, chains = {1: 1}, {1: ()}
+    check_parity = 1 if sign == "+" else 0
+
+    def extend(prefix: int, chain: tuple, start: int) -> None:
+        k = len(chain) + 1
+        lim = D / prefix
+        if k % 2 == check_parity:
+            lim = min(lim, lim ** (1.0 / 3.0))
+        for i in range(max(start, bisect.bisect_left(neg, -lim * (1.0 + 1e-9))), len(plist)):
+            p = plist[i]
+            if prefix * p >= D or (k % 2 == check_parity and prefix * p ** 3 >= D):
+                continue
+            support[prefix * p] = -1 if k % 2 else 1
+            chains[prefix * p] = chain + (p,)
+            extend(prefix * p, chain + (p,), i + 1)
+
+    extend(1, (), 0)
+    return support, chains
+
+
+def class_sums_direct(d, v, size: int, W: int = 1, c: int = 0) -> np.ndarray:
+    """T[x] = sum of v[i] over the i with d[i] | W x + c, 0 <= x < size, by
+    one strided add per d on the class x = -c W^{-1} (mod d)."""
+    T = np.zeros(size, dtype=np.int64)
+    for di, vi in zip(np.asarray(d).tolist(), np.asarray(v).tolist()):
+        if gcd(di, W) == 1:
+            T[-c * pow(W, -1, di) % di :: di] += vi
+    return T

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -94,6 +98,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("assertion failed: |A3| = 13172 below (1 - 3 varpi) N")
 
+    def test_paper_underflow_is_a_config_error(self, capsys):
+        # delta left at its paper value, which is 0.0 as a float: exit 2 at
+        # once, before any stage sees a spectrum of every frequency
+        code, out, err = run(capsys, "transfer", "--n", "99999", "--profile", "paper",
+                             "--override", "kappa=0.9", "--override", "epsilon=0.05")
+        assert code == 2 and not out
+        assert err.startswith("error: paper-profile values underflow to 0.0 as floats: delta;")
+
     def test_resource_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)
         code, _, err = run(capsys, "rosser", "--D", "100")
@@ -106,6 +118,29 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_rosser_payload_and_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "weights.csv"
+        code, out, _ = run(capsys, "rosser", "--D", "1000", "--sign", "-",
+                           "--sandwich-limit", "100000", "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["payload"]["result"] == {
+            "support_size": 222, "sum_of_weights": -138,
+            "sandwich_checked": 60794, "sandwich_failures": []}
+        with open(csv_path) as fh:
+            rows = [(int(d), int(v)) for d, v in list(csv.reader(fh))[1:]]
+        assert rows == sorted(rosser_sieve.build_rosser(1000, "-").support.items())
+
+    def test_rosser_sandwich_to_a_million(self):
+        # a fresh process, as the command is run: every squarefree q <= 10^6
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chen3.cli", "rosser", "--D", "1000000", "--sign", "-",
+             "--sandwich-limit", "1000000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["payload"]["result"]
+        assert res["sandwich_checked"] == 607926 and res["sandwich_failures"] == []
+
     def test_goldbach_single(self, capsys):
         code, out, _ = run(capsys, "goldbach", "--n", "33")
         assert code == 0

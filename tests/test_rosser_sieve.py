@@ -2,21 +2,43 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chen3.arith_core import EULER_GAMMA, factorize, mult_functions, primes_up_to
 from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
-from oracles import rosser_divisor_sum, rosser_weight, squarefree_count
+from oracles import (
+    class_sums_direct,
+    rosser_divisor_sum,
+    rosser_support_direct,
+    rosser_weight,
+    squarefree_count,
+)
 from chen3.rosser_sieve import (
     LinearSieveFns,
+    _class_sums,
     build_rosser,
     divisor_sum_table,
     linear_sieve_F_f,
     sandwich_check,
     sieve_main_term,
 )
+
+
+def chains_of(w) -> dict[int, tuple[int, ...]]:
+    """d -> (p_1, ..., p_k), read from the parent links of every entry."""
+    chains = {}
+    for i, d in enumerate(w.d.tolist()):
+        chain, j = [], i
+        while j > 0:
+            chain.append(int(w.prime[j]))
+            j = int(w.parent[j])
+        chains[d] = tuple(reversed(chain))
+    return chains
+
+
+PRIMES_BELOW_200 = [int(p) for p in primes_up_to(199)]
 
 
 class TestSupport:
@@ -40,7 +62,7 @@ class TestSupport:
     def test_support_is_squarefree_descending(self):
         for sign in "+-":
             w = build_rosser(500, sign)
-            for d, chain in w.chains.items():
+            for d, chain in chains_of(w).items():
                 assert list(chain) == sorted(chain, reverse=True)
                 assert len(set(chain)) == len(chain)
                 assert math.prod(chain) == d
@@ -58,6 +80,106 @@ class TestSupport:
             build_rosser(1, "+")
         with pytest.raises(DomainError):
             build_rosser(10, "x")
+        with pytest.raises(DomainError):  # d p^3 would not fit in int64
+            build_rosser(2.0 ** 63, "+", primes=np.array([2, 3]))
+
+    def test_level_order(self):
+        w = build_rosser(10**4, "-")
+        chains = chains_of(w)
+        length = np.array([len(chains[d]) for d in w.d.tolist()])
+        assert np.all(np.diff(length) >= 0) and np.all(np.diff(w.parent) >= 0)
+        assert np.all(w.parent[1:] < np.arange(1, w.d.size))
+        assert np.array_equal(w.d[1:], w.d[w.parent[1:]] * w.prime[1:])
+        assert np.array_equal(w.value, (-1) ** length)
+
+
+class TestAgainstDepthFirst:
+    """The level-by-level builder against the depth-first search it replaced."""
+
+    @staticmethod
+    def check(D, sign, primes=None):
+        support, chains = rosser_support_direct(D, sign, primes)
+        w = build_rosser(D, sign, primes=None if primes is None else np.array(primes, dtype=np.int64))
+        assert w.support == support, (D, sign)
+        assert chains_of(w) == chains, (D, sign)
+        return w
+
+    @pytest.mark.parametrize("D", [10, 100, 500, 10**4, 10**5, 10**6])
+    def test_full_prime_range(self, D):
+        for sign in "+-":
+            self.check(D, sign)
+
+    @given(st.integers(min_value=2, max_value=20_000), st.sampled_from("+-"))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_D(self, D, sign):
+        self.check(D, sign)
+
+    @given(st.floats(min_value=1.01, max_value=20_000.0), st.sampled_from("+-"))
+    @settings(max_examples=60, deadline=None)
+    def test_float_D(self, D, sign):
+        self.check(D, sign)
+
+    @given(st.lists(st.sampled_from(PRIMES_BELOW_200), min_size=1, max_size=3, unique=True),
+           st.booleans(), st.sampled_from("+-"))
+    @settings(max_examples=80, deadline=None)
+    def test_D_on_a_boundary(self, chain, cube, sign):
+        # D = d p or d p^3 for a descending chain d p: the strict < bites
+        chain = sorted(chain, reverse=True)
+        D = math.prod(chain[:-1]) * chain[-1] ** (3 if cube else 1)
+        if D > 2 and D <= 50_000:
+            w = self.check(D, sign)
+            assert all(d < D for d in w.d.tolist())
+            self.check(D + 0.5, sign)
+            self.check(D - 0.5, sign)
+
+    @given(st.lists(st.sampled_from(PRIMES_BELOW_200), min_size=1, max_size=12, unique=True),
+           st.integers(min_value=2, max_value=50_000), st.sampled_from("+-"))
+    @settings(max_examples=80, deadline=None)
+    def test_prime_subsets(self, primes, D, sign):
+        # any subset, in any order, with primes >= D that the builder drops
+        self.check(D, sign, primes)
+
+    @pytest.mark.parametrize("n, k0", [(2 * 10**5, 3), (10**6, 4), (10**5, 2)])
+    def test_evaluator_primes(self, n, k0):
+        # the sieving primes below z0 = n^{1/k0} at D = n^{0.32}, as passed by
+        # ExpSumEvaluator and the sieve_sums benchmark
+        z0, D = n ** (1.0 / k0), n ** 0.32
+        small = [int(p) for p in primes_up_to(math.ceil(z0)) if p < z0]
+        for sign in "+-":
+            self.check(D, sign, small)
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("W", [1, 2, 6, 30])
+    def test_matches_strided_oracle(self, W):
+        rng = np.random.default_rng(W)
+        for size in (1, 97, 5000):
+            for c in (0, 1, 7, 11, 13, W + 1, 5 * W + 7, 31 * W - 1):
+                if math.gcd(c, W) != 1:
+                    continue
+                # d from 1 to past size, with repeats and with gcd(d, W) > 1
+                d = rng.integers(1, 3 * size + 3, size=400)
+                v = rng.integers(-3, 4, size=400)
+                assert np.array_equal(_class_sums(d, v, size, W, c),
+                                      class_sums_direct(d, v, size, W, c)), (size, W, c)
+
+    @given(st.lists(st.integers(min_value=1, max_value=3000), max_size=60),
+           st.integers(min_value=1, max_value=2000), st.sampled_from([1, 2, 6, 30]),
+           st.integers(min_value=0, max_value=200))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, d, size, W, c):
+        assume(math.gcd(c, W) == 1)
+        v = [(-1) ** i * (i % 3 + 1) for i in range(len(d))]
+        d = np.array(d, dtype=np.int64)
+        assert np.array_equal(_class_sums(d, np.array(v, dtype=np.int64), size, W, c),
+                              class_sums_direct(d, v, size, W, c))
+
+    def test_two_classes_meet_in_one_batch(self):
+        # 6 x + 1 = 55 at x = 9 is divisible by both 11 and 55, both above
+        # sqrt(100), and x = 9 is the first member of each class
+        T = _class_sums(np.array([11, 55]), np.array([1, 1]), 100, 6, 1)
+        assert T[9] == 2
+        assert np.array_equal(T, class_sums_direct([11, 55], [1, 1], 100, 6, 1))
 
 
 class TestSandwich:
@@ -130,6 +252,23 @@ class TestMainTerm:
             sieve_main_term(w, lambda p: p + 1.0, z=10)
         with pytest.raises(DomainError):
             sieve_main_term(w, lambda p: -1.0, z=10)
+
+    @pytest.mark.parametrize("D, z", [(10**6, 100), (10**4, 97.5), (1000, 100), (10**4, 10)])
+    def test_matches_depth_first_terms(self, D, z):
+        # the same product per chain, so the correctly rounded sums agree exactly
+        def omega(p):
+            return 2.0 if p > 2 else 1.0
+
+        for sign in "+-":
+            support, chains = rosser_support_direct(D, sign)
+            terms = []
+            for d, val in support.items():
+                if all(p < z for p in chains[d]):
+                    term = val
+                    for p in chains[d]:
+                        term *= omega(p) / p
+                    terms.append(term)
+            assert sieve_main_term(build_rosser(D, sign), omega, z).value == math.fsum(terms)
 
     def test_reports_s_and_limits(self):
         w = build_rosser(1000, "+")

@@ -14,7 +14,12 @@ from chen3.selberg_sieve import (
     quadratic_form,
 )
 from chen3.transference import ZnWeight
-from oracles import energy_direct, pair_count_direct, selberg_remainder_direct
+from oracles import (
+    energy_direct,
+    pair_count_direct,
+    quadratic_form_direct,
+    selberg_remainder_direct,
+)
 
 
 class TestOmega:
@@ -55,6 +60,16 @@ class TestWeights:
         for stage, M, W in ((1, 5, 2), (1, 3, 6), (2, 5, 2)):
             s = build_selberg(stage, M=M, W=W, n=10**5, k0=8)
             assert quadratic_form(s) == 1 / s.G1
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(stage=1, M=5, W=2, n=10**6, k0=8, z0=300),  # the sieve_sums benchmark's system
+        *(dict(stage=stage, M=M, W=W, n=n, k0=8, z0=z0, z1=z1)
+          for stage in (1, 2)
+          for n, W, M, z0, z1 in ((10**6, 2, 5, 30, 60), (3000, 2, 3, 3.5, 8), (5000, 6, 2, 4, 10))),
+    ])
+    def test_quadratic_form_matches_double_loop(self, kwargs):
+        s = build_selberg(**kwargs)
+        assert quadratic_form(s) == quadratic_form_direct(s) == 1 / s.G1
 
     def test_skipped_primes_recorded(self):
         # W = 2, M = 1: WM - 2 = 0, so every odd p "divides" it -> omega = 3 = p at p = 3

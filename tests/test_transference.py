@@ -369,9 +369,9 @@ class TestParameters:
         delta, epsilon, kappa = paper_kappa_delta_epsilon(1e-4, 1.0, 1.0)
         assert delta < mpmath.mpf(10) ** -100  # far below float range
         assert epsilon <= delta and kappa <= 1e-4
-        # at desk-sized n the paper window around n/W contains no integer:
-        # an honest configuration failure, not a silent fallback
-        with pytest.raises(ConfigError):
+        # as floats all three underflow to 0.0: an honest configuration
+        # failure before any stage runs, not a silent fallback
+        with pytest.raises(ConfigError, match="kappa, delta, epsilon"):
             choose_parameters(99_999, profile="paper")
 
     def test_overrides(self):
