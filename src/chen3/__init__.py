@@ -11,7 +11,6 @@ from .arith_core import (
     is_prime_u64,
     mult_functions,
     primes_up_to,
-    primorial,
     singular_series_S1,
 )
 from .circle_method import (

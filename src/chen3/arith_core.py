@@ -120,15 +120,6 @@ def build_factor_table(hi: int) -> FactorTable:
     return FactorTable(hi=hi, smallest_prime_factor=spf, omega_big=omega)
 
 
-def primorial(w: float) -> int:
-    """P(w) = product of primes < w."""
-    out = 1
-    for p in primes_up_to(max(0, math.ceil(w) - 1)):
-        if p < w:
-            out *= int(p)
-    return out
-
-
 def chen_primes(
     bound: int,
     variant: str = "basic",
@@ -192,15 +183,6 @@ class MultFunctions:
     phi: int
     phi2: Fraction
     factors: tuple[tuple[int, int], ...]
-
-    def tau_k(self, k: int) -> int:
-        """Number of ordered k-tuples with product x."""
-        if k < 1:
-            raise DomainError(f"k must be >= 1, got {k}")
-        out = 1
-        for _, e in self.factors:
-            out *= math.comb(e + k - 1, k - 1)
-        return out
 
 
 def mult_functions(x: int) -> MultFunctions:

@@ -32,7 +32,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import DomainError, ResourceBudgetError
-from .rosser_sieve import RosserWeights, _class_sums, _lambda_terms, build_rosser
+from .rosser_sieve import RosserWeights, _class_sums, _form_roots, _lambda_terms, build_rosser
 
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
@@ -105,13 +105,14 @@ class ExpSumEvaluator:
             raise DomainError(f"unknown mode {mode!r}")
         if mode not in self._weights:
             # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
-            grid = (self.ctx.m + 1, self.ctx.W, self.ctx.b + 2)
             if mode == "moebius":
                 small = np.array(self.small_primes, dtype=np.int64)
-                w = _class_sums(small, np.ones_like(small), *grid)[self.xs] == 0
+                terms = small, np.ones_like(small)
             else:
                 rw = self._rosser("+" if mode == "rosser_plus" else "-")
-                w = _class_sums(*_lambda_terms(rw, self.small_primes), *grid)[self.xs]
+                terms = _lambda_terms(rw, self.small_primes)
+            T = _class_sums(*_form_roots(*terms, self.ctx.W, self.ctx.b + 2), self.ctx.m + 1)
+            w = T[self.xs] == 0 if mode == "moebius" else T[self.xs]
             self._weights[mode] = w * self.logp
         return self._weights[mode]
 

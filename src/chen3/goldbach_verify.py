@@ -93,7 +93,7 @@ def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Representation:
-    """n = p1 + p2 + p3 with p1 <= p2 Chen primes and Omega(p3 + 2) <= k."""
+    """n = p1 + p2 + p3 with p1 <= p2 Chen primes and k = Omega(p3 + 2) <= 2."""
 
     n: int
     p1: int
@@ -106,12 +106,13 @@ def find_representations(
     n: int,
     variant: str = "basic",
     z: float | None = None,
-    k_cap: int = 2,
     limit: int | None = None,
     table: FactorTable | None = None,
 ) -> list[Representation]:
     """All representations n = p1 + p2 + p3 (p1 <= p2 Chen, p3 prime with
-    Omega(p3 + 2) <= k_cap), ordered by (p1, p2), optionally truncated."""
+    Omega(p3 + 2) <= 2), ordered by (p1, p2), optionally truncated.  For
+    each p1 one mask over the Chen primes p2 in [p1, n - p1 - 2] picks the
+    p3 = n - p1 - p2 that qualify."""
     _check_n(n)
     if table is None:
         table = build_factor_table(n + 2)
@@ -119,19 +120,17 @@ def find_representations(
     spf = table.smallest_prime_factor
     om = table.omega_big
     out: list[Representation] = []
-    for p1 in chens:
-        p1 = int(p1)
+    for i, p1 in enumerate(chens.tolist()):
         if 2 * p1 > n - 2:
             break
-        for p2 in chens[chens >= p1]:
-            p2 = int(p2)
-            p3 = n - p1 - p2
-            if p3 < 2:
-                break
-            if spf[p3] == p3 and om[p3 + 2] <= k_cap:
-                out.append(Representation(n=n, p1=p1, p2=p2, p3=p3, k_of_p3=int(om[p3 + 2])))
-                if limit is not None and len(out) >= limit:
-                    return out
+        p2 = chens[i : np.searchsorted(chens, n - p1 - 2, side="right")]
+        p3 = n - p1 - p2
+        k = om[p3 + 2]
+        hit = (spf[p3] == p3) & (k <= 2)
+        out += [Representation(n=n, p1=p1, p2=b, p3=c, k_of_p3=kc)
+                for b, c, kc in zip(p2[hit].tolist(), p3[hit].tolist(), k[hit].tolist())]
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
     return out
 
 

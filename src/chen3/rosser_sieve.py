@@ -125,26 +125,37 @@ def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> tuple[np.ndarr
             np.concatenate((weights.value, np.full(extra.size, -1))))
 
 
-def _class_sums(d: np.ndarray, v: np.ndarray, size: int, W: int = 1, c: int = 0) -> np.ndarray:
-    """T[x] = sum of v[i] over the i with d[i] | W x + c, for 0 <= x < size.
+def _form_roots(d, v, W: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, r, v) for the residue-class kernel, with d | W x + c exactly when
+    x = r (mod d).
 
-    Needs gcd(c, W) = 1: then d | W x + c holds on exactly the class
-    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise.  Each
-    d <= sqrt(size) adds its value by one strided slice.  The larger d have
-    at most sqrt(size) class members each; sorted by member count, the d
-    with an m-th member are a prefix, and one np.add.at adds all of their
-    m-th members at once (two classes can meet at one x).
+    Needs gcd(c, W) = 1: then d | W x + c holds on the one class
+    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise, so the
+    d not prime to W are dropped with their values.
     """
-    T = np.zeros(size, dtype=np.int64)
-    d, v = np.asarray(d, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    d, v = np.asarray(d, dtype=np.int64), np.asarray(v)
     keep = np.gcd(d, W) == 1
     d, v = d[keep], v[keep]
     # W r = k d - c with k = c d^{-1} mod W, read off per residue of d mod W,
     # and r = (k d - c) / W evaluated without forming k d
     res, which = np.unique(d % W, return_inverse=True)
     k = np.array([c * pow(t, -1, W) % W for t in res.tolist()], dtype=np.int64)[which]
-    r = (k * (d // W) + (k * (d % W) - c) // W) % d
+    return d, (k * (d // W) + (k * (d % W) - c) // W) % d, v
 
+
+def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """T[x] = sum of v[i] over the i with x = r[i] (mod d[i]), for 0 <= x < size.
+
+    Needs 0 <= r[i] < d[i]; T is int64 for integer v and float64 for float v.
+    Each d <= sqrt(size) adds its value by one strided slice, in input
+    order.  The larger d have at most sqrt(size) class members each; sorted
+    by member count, the d with an m-th member are a prefix, and one
+    np.add.at adds all of their m-th members at once (two classes can meet
+    at one x).
+    """
+    v = np.asarray(v)
+    T = np.zeros(size, dtype=np.result_type(v.dtype, np.int64))
+    d, r = np.asarray(d, dtype=np.int64), np.asarray(r, dtype=np.int64)
     strided = d <= isqrt(size)
     for di, ri, vi in zip(d[strided].tolist(), r[strided].tolist(), v[strided].tolist()):
         T[ri::di] += vi
@@ -162,7 +173,8 @@ def _class_sums(d: np.ndarray, v: np.ndarray, size: int, W: int = 1, c: int = 0)
 
 def divisor_sum_table(weights: RosserWeights, limit: int) -> np.ndarray:
     """T[q] = sum_{d | q} lambda(d) for all 0 <= q <= limit, by sieving."""
-    T = _class_sums(*_lambda_terms(weights, primes_up_to(limit)), limit + 1)
+    d, v = _lambda_terms(weights, primes_up_to(limit))
+    T = _class_sums(d, np.zeros_like(d), v, limit + 1)
     T[0] = 0
     return T
 

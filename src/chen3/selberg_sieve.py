@@ -20,6 +20,7 @@ import numpy as np
 
 from .arith_core import build_factor_table, primes_up_to
 from .errors import DomainError, ResourceBudgetError
+from .rosser_sieve import _class_sums
 from .transference import _folded_convolution
 
 DEFAULT_L_CAP = 500_000
@@ -119,41 +120,54 @@ def build_selberg(
     g = {p: Fraction(omega_map[p], p - omega_map[p]) for p in sieve_primes}
 
     ls = _enumerate_squarefree(sieve_primes, hi)
-    g_of: dict[int, Fraction] = {}
-    for l, chain in ls:
-        val = Fraction(1)
-        for p in chain:
-            val *= g[p]
-        g_of[l] = val
+    chains = dict(ls)
+    g_of = {l: math.prod((g[p] for p in chain), start=Fraction(1)) for l, chain in ls}
     G1 = sum(g_of.values(), Fraction(0))
 
-    # accumulate sum_{d | l} mu(l/d) mu(l) g(l) into each divisor d of l;
-    # mu(l/d) mu(l) = (-1)^{omega(d)} for squarefree l
-    acc: dict[int, Fraction] = {}
-    chains_of_d: dict[int, tuple[int, ...]] = {1: ()}
-    for l, chain in ls:
-        gl = g_of[l]
-        divs = [(1, ())]
-        for p in chain:
-            divs += [(d * p, ch + (p,)) for d, ch in divs]
-        for d, ch in divs:
-            sgn = -1 if len(ch) % 2 else 1
-            acc[d] = acc.get(d, Fraction(0)) + sgn * gl
-            chains_of_d.setdefault(d, ch)
-
-    lam: dict[int, Fraction] = {}
-    for d, total in acc.items():
-        omega_d = math.prod(omega_map[p] for p in chains_of_d[d])
-        lam[d] = Fraction(d, omega_d) * total / G1
+    # sum_{d | l} mu(l/d) mu(l) g(l) = (-1)^k y_d over the l in the support,
+    # k the number of primes of d and y_d = sum_{d | l} g(l); every divisor
+    # of such an l is itself in the support
+    lam = {
+        d: Fraction((-1) ** len(chains[d]) * d, _omega(omega_map, chains[d])) * y / G1
+        for d, y in _multiples_sums(g_of, chains).items()
+    }
 
     return SelbergSystem(
         stage=stage,
         omega=omega_map,
         G1=G1,
         lam=lam,
-        chains=chains_of_d,
+        chains=chains,
         skipped_primes=tuple(skipped),
     )
+
+
+def _omega(omega: dict[int, int], chain) -> int:
+    """omega(d) = prod of omega(p) over the prime chain of squarefree d."""
+    return math.prod(omega[p] for p in chain)
+
+
+def _multiples_sums(a: dict[int, Fraction], chains) -> dict[int, Fraction]:
+    """y_k = sum of a(d) over the d in a's support with k | d, for every k
+    dividing such a d: one exact addition per pair k | d."""
+    y: dict[int, Fraction] = {}
+    for d, ad in a.items():
+        divisors = [1]
+        for p in chains[d]:
+            divisors += [k * p for k in divisors]
+        for k in divisors:
+            y[k] = y.get(k, 0) + ad
+    return y
+
+
+def _diagonal_form(
+    system: SelbergSystem, a: dict[int, Fraction], h: dict[int, Fraction]
+) -> Fraction:
+    """sum_k h(k) y_k^2 with y = _multiples_sums(a), h multiplicative and
+    given at the sieving primes."""
+    y = _multiples_sums(a, system.chains)
+    return sum((math.prod((h[p] for p in system.chains[k]), start=Fraction(1)) * yk * yk
+                for k, yk in y.items()), Fraction(0))
 
 
 def quadratic_form(system: SelbergSystem) -> Fraction:
@@ -162,53 +176,40 @@ def quadratic_form(system: SelbergSystem) -> Fraction:
     f(d) = omega(d)/d is multiplicative, so f([d1, d2]) = f(d1) f(d2) / f(g)
     with g = (d1, d2), and 1/f(g) = sum_{k | g} h(k) with h(p) = p/omega(p) - 1.
     The form is therefore diagonal, sum_k h(k) y_k^2 with
-    y_k = sum_{k | d} lambda(d) f(d): one Fraction addition per pair k | d.
+    y_k = sum_{k | d} lambda(d) f(d).
     """
-    y: dict[int, Fraction] = {}
-    for d, lam in system.lam.items():
-        chain = system.chains[d]
-        term = lam * Fraction(math.prod(system.omega[p] for p in chain), d)
-        divisors = [1]
-        for p in chain:
-            divisors += [k * p for k in divisors]
-        for k in divisors:
-            y[k] = y.get(k, 0) + term
-    total = Fraction(0)
-    for k, yk in y.items():
-        h = math.prod(Fraction(p - system.omega[p], system.omega[p]) for p in system.chains[k])
-        total += h * yk * yk
-    return total
+    a = {d: lam * Fraction(_omega(system.omega, system.chains[d]), d)
+         for d, lam in system.lam.items()}
+    return _diagonal_form(system, a, {p: Fraction(p - w, w) for p, w in system.omega.items()})
 
 
-def _omega_of_lcm(system: SelbergSystem, d1: int, d2: int) -> int:
-    """omega([d1, d2]) for squarefree d1, d2 in the system's support."""
-    union = set(system.chains[d1]) | set(system.chains[d2])
-    return math.prod(system.omega[p] for p in union)
+def _remainder_sum(system: SelbergSystem) -> Fraction:
+    """sum_{d1, d2} |lambda(d1) lambda(d2)| omega([d1, d2]) over the support.
 
-
-def _remainder_pair_sum(system: SelbergSystem) -> float:
-    """sum_{d1, d2} |lambda(d1) lambda(d2)| omega([d1, d2]) over the support."""
-    lam = system.lam_float()
-    return sum(
-        abs(v1 * v2) * _omega_of_lcm(system, d1, d2)
-        for d1, v1 in lam.items()
-        for d2, v2 in lam.items()
-    )
+    omega([d1, d2]) = omega(d1) omega(d2) / omega(g) with g = (d1, d2), and
+    1/omega(g) = sum_{k | g} h(k) with h(p) = 1/omega(p) - 1, so this is the
+    diagonal sum_k h(k) (sum_{k | d} |lambda(d)| omega(d))^2.
+    """
+    a = {d: abs(lam) * _omega(system.omega, system.chains[d]) for d, lam in system.lam.items()}
+    return _diagonal_form(system, a, {p: Fraction(1 - w, w) for p, w in system.omega.items()})
 
 
 def _lambda_class_sums(lam: dict[int, float], shifts, W: int, size: int) -> np.ndarray:
     """s[x - 1] = sum of lambda(d) over the d with d | prod_c (W x + c), for
-    1 <= x <= size.  Whether d divides depends only on x mod d, so each d
-    adds lambda(d) by one strided slice per root r in [0, d) of the product."""
-    s = np.zeros(size)
+    1 <= x <= size.  Whether d divides depends only on x mod d, so the roots
+    r in [0, d) of the product are the classes handed to _class_sums, each
+    shifted by one for the index x - 1."""
+    ds, rs, vs = [], [], []
     for d, v in lam.items():
         r = np.arange(d, dtype=np.int64)
         prod = np.ones(d, dtype=np.int64)
         for c in shifts:
             prod = prod * ((W * r + c) % d) % d
-        for root in np.flatnonzero(prod == 0):
-            s[(root - 1) % d :: d] += v
-    return s
+        roots = np.flatnonzero(prod == 0)
+        ds.append(np.full(roots.size, d))
+        rs.append((roots - 1) % d)
+        vs.append(np.full(roots.size, v))
+    return _class_sums(np.concatenate(ds), np.concatenate(rs), np.concatenate(vs), size)
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def pair_count_bound(
     main = (n / W) * qf1 * qf2
     # the four-fold sum over (d1, d2) in stage 1 and (d3, d4) in stage 2
     # factors into the two pair sums
-    rem = _remainder_pair_sum(sys1) * _remainder_pair_sum(sys2)
+    rem = float(_remainder_sum(sys1) * _remainder_sum(sys2))
     bound = main + rem
     tol = 1e-9 * (abs(bound) + 1.0)
     ok = exact_above <= pointwise + tol and pointwise <= bound + tol

@@ -67,16 +67,6 @@ class ZnWeight:
     def total(self) -> float:
         return float(np.sum(self.values))
 
-    @classmethod
-    def point_mass(cls, N: int, x: int = 0) -> "ZnWeight":
-        v = np.zeros(N)
-        v[x % N] = 1.0
-        return cls(N, v)
-
-    @classmethod
-    def uniform(cls, N: int) -> "ZnWeight":
-        return cls(N, np.full(N, 1.0 / N))
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -321,7 +311,6 @@ class ParameterLedger:
     b2: int
     b3: int
     N: int
-    R: float
     k0: int
     B: float
     kappa: float
@@ -337,7 +326,7 @@ class ParameterLedger:
 
     def to_dict(self) -> dict:
         out = {}
-        for k in ("n", "profile", "W", "w", "b1", "b2", "b3", "N", "R", "k0", "B",
+        for k in ("n", "profile", "W", "w", "b1", "b2", "b3", "N", "k0", "B",
                   "kappa", "delta", "epsilon", "varpi", "C1", "C2", "C3", "C4", "C5"):
             v = getattr(self, k)
             if isinstance(v, mpmath.mpf):
@@ -467,6 +456,15 @@ def choose_parameters(
         if underflow:
             raise ConfigError(f"paper-profile values underflow to 0.0 as floats: "
                               f"{', '.join(underflow)}; override each with KEY=VALUE")
+    # kappa widens the prime window for N, delta enters the three-sum budget
+    # at negative powers and epsilon is a Bohr radius: checked before k0 and
+    # N are derived, for both profiles
+    kf, df, ef = float(kappa), float(delta), float(epsilon)
+    bad = [f"{key}={value}" for key, value, ok in
+           (("kappa", kf, kf > 0), ("delta", df, df > 0), ("epsilon", ef, 0 < ef <= 0.5)) if not ok]
+    if bad:
+        raise ConfigError(f"need kappa > 0, delta > 0 and 0 < epsilon <= 1/2: {', '.join(bad)}")
+    if profile == "paper":
         k0 = choose_k0_paper(kappa)
         prov["k0"] = "capped-desk-grid" if k0 == DESK_K0_CAP else "paper-rule"
     else:
@@ -478,13 +476,11 @@ def choose_parameters(
     W, w = select_W(n)
     prov["W"] = prov["w"] = "derived"
     b1, b2, b3 = split_residues(n, W)
-    kap_f = float(kappa) if float(kappa) > 0 else 1e-8
-    lo = (1.0 + kap_f ** 2 / 20.0) * n / W
-    hi = (1.0 + kap_f ** 2 / 10.0) * n / W
+    lo = (1.0 + kf ** 2 / 20.0) * n / W
+    hi = (1.0 + kf ** 2 / 10.0) * n / W
     N = find_prime_in(lo, hi)
-    R = N ** 0.1
     return ParameterLedger(
-        n=n, profile=profile, W=W, w=w, b1=b1, b2=b2, b3=b3, N=N, R=R,
+        n=n, profile=profile, W=W, w=w, b1=b1, b2=b2, b3=b3, N=N,
         k0=int(k0), B=float(B), kappa=kappa, delta=delta, epsilon=epsilon,
         varpi=varpi, C1=C1, C2=C2, C3=C3, C4=C4, C5=C5, provenance=prov,
     )
@@ -494,7 +490,7 @@ def choose_k0_paper(kappa) -> int:
     """Paper-profile k0: the F-f rule at the true (astronomically small)
     kappa is far below the integrator's resolution, so the grid cap is
     returned and flagged in provenance."""
-    k0 = choose_k0(float(kappa) if float(kappa) > 0 else 0.0)
+    k0 = choose_k0(float(kappa))
     return k0 if k0 is not None else DESK_K0_CAP
 
 

@@ -2,12 +2,15 @@
 and slow by design: O(N) per value and O(N^2) sums on Z_N for
 chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum and the
-double-loop Selberg quadratic form, the per-n range survey, the per-term
-phase sum behind chen3.circle_method's complete sums mod q, the Rosser
-support by depth-first search, the divisor-class sums by one strided add
-per d, and per-item trial-division checks of a Rosser weight, its divisor
-sum, a Chen prime and a Goldbach representation.  Also the count of
-squarefree q <= x as a Moebius sum over d^2, against the sandwich check."""
+double-loop Selberg quadratic form and remainder pair sum, the per-n range
+survey, the double loop over Chen pairs behind the representation list, the
+per-term phase sum behind chen3.circle_method's complete sums mod q, the
+Rosser support by depth-first search, the divisor-class sums by one strided
+add per d and the residue-class sums by one pass per x, and per-item
+trial-division checks of a Rosser weight, its divisor sum, a Chen prime and
+a Goldbach representation.  Also the count of squarefree q <= x as a
+Moebius sum over d^2, against the sandwich check, and the point-mass and
+uniform weights on Z_N that the transference tests use."""
 
 import bisect
 import math
@@ -25,12 +28,9 @@ from chen3.arith_core import (
     primes_up_to,
 )
 from chen3.errors import DomainError
-from chen3.goldbach_verify import SurveyReport, SurveyRow, _pair_counts
-from chen3.selberg_sieve import (
-    PairCountReport,
-    _remainder_pair_sum,
-    build_selberg,
-)
+from chen3.goldbach_verify import Representation, SurveyReport, SurveyRow, _pair_counts
+from chen3.selberg_sieve import PairCountReport, build_selberg
+from chen3.transference import ZnWeight
 
 
 def exp_sum_direct(ev, alpha: Fraction, mode: str) -> complex:
@@ -152,6 +152,17 @@ def quadratic_form_direct(system) -> Fraction:
     return total
 
 
+def remainder_pair_sum_direct(system) -> Fraction:
+    """sum_{d1, d2} |lambda(d1) lambda(d2)| omega([d1, d2]) over every pair of
+    the support, exactly, with omega([d1, d2]) from the union of the chains."""
+    total = Fraction(0)
+    for d1, l1 in system.lam.items():
+        for d2, l2 in system.lam.items():
+            union = set(system.chains[d1]) | set(system.chains[d2])
+            total += abs(l1 * l2) * math.prod(system.omega[p] for p in union)
+    return total
+
+
 def pair_count_direct(
     n: int, W: int, b: int, M: int, z0: float, z1: float
 ) -> PairCountReport:
@@ -197,7 +208,7 @@ def pair_count_direct(
     main = (n / W) * qf1 * qf2
     # the four-fold sum over (d1, d2) in stage 1 and (d3, d4) in stage 2
     # factors into the two pair sums
-    rem = _remainder_pair_sum(sys1) * _remainder_pair_sum(sys2)
+    rem = float(remainder_pair_sum_direct(sys1) * remainder_pair_sum_direct(sys2))
     bound = main + rem
     tol = 1e-9 * (abs(bound) + 1.0)
     ok = exact_above <= pointwise + tol and pointwise <= bound + tol
@@ -250,6 +261,40 @@ def is_chen_direct(p: int, variant: str = "basic", z: float | None = None) -> bo
     return ok and (variant != "strict" or fac[0][0] >= (z or 2))
 
 
+def representations_direct(n: int, variant: str = "basic", z: float | None = None,
+                           limit: int | None = None) -> list:
+    """chen3.goldbach_verify.find_representations by a double loop over the
+    Chen primes p1 <= p2, one factor-table lookup of p3 = n - p1 - p2 each."""
+    table = build_factor_table(n + 2)
+    chens = chen_primes(n - 4, variant=variant, z=z, table=table)
+    spf, om = table.smallest_prime_factor, table.omega_big
+    out = []
+    for p1 in chens.tolist():
+        if 2 * p1 > n - 2:
+            break
+        for p2 in chens[chens >= p1].tolist():
+            p3 = n - p1 - p2
+            if p3 < 2:
+                break
+            if spf[p3] == p3 and om[p3 + 2] <= 2:
+                out.append(Representation(n=n, p1=p1, p2=p2, p3=p3, k_of_p3=int(om[p3 + 2])))
+                if limit is not None and len(out) >= limit:
+                    return out
+    return out
+
+
+def point_mass(N: int, x: int = 0):
+    """The weight on Z_N with all of its mass at x mod N."""
+    v = np.zeros(N)
+    v[x % N] = 1.0
+    return ZnWeight(N, v)
+
+
+def uniform(N: int):
+    """The weight 1/N at every point of Z_N."""
+    return ZnWeight(N, np.full(N, 1.0 / N))
+
+
 def representation_ok(rep, variant: str = "basic", z: float | None = None) -> bool:
     """rep.n = p1 + p2 + p3 with p1 <= p2 Chen primes and p3 a prime with
     Omega(p3 + 2) = rep.k_of_p3, by trial division."""
@@ -300,3 +345,10 @@ def class_sums_direct(d, v, size: int, W: int = 1, c: int = 0) -> np.ndarray:
         if gcd(di, W) == 1:
             T[-c * pow(W, -1, di) % di :: di] += vi
     return T
+
+
+def residue_class_sums_direct(d, r, v, size: int) -> np.ndarray:
+    """T[x] = sum of v[i] over the i with x = r[i] (mod d[i]), one masked sum
+    per x."""
+    d, r, v = np.asarray(d), np.asarray(r), np.asarray(v)
+    return np.array([v[x % d == r].sum() for x in range(size)], dtype=v.dtype)

@@ -15,7 +15,6 @@ from chen3.arith_core import (
     is_prime_u64,
     mult_functions,
     primes_up_to,
-    primorial,
     singular_series_S1,
 )
 from chen3.errors import DomainError, ResourceBudgetError
@@ -107,12 +106,6 @@ class TestPrimes:
         assert is_prime_u64(2**61 - 1)
         assert not is_prime_u64(2**61 + 1)
 
-    def test_primorial(self):
-        assert primorial(2) == 1
-        assert primorial(3) == 2
-        assert primorial(7.1) == 210
-        assert primorial(11) == 210
-
 
 class TestChen:
     def test_census_50(self, table_1e5):
@@ -151,10 +144,6 @@ class TestMultFunctions:
         assert mult_functions(2).phi2 == 2
         assert mult_functions(12).mu == 0
         assert mult_functions(1).tau == 1
-
-    def test_tau_k(self):
-        assert mult_functions(12).tau_k(2) == 6  # = tau(12)
-        assert mult_functions(8).tau_k(3) == 10
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=200, deadline=None)

@@ -90,6 +90,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "transfer", "--n", "99999", "--override", "W=30")
         assert code == 2 and "error" in err
 
+    def test_override_out_of_range_is_a_config_error(self, capsys):
+        # the three-sum budget divides by delta: refused before any stage runs
+        code, out, err = run(capsys, "transfer", "--n", "30003", "--override", "delta=0")
+        assert code == 2 and not out
+        assert err.startswith("error: need kappa > 0, delta > 0 and 0 < epsilon <= 1/2: delta=0.0")
+
     def test_paper_assertion(self, capsys):
         # the level-set bound |A3| >= (1 - 3 varpi) N fails at n = 99999
         code, _, err = run(capsys, "transfer", "--n", "99999", "--profile", "paper",

@@ -10,7 +10,7 @@ from chen3.goldbach_verify import (
     range_survey,
     representation_count,
 )
-from oracles import representation_ok, survey_direct
+from oracles import representation_ok, representations_direct, survey_direct
 
 
 def count_irfft(monkeypatch) -> list[int]:
@@ -53,6 +53,14 @@ class TestFind:
         assert strict and all(representation_ok(r, "strict", 5) for r in strict)
         basic = find_representations(99, table=table_1e5)
         assert {r for r in basic if representation_ok(r, "strict", 5)} == set(strict)
+
+    @pytest.mark.parametrize("n", [9, 33, 99, 3003])
+    def test_matches_double_loop(self, n):
+        assert find_representations(n) == representations_direct(n)
+        strict = find_representations(n, variant="strict", z=5)
+        assert strict == representations_direct(n, variant="strict", z=5)
+        for limit in (1, 5, 10**6):
+            assert find_representations(n, limit=limit) == representations_direct(n, limit=limit)
 
     def test_domain(self):
         for bad in (8, 10, 25, 3):

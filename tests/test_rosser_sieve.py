@@ -10,6 +10,7 @@ from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
 from oracles import (
     class_sums_direct,
+    residue_class_sums_direct,
     rosser_divisor_sum,
     rosser_support_direct,
     rosser_weight,
@@ -18,6 +19,7 @@ from oracles import (
 from chen3.rosser_sieve import (
     LinearSieveFns,
     _class_sums,
+    _form_roots,
     build_rosser,
     divisor_sum_table,
     linear_sieve_F_f,
@@ -160,7 +162,7 @@ class TestClassSums:
                 # d from 1 to past size, with repeats and with gcd(d, W) > 1
                 d = rng.integers(1, 3 * size + 3, size=400)
                 v = rng.integers(-3, 4, size=400)
-                assert np.array_equal(_class_sums(d, v, size, W, c),
+                assert np.array_equal(_class_sums(*_form_roots(d, v, W, c), size),
                                       class_sums_direct(d, v, size, W, c)), (size, W, c)
 
     @given(st.lists(st.integers(min_value=1, max_value=3000), max_size=60),
@@ -171,13 +173,27 @@ class TestClassSums:
         assume(math.gcd(c, W) == 1)
         v = [(-1) ** i * (i % 3 + 1) for i in range(len(d))]
         d = np.array(d, dtype=np.int64)
-        assert np.array_equal(_class_sums(d, np.array(v, dtype=np.int64), size, W, c),
+        assert np.array_equal(_class_sums(*_form_roots(d, np.array(v, dtype=np.int64), W, c), size),
                               class_sums_direct(d, v, size, W, c))
+
+    @pytest.mark.parametrize("size", [1, 50, 997])
+    def test_float_values_on_explicit_residues(self, size):
+        # each d three times with its own residues, from d = 1 to past size;
+        # the values are multiples of 1/8, so every sum is exact in float64
+        rng = np.random.default_rng(size)
+        root = math.isqrt(size)
+        d = np.repeat(np.concatenate((rng.integers(1, root + 1, size=20),
+                                      rng.integers(root + 1, 2 * size + 3, size=20))), 3)
+        r = rng.integers(0, d)
+        v = rng.integers(-20, 21, size=d.size) / 8
+        T = _class_sums(d, r, v, size)
+        assert T.dtype == np.float64
+        assert np.array_equal(T, residue_class_sums_direct(d, r, v, size))
 
     def test_two_classes_meet_in_one_batch(self):
         # 6 x + 1 = 55 at x = 9 is divisible by both 11 and 55, both above
         # sqrt(100), and x = 9 is the first member of each class
-        T = _class_sums(np.array([11, 55]), np.array([1, 1]), 100, 6, 1)
+        T = _class_sums(*_form_roots(np.array([11, 55]), np.array([1, 1]), 6, 1), 100)
         assert T[9] == 2
         assert np.array_equal(T, class_sums_direct([11, 55], [1, 1], 100, 6, 1))
 

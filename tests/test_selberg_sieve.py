@@ -18,8 +18,19 @@ from oracles import (
     energy_direct,
     pair_count_direct,
     quadratic_form_direct,
+    remainder_pair_sum_direct,
     selberg_remainder_direct,
 )
+
+PAIR_CASES = [  # (n, W, b, M, z0, z1) and the exact count where it is pinned
+    ((10**6, 2, 1, 5, 30, 60), 0),  # the sieve_sums benchmark's arguments
+    ((10**6, 2, 1, 3, 30, 60), 658),
+    ((3000, 2, 1, 3, 3.5, 8), None),
+    ((5000, 6, 5, 2, 4, 10), None),
+    ((2 * 10**5, 6, 1, 2, 10, 40), None),  # 3 divides every p + 2
+    ((10**5, 30, 7, 1, 20, 40), None),
+    ((20000, 2, 1, 3, 300, 1000), 15),  # stage-1 d above sqrt(xmax) go through np.add.at
+]
 
 
 class TestOmega:
@@ -103,14 +114,7 @@ class TestPairCount:
         assert rep.ok
         assert rep.exact_count >= rep.exact_count_above_z1
 
-    @pytest.mark.parametrize("args, exact", [
-        ((10**6, 2, 1, 5, 30, 60), 0),  # the sieve_sums benchmark's arguments
-        ((10**6, 2, 1, 3, 30, 60), 658),
-        ((3000, 2, 1, 3, 3.5, 8), None),
-        ((5000, 6, 5, 2, 4, 10), None),
-        ((2 * 10**5, 6, 1, 2, 10, 40), None),  # 3 divides every p + 2
-        ((10**5, 30, 7, 1, 20, 40), None),
-    ])
+    @pytest.mark.parametrize("args, exact", PAIR_CASES)
     def test_matches_direct(self, args, exact):
         rep = pair_count_bound(*args)
         assert rep == pair_count_direct(*args)
@@ -127,6 +131,14 @@ class TestPairCount:
         direct = selberg_remainder_direct(*args)
         assert rem > 0
         assert abs(rem - direct) <= 1e-12 * direct
+
+    @pytest.mark.parametrize("args", [*(args for args, _ in PAIR_CASES),
+                                      (10**6, 2, 1, 3, 300, 1000)])
+    def test_remainder_is_the_exact_pair_sum(self, args):
+        n, W, b, M, z0, z1 = args
+        for stage in (1, 2):
+            s = build_selberg(stage, M, W, n, k0=8, z0=z0, z1=z1)
+            assert selberg_sieve._remainder_sum(s) == remainder_pair_sum_direct(s)
 
 
 class TestEnergy:

@@ -26,7 +26,7 @@ from chen3.transference import (
     split_residues,
     triple_sum,
 )
-from oracles import convolve_direct, dft_direct, pollard_direct, triple_sum_direct
+from oracles import convolve_direct, dft_direct, point_mass, pollard_direct, triple_sum_direct, uniform
 
 
 class TestZnWeight:
@@ -49,7 +49,7 @@ class TestZnWeight:
             )
 
     def test_point_mass_flat_spectrum(self):
-        w = ZnWeight.point_mass(11, 4)
+        w = point_mass(11, 4)
         assert np.allclose(np.abs(w.dft), 1.0)
 
 
@@ -63,7 +63,7 @@ class TestConvolve:
 
     def test_mismatched_N(self):
         with pytest.raises(DomainError):
-            convolve(ZnWeight.uniform(8), ZnWeight.uniform(9))
+            convolve(uniform(8), uniform(9))
 
     @pytest.mark.parametrize("N", [64, 101, 16879])
     def test_passes_the_product_spectrum(self, N):
@@ -76,18 +76,18 @@ class TestConvolve:
         assert np.max(np.abs(fg.dft - np.fft.fft(fg.values))) <= 1e-9 * mass
 
     def test_mass_multiplies(self):
-        f, g = ZnWeight.uniform(32), ZnWeight.point_mass(32, 5)
+        f, g = uniform(32), point_mass(32, 5)
         assert convolve(f, g).total() == pytest.approx(1.0)
 
 
 class TestSpectrum:
     def test_point_mass_full(self):
-        w = ZnWeight.point_mass(11)
+        w = point_mass(11)
         sp = spectrum(w, 0.5)
         assert sp.members == tuple(range(11))
 
     def test_uniform_only_zero(self):
-        sp = spectrum(ZnWeight.uniform(101), 0.5)
+        sp = spectrum(uniform(101), 0.5)
         assert sp.members == (0,)
 
     def test_chebyshev_bound_holds(self):
@@ -184,7 +184,7 @@ class TestSmoothing:
 
     def test_smoothing_flattens(self):
         N = 101
-        w = ZnWeight.point_mass(N, 3)
+        w = point_mass(N, 3)
         b = bohr_set({0}, 0.25, N)  # all of Z_N
         res = smooth_and_bound(w, b, kappa=0.5)
         assert np.allclose(res.weight.values, 1.0 / N)
@@ -193,15 +193,15 @@ class TestSmoothing:
 class TestTripleSum:
     def test_point_masses(self):
         N = 13
-        f = ZnWeight.point_mass(N, 2)
-        g = ZnWeight.point_mass(N, 3)
-        h = ZnWeight.point_mass(N, 4)
+        f = point_mass(N, 2)
+        g = point_mass(N, 3)
+        h = point_mass(N, 4)
         assert triple_sum(f, g, h, 9) == pytest.approx(1.0)
         assert triple_sum(f, g, h, 10) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform(self):
         N = 17
-        u = ZnWeight.uniform(N)
+        u = uniform(N)
         # N^2 ordered pairs (x1, x2), each contributing N^-3
         assert triple_sum(u, u, u, 5) == pytest.approx(1.0 / N, rel=1e-10)
 
@@ -230,7 +230,7 @@ class TestTripleSum:
                 for b in (1, 5, 5)
             )
         else:
-            f, g, h = (ZnWeight.point_mass(N, int(x)) for x in rng.integers(N, size=3))
+            f, g, h = (point_mass(N, int(x)) for x in rng.integers(N, size=3))
         scale = f.total() * g.total() * h.total()  # bounds every triple sum
         for target in (0, 1, int(rng.integers(N)), N - 1):
             want = triple_sum_direct(f, g, h, target)
@@ -244,7 +244,7 @@ class TestTripleSum:
         # point masses hitting the target: both routes give 1, so the shift
         # of the Fourier route is its relative error
         N = 13
-        f, g, h = (ZnWeight.point_mass(N, x) for x in (2, 3, 4))
+        f, g, h = (point_mass(N, x) for x in (2, 3, 4))
         ifft = np.fft.ifft
         monkeypatch.setattr(np.fft, "ifft", lambda a: ifft(a) + shift)
         if raises:
@@ -347,7 +347,6 @@ class TestParameters:
         lo = (1 + k2 / 20) * led.n / led.W
         hi = (1 + k2 / 10) * led.n / led.W
         assert lo <= led.N <= hi
-        assert led.R == pytest.approx(led.N**0.1)
 
     def test_desk_Q_band(self):
         for n in (9_999, 99_999, 999_999):
@@ -380,6 +379,20 @@ class TestParameters:
         assert led.provenance["delta"] == "desk-default"
         with pytest.raises(ConfigError):
             choose_parameters(99_999, overrides={"bogus": 1})
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", 0.0), ("kappa", -0.5), ("delta", 0.0), ("delta", -1.0),
+        ("epsilon", 0.0), ("epsilon", -0.05), ("epsilon", 0.6),
+    ])
+    def test_override_out_of_range(self, profile, key, value):
+        overrides = {"kappa": 0.9, "delta": 0.05, "epsilon": 0.05, key: value}
+        with pytest.raises(ConfigError, match=f"{key}={value}$"):
+            choose_parameters(30_003, profile=profile, overrides=overrides)
+
+    def test_override_range_names_each_bad_key(self):
+        with pytest.raises(ConfigError, match="kappa=0.0, delta=-1.0$"):
+            choose_parameters(30_003, overrides={"kappa": 0.0, "delta": -1.0})
 
     def test_constant_override_reaches_varpi(self):
         led = choose_parameters(99_999, overrides={"C2": 0.5})
