@@ -31,7 +31,7 @@ from .errors import (
     PaperAssertionError,
     ResourceBudgetError,
 )
-from .goldbach_verify import Representation, find_representations, range_survey
+from .goldbach_verify import find_representations, range_survey
 from .rosser_sieve import (
     LinearSieveFns,
     RosserWeights,

@@ -1,7 +1,9 @@
-"""Prime generation, factor tables and prime-type predicates.
+"""Prime generation, factor tables, prime-type predicates and the one FFT
+convolution kernel.
 
 Everything downstream (sieve weights, exponential sums, the transference
-pipeline) consumes the objects built here.  All counts of prime factors are
+pipeline) consumes the objects built here; every zero-padded real FFT of the
+package is `_fft_convolutions`.  All counts of prime factors are
 with multiplicity (big Omega), so the almost-prime classes include prime
 powers: 49 = 7^2 is a 2-almost-prime and hence 7 is a Chen prime.
 """
@@ -16,7 +18,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError, ResourceBudgetError
+from .errors import DomainError, InvariantError, ResourceBudgetError
 
 # Hard cap on the number of table entries built in one call.  It keeps every
 # x below 2^31 and every Omega(x) below 2^8, so int32 spf and uint8 Omega
@@ -171,6 +173,68 @@ def factorize(x: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _fft_size(top: int, length: int) -> int:
+    """The smallest 2^a 3^b 5^c >= max(2 top, length), so that no sum of two
+    indices below top wraps around.  pocketfft runs these sizes about as
+    fast per point as powers of two, and they lie much closer to the target.
+    """
+    target = max(2 * top, length, 1)
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches the target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _indicator(idx: np.ndarray, top: int) -> np.ndarray:
+    """The bool indicator on [0, top) of the indices idx.  Built in place:
+    an int64 np.bincount of the same length would raise the RSS peak of the
+    FFTs that follow by its size, through the allocator."""
+    ind = np.zeros(top, dtype=bool)
+    ind[idx] = True
+    return ind
+
+
+def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0):
+    """Yield, for each g in the iterable gs in turn, the linear convolution
+    (f * g)[s] = sum_{x + y = s} f[x] g[y] for 0 <= s < length.
+
+    f and g are 1-d arrays, no g longer than f; an index set enters as its
+    _indicator.  One zero-padded real FFT of size _fft_size(f.size, length):
+    f is transformed once, and each product is formed in place in g's
+    transform (in f's when g is f, which squares it, so such a g comes
+    last).  Bool or integer inputs give int64 counts, each within 0.25 of
+    the float value it is rounded from, or InvariantError; float inputs
+    give the float values.  fold > 0, with length <= 2 fold, folds the
+    values (after rounding) mod fold: (f * g)[s] + (f * g)[s + fold] for
+    0 <= s < fold.
+    """
+    size = _fft_size(f.size, length)
+    ft = np.fft.rfft(f, size)
+    for g in gs:
+        prod = ft if g is f else np.fft.rfft(g, size)
+        np.multiply(ft, prod, out=prod)
+        conv = np.fft.irfft(prod, size)[:length]
+        del prod  # freed before the counts are allocated
+        if np.result_type(f, g).kind in "biu":
+            counts = np.empty(length, dtype=np.int64)
+            np.rint(conv, out=counts, casting="unsafe")
+            conv -= counts  # the rounding error, in the irfft buffer
+            err = float(np.max(np.abs(conv, out=conv)))
+            if not err < 0.25:
+                raise InvariantError(f"FFT counts are {err:.3g} from the nearest integers")
+            conv = counts
+        if fold:
+            conv[: length - fold] += conv[fold:length]
+            conv = conv[:fold]
+        yield conv
 
 
 @dataclass(frozen=True)

@@ -167,11 +167,10 @@ def cmd_goldbach(args) -> int:
                                     limit=args.limit)
         if args.csv:
             _write_csv(args.csv, ["n", "p1", "p2", "p3", "k_of_p3"],
-                       [(r.n, r.p1, r.p2, r.p3, r.k_of_p3) for r in reps])
+                       [(args.n, *row) for row in reps.tolist()])
         _emit(args, "goldbach", {"n": args.n, "variant": args.variant},
-              {"count": len(reps),
-               "first": [reps[0].p1, reps[0].p2, reps[0].p3] if reps else None})
-        return 0 if reps else 1
+              {"count": len(reps), "first": reps[0, :3].tolist() if len(reps) else None})
+        return 0 if len(reps) else 1
     survey = range_survey(args.n, args.hi, variant=args.variant, z=args.z)
     if args.csv:
         _write_csv(args.csv, ["n", "rep_count", "min_k", "has_all_chen"],

@@ -6,6 +6,7 @@ unordered Chen pair counts u come from one self-convolution of the Chen-prime
 indicator, every representation count from u * 1_P over the primes P, and the
 smallest Omega(p3 + 2) from u * 1_{P_k} over the classes
 P_k = {p : Omega(p + 2) = k} in order of k, until every n is resolved.
+All of them come from arith_core's one kernel, _fft_convolutions.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import FactorTable, build_factor_table, chen_primes
-from .errors import DomainError, InvariantError
+from .arith_core import FactorTable, _fft_convolutions, _indicator, build_factor_table, chen_primes
+from .errors import DomainError
 
 
 def _check_n(n: int) -> None:
@@ -23,83 +24,15 @@ def _check_n(n: int) -> None:
         raise DomainError(f"n must be an odd multiple of 3 with n >= 9, got {n}")
 
 
-def _fft_size(top: int, length: int) -> int:
-    """The smallest 2^a 3^b 5^c >= max(2 top, length), so that no sum of two
-    indices below top wraps around.  pocketfft runs these sizes about as
-    fast per point as powers of two, and they lie much closer to the target.
-    """
-    target = max(2 * top, length, 1)
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two times p35 that reaches the target
-            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _indicator_ft(idx: np.ndarray, top: int, size: int) -> np.ndarray:
-    """rfft, zero-padded to size, of the indicator of idx on [0, top)."""
-    ind = np.zeros(top)
-    ind[idx] = 1.0
-    return np.fft.rfft(ind, size)
-
-
-def _rounded_irfft(ft: np.ndarray, size: int, length: int) -> np.ndarray:
-    """The convolution values irfft(ft, size)[:length] rounded to int64.
-
-    Raises InvariantError unless every value lies within 0.25 of the integer
-    it is rounded to.
-    """
-    conv = np.fft.irfft(ft, size)[:length]
-    counts = np.empty(conv.size, dtype=np.int64)
-    np.rint(conv, out=counts, casting="unsafe")
-    conv -= counts  # the rounding error, in the irfft buffer
-    err = float(np.max(np.abs(conv, out=conv)))
-    if not err < 0.25:
-        raise InvariantError(f"FFT counts are {err:.3g} from the nearest integers")
-    return counts
-
-
-def _sum_counts(xs: np.ndarray, ys: np.ndarray, length: int) -> np.ndarray:
-    """c[s] = #{(x, y) in xs x ys : x + y = s} for 0 <= s < length, from one
-    FFT product of the indicators of xs and ys (nonnegative indices without
-    repeats).  Passing ys is xs squares a single transform.  Guarded by
-    _rounded_irfft.
-    """
-    top = max(int(xs.max()), int(ys.max())) + 1
-    size = _fft_size(top, length)
-    # the product is formed in place, so the memory peak is the irfft itself
-    ft = _indicator_ft(xs, top, size)
-    if ys is xs:
-        ft *= ft
-    else:
-        ft *= _indicator_ft(ys, top, size)
-    return _rounded_irfft(ft, size, length)
-
-
 def _pair_counts(chens: np.ndarray, n: int) -> np.ndarray:
     """u[s] = #{p1 <= p2 in chens : p1 + p2 = s} for 0 <= s <= n, from the
-    ordered counts of _sum_counts."""
-    counts = _sum_counts(chens, chens, n + 1)
+    ordered counts of one squared transform."""
+    ind = _indicator(chens, chens.max(initial=-1) + 1)
+    (counts,) = _fft_convolutions(ind, (ind,), n + 1)
     doubled = 2 * chens
     counts[doubled[doubled <= n]] += 1  # p1 = p2 is counted once among ordered pairs
     counts //= 2
     return counts
-
-
-@dataclass(frozen=True)
-class Representation:
-    """n = p1 + p2 + p3 with p1 <= p2 Chen primes and k = Omega(p3 + 2) <= 2."""
-
-    n: int
-    p1: int
-    p2: int
-    p3: int
-    k_of_p3: int
 
 
 def find_representations(
@@ -108,30 +41,30 @@ def find_representations(
     z: float | None = None,
     limit: int | None = None,
     table: FactorTable | None = None,
-) -> list[Representation]:
+) -> np.ndarray:
     """All representations n = p1 + p2 + p3 (p1 <= p2 Chen, p3 prime with
-    Omega(p3 + 2) <= 2), ordered by (p1, p2), optionally truncated.  For
-    each p1 one mask over the Chen primes p2 in [p1, n - p1 - 2] picks the
-    p3 = n - p1 - p2 that qualify."""
+    Omega(p3 + 2) <= 2) as the rows (p1, p2, p3, Omega(p3 + 2)) of an
+    (m, 4) int64 array, ordered by (p1, p2), optionally truncated to the
+    first limit rows.  For each p1 one mask over the Chen primes p2 in
+    [p1, n - p1 - 2] picks the p3 = n - p1 - p2 that qualify."""
     _check_n(n)
     if table is None:
         table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
     spf = table.smallest_prime_factor
     om = table.omega_big
-    out: list[Representation] = []
+    blocks = [np.empty((0, 4), dtype=np.int64)]
+    found = 0
     for i, p1 in enumerate(chens.tolist()):
-        if 2 * p1 > n - 2:
+        if 2 * p1 > n - 2 or (limit is not None and found >= limit):
             break
         p2 = chens[i : np.searchsorted(chens, n - p1 - 2, side="right")]
         p3 = n - p1 - p2
         k = om[p3 + 2]
         hit = (spf[p3] == p3) & (k <= 2)
-        out += [Representation(n=n, p1=p1, p2=b, p3=c, k_of_p3=kc)
-                for b, c, kc in zip(p2[hit].tolist(), p3[hit].tolist(), k[hit].tolist())]
-        if limit is not None and len(out) >= limit:
-            return out[:limit]
-    return out
+        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3, k))[hit])
+        found += blocks[-1].shape[0]
+    return np.concatenate(blocks)[:limit]
 
 
 def representation_count(n: int, table: FactorTable | None = None) -> int:
@@ -153,25 +86,23 @@ def _survey_counts(
     sum_p u[n - p] over the primes p <= n, and the smallest om_shift of a
     prime p with u[n - p] > 0, or -1 when there is none.
 
-    The counts are u * 1_P from one FFT product; the minimum takes one more
-    product u * 1_{P_k} per class P_k = {p : om_shift(p) = k}, in increasing k,
-    and stops once every n with a positive count is resolved.  u >= 0, so a
-    class count at n is positive exactly when some p in the class is.
+    The counts are u * 1_P, and the minimum takes one more product
+    u * 1_{P_k} per class P_k = {p : om_shift(p) = k}, in increasing k, all
+    from one transform of u, and stops once every n with a positive count is
+    resolved.  u >= 0, so a class count at n is positive exactly when some p
+    in the class is.
     """
     top = u.size
-    size = _fft_size(top, top)
-    fu = np.fft.rfft(u.astype(np.float64), size)
-
-    def counts_at_ns(idx):
-        return _rounded_irfft(fu * _indicator_ft(idx, top, size), size, top)[ns]
-
-    rep = counts_at_ns(primes)
+    ks = np.unique(om_shift).tolist()
+    classes = [primes] + [primes[om_shift == k] for k in ks]
+    counts = _fft_convolutions(u, (_indicator(c, top) for c in classes), top)
+    rep = next(counts)[ns]
     min_k = np.full(ns.size, -1, dtype=np.int64)
     open_ = rep > 0
-    for k in np.unique(om_shift).tolist():
+    for k in ks:
         if not open_.any():
             break
-        hit = open_ & (counts_at_ns(primes[om_shift == k]) > 0)
+        hit = open_ & (next(counts)[ns] > 0)
         min_k[hit] = k
         open_ &= ~hit
     return rep, min_k

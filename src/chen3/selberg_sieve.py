@@ -7,7 +7,8 @@ z1 = n^{1/10}, out of (Wx+b)(Wx+WM+b).  The local root counts are
     omega1(p) = 4 / 3 / 2 (generic / one collision mod p / p | M),
     omega2(p) = 2 / 1 analogously,
 
-and zero whenever p | W.  Weights are computed exactly in rationals.
+and zero whenever p | W.  Weights are computed exactly in rationals.  The
+additive energy takes f*f from arith_core's one FFT kernel, _fft_convolutions.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import build_factor_table, primes_up_to
+from .arith_core import _fft_convolutions, build_factor_table, primes_up_to
 from .errors import DomainError, ResourceBudgetError
 from .rosser_sieve import _class_sums
-from .transference import _folded_convolution
 
 DEFAULT_L_CAP = 500_000
 
@@ -278,11 +278,12 @@ class EnergyReport:
 
 def additive_energy(weights) -> EnergyReport:
     """Additive energy sum_{x1+x4=x2+x3} f(x1)f(x2)f(x3)f(x4) = sum_s (f*f)(s)^2,
-    with f*f from the zero-padded FFT fold of triple_sum, against the Fourier
-    fourth moment sum_r |f~(r)|^4 = N * energy from the length-N DFT."""
+    with f*f from the zero-padded FFT kernel folded mod N, against the
+    Fourier fourth moment sum_r |f~(r)|^4 = N * energy from the length-N DFT."""
     values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
     N = values.size
-    energy = float(np.sum(_folded_convolution(values, values) ** 2))
+    (folded,) = _fft_convolutions(values, (values,), 2 * N - 1, N)
+    energy = float(np.sum(folded ** 2))
     ft = np.fft.fft(values)
     moment4 = float(np.sum(np.abs(ft) ** 4))
     denom = max(abs(moment4), 1e-300)

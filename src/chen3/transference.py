@@ -3,8 +3,10 @@
 Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
 and the parameter ledger tying everything together.  Every stage on Z_N
-costs O(N log N) or less; the O(N^2) enumerations that check the FFT routes
-are kept in the tests.
+costs O(N log N) or less; the linear convolutions behind triple_sum and the
+Pollard count are arith_core's one FFT kernel, _fft_convolutions, folded
+mod N.  The O(N^2) enumerations that check the FFT routes are kept in the
+tests.
 
 The stage functions compute their inequalities and return the numbers with
 an ok flag; none of them reads the profile.  `run_transference` alone decides
@@ -27,6 +29,8 @@ import numpy as np
 from .arith_core import (
     EULER_GAMMA,
     S1_PRIME_BOUND,
+    _fft_convolutions,
+    _indicator,
     build_factor_table,
     chen_primes,
     is_prime_u64,
@@ -35,7 +39,6 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError
-from .goldbach_verify import _fft_size, _sum_counts
 from .rosser_sieve import linear_sieve_F_f
 
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
@@ -150,18 +153,6 @@ def convolve(f: ZnWeight, g: ZnWeight) -> ZnWeight:
     return ZnWeight(f.N, np.maximum(np.fft.ifft(spec).real, 0.0), _dft=spec)
 
 
-def _folded_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of two length-N arrays: the linear convolution from
-    a zero-padded real FFT of size >= 2N, so that it does not wrap,
-    folded mod N.  Independent of the length-N DFTs of ZnWeight."""
-    N = f.size
-    size = _fft_size(N, N)
-    fg = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(g, size), size)
-    folded = fg[:N]
-    folded[: N - 1] += fg[N : 2 * N - 1]
-    return folded
-
-
 def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     """sum over x1 + x2 + x3 = target (mod N) of f(x1) g(x2) h(x3).
 
@@ -175,7 +166,7 @@ def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     N = f.N
     t = target % N
     fourier = float(np.fft.ifft(f.dft * g.dft * h.dft)[t].real)
-    folded = _folded_convolution(f.values, g.values)
+    (folded,) = _fft_convolutions(f.values, (g.values,), 2 * N - 1, N)
     linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
     scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
     if abs(linear - fourier) / scale > 1e-8:
@@ -291,9 +282,9 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
         problems.append(f"N={N} <= 2 theta^-2 with theta = {theta:.4f}")
     if problems:
         raise DomainError("Pollard hypotheses unmet: " + "; ".join(problems))
-    lin = _sum_counts(sets[1], sets[2], 2 * N - 1)
-    c = lin[:N]
-    c[: N - 1] += lin[N:]
+    top = int(max(sets[1][-1], sets[2][-1])) + 1
+    ind2, ind3 = (_indicator(X, top) for X in sets[1:])
+    (c,) = _fft_convolutions(ind2, (ind3,), 2 * N - 1, N)
     count = int(np.sum(c[(y % N - sets[0]) % N]))
     bound = theta ** 3 * N ** 2
     return PollardResult(count=count, theta=theta, bound=bound, ok=count >= bound)

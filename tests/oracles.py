@@ -3,14 +3,14 @@ and slow by design: O(N) per value and O(N^2) sums on Z_N for
 chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum and the
 double-loop Selberg quadratic form and remainder pair sum, the per-n range
-survey, the double loop over Chen pairs behind the representation list, the
-per-term phase sum behind chen3.circle_method's complete sums mod q, the
-Rosser support by depth-first search, the divisor-class sums by one strided
-add per d and the residue-class sums by one pass per x, and per-item
-trial-division checks of a Rosser weight, its divisor sum, a Chen prime and
-a Goldbach representation.  Also the count of squarefree q <= x as a
-Moebius sum over d^2, against the sandwich check, and the point-mass and
-uniform weights on Z_N that the transference tests use."""
+survey with its own Chen pair counts, the double loop over Chen pairs behind
+the representation rows, the per-term phase sum behind chen3.circle_method's
+complete sums mod q, the Rosser support by depth-first search, the
+divisor-class sums by one strided add per d and the residue-class sums by
+one pass per x, and per-item trial-division checks of a Rosser weight, its
+divisor sum, a Chen prime and a Goldbach representation.  Also the count of
+squarefree q <= x as a Moebius sum over d^2, against the sandwich check, and
+the point-mass and uniform weights on Z_N that the transference tests use."""
 
 import bisect
 import math
@@ -28,7 +28,7 @@ from chen3.arith_core import (
     primes_up_to,
 )
 from chen3.errors import DomainError
-from chen3.goldbach_verify import Representation, SurveyReport, SurveyRow, _pair_counts
+from chen3.goldbach_verify import SurveyReport, SurveyRow
 from chen3.selberg_sieve import PairCountReport, build_selberg
 from chen3.transference import ZnWeight
 
@@ -112,12 +112,17 @@ def selberg_remainder_direct(n: int, W: int, b: int, M: int, z0: float, z1: floa
 
 
 def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None = None) -> SurveyReport:
-    """chen3.goldbach_verify.range_survey with one gather of the pair counts
-    at n - p3 over every prime p3 <= n - 4 per n, O(#n pi(n))."""
+    """chen3.goldbach_verify.range_survey with the unordered Chen pair counts
+    from one bincount of p1 + p2 over the p2 >= p1 per Chen prime p1, and one
+    gather of them at n - p3 over every prime p3 <= n - 4 per n,
+    O(#n pi(n))."""
     n_lo = max(n_lo, 9)
     table = build_factor_table(n_hi + 2)
     chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
-    unordered = _pair_counts(chens, n_hi)
+    unordered = np.zeros(n_hi + 1, dtype=np.int64)
+    for i, p1 in enumerate(chens.tolist()):
+        sums = p1 + chens[i:]
+        unordered += np.bincount(sums[sums <= n_hi], minlength=n_hi + 1)
     primes = table.primes(n_hi)
     om_shift = table.omega_big[primes + 2]
     rows: list[SurveyRow] = []
@@ -262,9 +267,10 @@ def is_chen_direct(p: int, variant: str = "basic", z: float | None = None) -> bo
 
 
 def representations_direct(n: int, variant: str = "basic", z: float | None = None,
-                           limit: int | None = None) -> list:
+                           limit: int | None = None) -> np.ndarray:
     """chen3.goldbach_verify.find_representations by a double loop over the
-    Chen primes p1 <= p2, one factor-table lookup of p3 = n - p1 - p2 each."""
+    Chen primes p1 <= p2, one factor-table lookup of p3 = n - p1 - p2 each:
+    the rows (p1, p2, p3, Omega(p3 + 2)) as an (m, 4) int64 array."""
     table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
     spf, om = table.smallest_prime_factor, table.omega_big
@@ -274,13 +280,11 @@ def representations_direct(n: int, variant: str = "basic", z: float | None = Non
             break
         for p2 in chens[chens >= p1].tolist():
             p3 = n - p1 - p2
-            if p3 < 2:
+            if p3 < 2 or (limit is not None and len(out) >= limit):
                 break
             if spf[p3] == p3 and om[p3 + 2] <= 2:
-                out.append(Representation(n=n, p1=p1, p2=p2, p3=p3, k_of_p3=int(om[p3 + 2])))
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+                out.append((p1, p2, p3, int(om[p3 + 2])))
+    return np.array(out, dtype=np.int64).reshape(-1, 4)
 
 
 def point_mass(N: int, x: int = 0):
@@ -295,14 +299,15 @@ def uniform(N: int):
     return ZnWeight(N, np.full(N, 1.0 / N))
 
 
-def representation_ok(rep, variant: str = "basic", z: float | None = None) -> bool:
-    """rep.n = p1 + p2 + p3 with p1 <= p2 Chen primes and p3 a prime with
-    Omega(p3 + 2) = rep.k_of_p3, by trial division."""
-    if rep.p1 + rep.p2 + rep.p3 != rep.n or rep.p1 > rep.p2:
+def representation_ok(n: int, row, variant: str = "basic", z: float | None = None) -> bool:
+    """row = (p1, p2, p3, k): n = p1 + p2 + p3 with p1 <= p2 Chen primes and
+    p3 a prime with Omega(p3 + 2) = k, by trial division."""
+    p1, p2, p3, k = row
+    if p1 + p2 + p3 != n or p1 > p2:
         return False
-    if not (is_chen_direct(rep.p1, variant, z) and is_chen_direct(rep.p2, variant, z)):
+    if not (is_chen_direct(p1, variant, z) and is_chen_direct(p2, variant, z)):
         return False
-    return is_prime_u64(rep.p3) and sum(e for _, e in factorize(rep.p3 + 2)) == rep.k_of_p3
+    return is_prime_u64(p3) and sum(e for _, e in factorize(p3 + 2)) == k
 
 
 def squarefree_count(x: int) -> int:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chen3 import arith_core
 from chen3.arith_core import (
     DEFAULT_TABLE_BUDGET,
+    _fft_convolutions,
     build_factor_table,
     chen_primes,
     factorize,
@@ -170,3 +171,63 @@ class TestSingularSeries:
         vals = [singular_series_S1(b) for b in (10, 100, 10_000, 1_000_000)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.66016
+
+
+# 5-smooth sizes, the boundaries at which _fft_size steps
+SMOOTH = [s for s in range(1, 2049) if all(p <= 5 for p, _ in factorize(s))]
+SMALL_PRIMES = [int(p) for p in primes_up_to(300)]
+
+
+@st.composite
+def index_sets(draw):
+    """(top, length, [index sets below top]): top and length one either side
+    of a smooth size or on it, the sets sparse, empty or single points."""
+    s = draw(st.sampled_from(SMOOTH))
+    top = max(s // 2 + draw(st.integers(-1, 1)), 0)
+    length = max(s + draw(st.integers(-1, 1)), 1)
+    one_set = st.sets(st.integers(0, max(top - 1, 0)), max_size=min(top, 12))
+    return top, length, draw(st.lists(one_set, min_size=2, max_size=4))
+
+
+def indicator(xs, top):
+    return np.bincount(np.array(sorted(xs), dtype=np.int64), minlength=top) > 0
+
+
+class TestFFTConvolutions:
+    @given(index_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_exact_convolution(self, case):
+        top, length, sets = case
+        f, *gs = (indicator(xs, top) for xs in sets)
+        for g, got in zip(gs, _fft_convolutions(f, gs, length)):
+            full = np.convolve(f.astype(np.int64), g.astype(np.int64)) if top else []
+            want = np.zeros(length, dtype=np.int64)
+            want[: min(length, len(full))] = full[:length]
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        (square,) = _fft_convolutions(f, (f,), length)
+        (copy,) = _fft_convolutions(f, (f.copy(),), length)
+        assert np.array_equal(square, copy)
+
+    @given(st.sampled_from(SMALL_PRIMES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_folded_counts_equal_cyclic_count(self, N, data):
+        X, Y = (data.draw(st.sets(st.integers(0, N - 1), max_size=N)) for _ in range(2))
+        top = max(X | Y | {0}) + 1
+        want = np.zeros(N, dtype=np.int64)
+        for x in X:
+            for y in Y:
+                want[(x + y) % N] += 1
+        (got,) = _fft_convolutions(indicator(X, top), (indicator(Y, top),), 2 * N - 1, N)
+        assert np.array_equal(got, want)
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_float_fold_equals_cyclic_sum(self, N, seed, square):
+        rng = np.random.default_rng(seed)
+        f, g = (w / w.sum() for w in rng.random((2, N)) + 1e-3)
+        if square:
+            g = f
+        idx = np.arange(N)
+        want = np.array([np.dot(f, g[(s - idx) % N]) for s in range(N)])
+        (got,) = _fft_convolutions(f, (g,), 2 * N - 1, N)
+        assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-12

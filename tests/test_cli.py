@@ -152,6 +152,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["payload"]["result"]["count"] == 21
 
+    def test_goldbach_single_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "reps.csv"
+        code, out, _ = run(capsys, "goldbach", "--n", "33", "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["payload"]["result"]["first"] == [2, 2, 29]
+        with open(csv_path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["n", "p1", "p2", "p3", "k_of_p3"]
+        assert rows[1:3] == [["33", "2", "2", "29", "1"], ["33", "2", "29", "2", "2"]]
+        assert len(rows) == 22
+
+    def test_goldbach_survey_without_chen_primes(self, capsys):
+        # no p <= 23 has p + 2 free of primes below 23: every n fails, exit 1
+        code, out, err = run(capsys, "goldbach", "--n", "9", "--hi", "27",
+                             "--variant", "strict", "--z", "23")
+        assert code == 1 and not err
+        res = json.loads(out)["payload"]["result"]
+        assert res == {"rows": 4, "failures": [9, 15, 21, 27], "all_ok": False}
+
     def test_goldbach_survey(self, capsys):
         code, out, _ = run(capsys, "goldbach", "--n", "9", "--hi", "99")
         assert code == 0

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from chen3.arith_core import _fft_size
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
-    Representation,
-    _fft_size,
     _survey_counts,
     find_representations,
     range_survey,
@@ -29,38 +28,41 @@ def count_irfft(monkeypatch) -> list[int]:
 class TestFind:
     def test_n9(self):
         reps = find_representations(9)
-        assert [(r.p1, r.p2, r.p3) for r in reps] == [(2, 2, 5), (2, 5, 2), (3, 3, 3)]
+        assert reps.tolist() == [[2, 2, 5, 1], [2, 5, 2, 2], [3, 3, 3, 1]]
 
     def test_n33_known_solution(self):
         reps = find_representations(33)
-        triples = {(r.p1, r.p2, r.p3) for r in reps}
-        assert (3, 7, 23) in triples
-        for r in reps:
-            assert r.p1 + r.p2 + r.p3 == 33 and r.p1 <= r.p2
+        assert reps.dtype == np.int64 and reps.shape[1] == 4
+        assert (3, 7, 23) in {tuple(r) for r in reps[:, :3].tolist()}
+        assert np.all(reps[:, :3].sum(axis=1) == 33) and np.all(reps[:, 0] <= reps[:, 1])
 
     def test_ordering_and_limit(self):
         reps = find_representations(99, limit=5)
         assert len(reps) == 5
-        keys = [(r.p1, r.p2) for r in reps]
+        keys = reps[:, :2].tolist()
         assert keys == sorted(keys)
 
     def test_validate(self, table_1e5):
         reps = find_representations(45, table=table_1e5)
-        assert reps and all(representation_ok(r) for r in reps)
-        bogus = Representation(n=45, p1=5, p2=7, p3=33, k_of_p3=1)
-        assert not representation_ok(bogus)
+        assert len(reps) and all(representation_ok(45, r) for r in reps.tolist())
+        assert not representation_ok(45, [5, 7, 33, 1])
         strict = find_representations(99, variant="strict", z=5, table=table_1e5)
-        assert strict and all(representation_ok(r, "strict", 5) for r in strict)
+        assert len(strict) and all(representation_ok(99, r, "strict", 5) for r in strict.tolist())
         basic = find_representations(99, table=table_1e5)
-        assert {r for r in basic if representation_ok(r, "strict", 5)} == set(strict)
+        assert [r for r in basic.tolist() if representation_ok(99, r, "strict", 5)] == strict.tolist()
 
     @pytest.mark.parametrize("n", [9, 33, 99, 3003])
     def test_matches_double_loop(self, n):
-        assert find_representations(n) == representations_direct(n)
+        assert np.array_equal(find_representations(n), representations_direct(n))
         strict = find_representations(n, variant="strict", z=5)
-        assert strict == representations_direct(n, variant="strict", z=5)
-        for limit in (1, 5, 10**6):
-            assert find_representations(n, limit=limit) == representations_direct(n, limit=limit)
+        assert np.array_equal(strict, representations_direct(n, variant="strict", z=5))
+        for limit in (0, 1, 5, 10**6):
+            assert np.array_equal(find_representations(n, limit=limit),
+                                  representations_direct(n, limit=limit))
+
+    def test_empty(self):
+        reps = find_representations(27, variant="strict", z=23)
+        assert reps.shape == (0, 4) and reps.dtype == np.int64
 
     def test_domain(self):
         for bad in (8, 10, 25, 3):
@@ -138,6 +140,14 @@ class TestSurvey:
     def test_domain(self):
         with pytest.raises(DomainError):
             range_survey(100, 50)
+
+    def test_empty_chen_set(self):
+        # p + 2 has a prime factor below 23 for every prime p <= 23
+        rep = range_survey(9, 27, "strict", 23)
+        assert [r.n for r in rep.rows] == [9, 15, 21, 27]
+        assert all(r.rep_count == 0 and r.min_k == -1 for r in rep.rows)
+        assert rep.failures == [9, 15, 21, 27] and not rep.all_ok
+        assert rep.rows == survey_direct(9, 27, "strict", 23).rows
 
     @pytest.mark.parametrize(
         "n_lo, n_hi, variant, z",
