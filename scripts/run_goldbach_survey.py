@@ -4,7 +4,8 @@ almost-prime-shifted prime; print the per-decade failure tally and the
 distribution of the minimal Omega(p3 + 2)."""
 
 import argparse
-from collections import Counter
+
+import numpy as np
 
 from chen3.goldbach_verify import range_survey
 
@@ -18,12 +19,12 @@ def main() -> None:
     args = ap.parse_args()
 
     report = range_survey(args.lo, args.hi, variant=args.variant, z=args.z)
-    hist = Counter(r.min_k for r in report.rows)
-    print(f"surveyed {len(report.rows)} values of n in [{args.lo}, {args.hi}]")
+    rows = report.rows
+    print(f"surveyed {len(rows)} values of n in [{args.lo}, {args.hi}]")
     print(f"failures (no all-Chen representation): {len(report.failures)}")
-    for k in sorted(hist):
-        print(f"  min Omega(p3+2) = {k}: {hist[k]} values of n")
-    worst = min(report.rows, key=lambda r: r.rep_count)
+    for k, count in zip(*np.unique(rows.min_k, return_counts=True)):
+        print(f"  min Omega(p3+2) = {k}: {count} values of n")
+    worst = rows[np.argmin(rows.rep_count)]
     print(f"fewest representations: n = {worst.n} with {worst.rep_count}")
 
 

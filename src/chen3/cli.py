@@ -174,7 +174,7 @@ def cmd_goldbach(args) -> int:
     survey = range_survey(args.n, args.hi, variant=args.variant, z=args.z)
     if args.csv:
         _write_csv(args.csv, ["n", "rep_count", "min_k", "has_all_chen"],
-                   [(r.n, r.rep_count, r.min_k, r.has_all_chen) for r in survey.rows])
+                   survey.rows.tolist())
     _emit(args, "goldbach", {"lo": args.n, "hi": args.hi, "variant": args.variant},
           {"rows": len(survey.rows), "failures": survey.failures,
            "all_ok": survey.all_ok})

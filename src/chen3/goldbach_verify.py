@@ -45,9 +45,11 @@ def find_representations(
     """All representations n = p1 + p2 + p3 (p1 <= p2 Chen, p3 prime with
     Omega(p3 + 2) <= 2) as the rows (p1, p2, p3, Omega(p3 + 2)) of an
     (m, 4) int64 array, ordered by (p1, p2), optionally truncated to the
-    first limit rows.  For each p1 one mask over the Chen primes p2 in
+    first limit >= 0 rows.  For each p1 one mask over the Chen primes p2 in
     [p1, n - p1 - 2] picks the p3 = n - p1 - p2 that qualify."""
     _check_n(n)
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     if table is None:
         table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
@@ -108,25 +110,22 @@ def _survey_counts(
     return rep, min_k
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    n: int
-    rep_count: int
-    min_k: int
-    has_all_chen: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyReport:
+    """rows: one record per n, fields n, rep_count, min_k (int64), has_all_chen (bool)."""
+
     n_lo: int
     n_hi: int
     variant: str
-    rows: list[SurveyRow]
-    failures: list[int]
+    rows: np.recarray
+
+    @property
+    def failures(self) -> list[int]:
+        return self.rows.n[~self.rows.has_all_chen].tolist()
 
     @property
     def all_ok(self) -> bool:
-        return not self.failures
+        return bool(self.rows.has_all_chen.all())
 
 
 def range_survey(
@@ -156,9 +155,5 @@ def range_survey(
     ns = np.arange(n_lo + (3 - n_lo) % 6, n_hi + 1, 6)
     rep, min_k = _survey_counts(unordered, primes, om_shift, ns)
     ok = (rep > 0) & (min_k <= 2)
-    rows = [
-        SurveyRow(n=n, rep_count=c, min_k=k, has_all_chen=a)
-        for n, c, k, a in zip(ns.tolist(), rep.tolist(), min_k.tolist(), ok.tolist())
-    ]
-    failures = ns[~ok].tolist()
-    return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)
+    rows = np.rec.fromarrays((ns, rep, min_k, ok), names=("n", "rep_count", "min_k", "has_all_chen"))
+    return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows)

@@ -262,7 +262,7 @@ class LinearSieveFns:
     Closed forms on the base intervals (F(s) = 2e^gamma/s on [1,3],
     f(s) = 2e^gamma ln(s-1)/s on [2,4], f = 0 below 2); beyond that the
     delay system (sF(s))' = f(s-1), (sf(s))' = F(s-1) is integrated with the
-    trapezoid rule on a uniform grid.
+    trapezoid rule on a uniform grid, one unit interval at a time.
     """
 
     S_MAX = 24.0
@@ -274,15 +274,16 @@ class LinearSieveFns:
         two_eg = 2.0 * math.exp(EULER_GAMMA)
         F = np.where(s <= 3.0, two_eg / s, 0.0)
         f = np.where(s >= 2.0, two_eg * np.log(np.maximum(s - 1.0, 1.0)) / s, 0.0)
+        # s g(s) = s' g(s') + the integral of the other function over [s'-1, s-1]:
+        # each unit of F (s > 3), then of f (s > 4), is one cumsum off the unit before
         lag = steps_per_unit  # grid offset for s - 1
-        for i in range(n):
-            si = s[i]
-            if si > 3.0 and F[i] == 0.0:
-                incr = 0.5 * self.h * (f[i - lag] + f[i - 1 - lag])
-                F[i] = (s[i - 1] * F[i - 1] + incr) / si
-            if si > 4.0:
-                incr = 0.5 * self.h * (F[i - lag] + F[i - 1 - lag])
-                f[i] = (s[i - 1] * f[i - 1] + incr) / si
+        i3, i4 = np.searchsorted(s, (3.0, 4.0), side="right")
+        for a in range(i3, n, lag):
+            b = min(a + lag, n)
+            for g, other, lo in ((F, f, a), (f, F, max(a, i4))):
+                if lo < b:
+                    incr = 0.5 * self.h * (other[lo - lag : b - lag] + other[lo - 1 - lag : b - 1 - lag])
+                    g[lo:b] = (s[lo - 1] * g[lo - 1] + np.cumsum(incr)) / s[lo:b]
         self.s_grid = s
         self.F_grid = F
         self.f_grid = f

@@ -19,11 +19,11 @@ under the desk profile, it is reported with status "diagnostic".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import mpmath
 import numpy as np
 
 from .arith_core import (
@@ -268,9 +268,10 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     theta_i = |X_i|/N, and N > 2 theta^-2 where
     theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
     sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
-    guarded FFT convolution.
+    guarded FFT convolution of the indicators, cut after max(X2 u X3).
     """
-    sets = [np.unique(np.mod(np.asarray(X, dtype=np.int64), N)) for X in (X1, X2, X3)]
+    inds = [_indicator(np.mod(np.asarray(X, dtype=np.int64), N), N) for X in (X1, X2, X3)]
+    sets = [np.flatnonzero(ind) for ind in inds]
     th = [X.size / N for X in sets]
     theta = min(th[0], th[1], th[2], (sum(th) - 1.0) / 4.0)
     problems = []
@@ -283,8 +284,7 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     if problems:
         raise DomainError("Pollard hypotheses unmet: " + "; ".join(problems))
     top = int(max(sets[1][-1], sets[2][-1])) + 1
-    ind2, ind3 = (_indicator(X, top) for X in sets[1:])
-    (c,) = _fft_convolutions(ind2, (ind3,), 2 * N - 1, N)
+    (c,) = _fft_convolutions(inds[1][:top], (inds[2][:top],), 2 * N - 1, N)
     count = int(np.sum(c[(y % N - sets[0]) % N]))
     bound = theta ** 3 * N ** 2
     return PollardResult(count=count, theta=theta, bound=bound, ok=count >= bound)
@@ -317,10 +317,11 @@ class ParameterLedger:
 
     def to_dict(self) -> dict:
         out = {}
+        mpmath = sys.modules.get("mpmath")  # an mpf exists only once mpmath is loaded
         for k in ("n", "profile", "W", "w", "b1", "b2", "b3", "N", "k0", "B",
                   "kappa", "delta", "epsilon", "varpi", "C1", "C2", "C3", "C4", "C5"):
             v = getattr(self, k)
-            if isinstance(v, mpmath.mpf):
+            if mpmath is not None and isinstance(v, mpmath.mpf):
                 v = mpmath.nstr(v, 8)
             out[k] = v
         out["provenance"] = dict(self.provenance)
@@ -334,6 +335,8 @@ def paper_kappa_delta_epsilon(varpi: float, C3: float, C4: float):
     Verifies 3072 eps^2 (C3^{12/5} d^{-12/5} + 5 C4 d^{-4})
              + 72 C3^{24/13} C4^{3/13} d^{1/13} <= varpi^6.
     """
+    import mpmath  # the only arbitrary-precision step: loaded on the paper path alone
+
     with mpmath.workdps(60):
         vp = mpmath.mpf(varpi)
         c3, c4 = mpmath.mpf(C3), mpmath.mpf(C4)

@@ -10,7 +10,8 @@ divisor-class sums by one strided add per d and the residue-class sums by
 one pass per x, and per-item trial-division checks of a Rosser weight, its
 divisor sum, a Chen prime and a Goldbach representation.  Also the count of
 squarefree q <= x as a Moebius sum over d^2, against the sandwich check, and
-the point-mass and uniform weights on Z_N that the transference tests use."""
+the point-mass and uniform weights on Z_N that the transference tests use,
+and the linear-sieve delay system stepped one grid point at a time."""
 
 import bisect
 import math
@@ -20,6 +21,7 @@ from math import gcd
 import numpy as np
 
 from chen3.arith_core import (
+    EULER_GAMMA,
     build_factor_table,
     chen_primes,
     factorize,
@@ -28,7 +30,8 @@ from chen3.arith_core import (
     primes_up_to,
 )
 from chen3.errors import DomainError
-from chen3.goldbach_verify import SurveyReport, SurveyRow
+from chen3.goldbach_verify import SurveyReport
+from chen3.rosser_sieve import LinearSieveFns
 from chen3.selberg_sieve import PairCountReport, build_selberg
 from chen3.transference import ZnWeight
 
@@ -125,24 +128,17 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
         unordered += np.bincount(sums[sums <= n_hi], minlength=n_hi + 1)
     primes = table.primes(n_hi)
     om_shift = table.omega_big[primes + 2]
-    rows: list[SurveyRow] = []
-    failures: list[int] = []
+    rows = []
     start = n_lo + (3 - n_lo) % 6
     for n in range(start, n_hi + 1, 6):
         p3s = primes[primes <= n - 4]
         cnts = unordered[n - p3s]
         hit = cnts > 0
         rep_count = int(np.sum(cnts[hit]))
-        if rep_count == 0:
-            rows.append(SurveyRow(n=n, rep_count=0, min_k=-1, has_all_chen=False))
-            failures.append(n)
-            continue
-        min_k = int(np.min(om_shift[: p3s.size][hit]))
-        ok = min_k <= 2
-        rows.append(SurveyRow(n=n, rep_count=rep_count, min_k=min_k, has_all_chen=ok))
-        if not ok:
-            failures.append(n)
-    return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=rows, failures=failures)
+        min_k = int(np.min(om_shift[: p3s.size][hit])) if rep_count else -1
+        rows.append((n, rep_count, min_k, rep_count > 0 and min_k <= 2))
+    dtype = [("n", np.int64), ("rep_count", np.int64), ("min_k", np.int64), ("has_all_chen", bool)]
+    return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=np.array(rows, dtype=dtype).view(np.recarray))
 
 
 def quadratic_form_direct(system) -> Fraction:
@@ -357,3 +353,22 @@ def residue_class_sums_direct(d, r, v, size: int) -> np.ndarray:
     per x."""
     d, r, v = np.asarray(d), np.asarray(r), np.asarray(v)
     return np.array([v[x % d == r].sum() for x in range(size)], dtype=v.dtype)
+
+
+def linear_sieve_grids_direct(steps_per_unit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, F, f) on the grid of chen3.rosser_sieve.LinearSieveFns, with
+    (sF)' = f(s - 1) and (sf)' = F(s - 1) integrated by one trapezoid step
+    per grid point, F beyond s = 3 and f beyond s = 4."""
+    h = 1.0 / steps_per_unit
+    n = int(round((LinearSieveFns.S_MAX - 1.0) * steps_per_unit)) + 1
+    s = 1.0 + h * np.arange(n)
+    two_eg = 2.0 * math.exp(EULER_GAMMA)
+    F = np.where(s <= 3.0, two_eg / s, 0.0)
+    f = np.where(s >= 2.0, two_eg * np.log(np.maximum(s - 1.0, 1.0)) / s, 0.0)
+    lag = steps_per_unit
+    for i in range(n):
+        if s[i] > 3.0:
+            F[i] = (s[i - 1] * F[i - 1] + 0.5 * h * (f[i - lag] + f[i - 1 - lag])) / s[i]
+        if s[i] > 4.0:
+            f[i] = (s[i - 1] * f[i - 1] + 0.5 * h * (F[i - lag] + F[i - 1 - lag])) / s[i]
+    return s, F, f

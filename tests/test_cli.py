@@ -163,6 +163,11 @@ class TestSubcommands:
         assert rows[1:3] == [["33", "2", "2", "29", "1"], ["33", "2", "29", "2", "2"]]
         assert len(rows) == 22
 
+    def test_goldbach_negative_limit(self, capsys):
+        code, out, err = run(capsys, "goldbach", "--n", "99", "--limit", "-1")
+        assert code == 2 and not out
+        assert "limit" in err
+
     def test_goldbach_survey_without_chen_primes(self, capsys):
         # no p <= 23 has p + 2 free of primes below 23: every n fails, exit 1
         code, out, err = run(capsys, "goldbach", "--n", "9", "--hi", "27",

@@ -42,6 +42,11 @@ class TestFind:
         keys = reps[:, :2].tolist()
         assert keys == sorted(keys)
 
+    def test_negative_limit_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="limit"):
+            find_representations(99, limit=-1)
+        assert len(find_representations(99, limit=0)) == 0
+
     def test_validate(self, table_1e5):
         reps = find_representations(45, table=table_1e5)
         assert len(reps) and all(representation_ok(45, r) for r in reps.tolist())
@@ -112,7 +117,7 @@ class TestPairCountGuard:
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 0.2)
         assert representation_count(999, table=table_1e5) == want
-        assert range_survey(9, 999).rows == want_rows
+        assert np.array_equal(range_survey(9, 999).rows, want_rows)
 
 
 class TestSurvey:
@@ -147,7 +152,16 @@ class TestSurvey:
         assert [r.n for r in rep.rows] == [9, 15, 21, 27]
         assert all(r.rep_count == 0 and r.min_k == -1 for r in rep.rows)
         assert rep.failures == [9, 15, 21, 27] and not rep.all_ok
-        assert rep.rows == survey_direct(9, 27, "strict", 23).rows
+        assert np.array_equal(rep.rows, survey_direct(9, 27, "strict", 23).rows)
+
+    def test_rows_are_one_record_array(self):
+        rep = range_survey(9, 20001, "strict", 50)
+        assert isinstance(rep.rows, np.recarray)
+        assert rep.rows.dtype.names == ("n", "rep_count", "min_k", "has_all_chen")
+        assert [rep.rows.dtype[k] for k in range(4)] == [np.dtype(np.int64)] * 3 + [np.dtype(bool)]
+        assert len(rep.failures) == 19
+        assert all(type(n) is int for n in rep.failures)
+        assert rep.failures == rep.rows.n[rep.rows.rep_count == 0].tolist()
 
     @pytest.mark.parametrize(
         "n_lo, n_hi, variant, z",
@@ -162,7 +176,7 @@ class TestSurvey:
     def test_matches_direct_survey(self, n_lo, n_hi, variant, z):
         got = range_survey(n_lo, n_hi, variant, z)
         want = survey_direct(n_lo, n_hi, variant, z)
-        assert got.rows == want.rows
+        assert np.array_equal(got.rows, want.rows)
         assert got.failures == want.failures
         if z == 50:
             unrepresented = [r for r in got.rows if r.rep_count == 0]

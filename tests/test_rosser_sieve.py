@@ -10,6 +10,7 @@ from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
 from oracles import (
     class_sums_direct,
+    linear_sieve_grids_direct,
     residue_class_sums_direct,
     rosser_divisor_sum,
     rosser_support_direct,
@@ -330,6 +331,24 @@ class TestLinearSieve:
             Ff, ff = fine(s)
             assert Fc == pytest.approx(Ff, abs=1e-6)
             assert fc == pytest.approx(ff, abs=1e-6)
+
+    @pytest.mark.parametrize("steps", [256, 1024, 2048])
+    def test_grids_match_stepwise_integration(self, steps):
+        fns = LinearSieveFns(steps_per_unit=steps)
+        s, F, f = linear_sieve_grids_direct(steps)
+        assert np.array_equal(fns.s_grid, s)
+        np.testing.assert_allclose(fns.F_grid, F, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(fns.f_grid, f, rtol=1e-13, atol=0)
+
+    def test_choose_k0_matches_stepwise_integration(self, monkeypatch):
+        from chen3 import transference
+
+        kappas = np.linspace(0.05, 1.5, 600).tolist()
+        got = [transference.choose_k0(k) for k in kappas]
+        direct = LinearSieveFns()
+        _, direct.F_grid, direct.f_grid = linear_sieve_grids_direct(1024)
+        monkeypatch.setattr(transference, "linear_sieve_F_f", direct)
+        assert got == [transference.choose_k0(k) for k in kappas]
 
     def test_domain(self):
         with pytest.raises(DomainError):

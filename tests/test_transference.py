@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -372,6 +376,21 @@ class TestParameters:
         # failure before any stage runs, not a silent fallback
         with pytest.raises(ConfigError, match="kappa, delta, epsilon"):
             choose_parameters(99_999, profile="paper")
+
+    def test_desk_run_does_not_load_mpmath(self):
+        code = ("import sys, chen3; chen3.transference.run_transference(30003); "
+                "print('mpmath' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_ledger_formats_mpf(self):
+        led = replace(choose_parameters(99_999), delta=mpmath.mpf(10) ** -400)
+        out = led.to_dict()
+        assert out["delta"] == mpmath.nstr(mpmath.mpf(10) ** -400, 8)
+        assert out["epsilon"] == 0.05 and out["N"] == led.N
 
     def test_overrides(self):
         led = choose_parameters(99_999, overrides={"kappa": 0.3})
