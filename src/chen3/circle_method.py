@@ -53,6 +53,8 @@ class SieveContext:
             raise DomainError(f"need 1 <= b <= W, got b={self.b}")
         if gcd(self.b * (self.b + 2), self.W) != 1:
             raise DomainError(f"gcd(b(b+2), W) != 1 for b={self.b}, W={self.W}")
+        if self.k0 < 1:
+            raise DomainError(f"k0 must be >= 1, got {self.k0}")
 
     @property
     def z0(self) -> float:
@@ -346,6 +348,8 @@ def minor_major_contrast(
 ) -> ContrastReport:
     """Empirical contrast of |S(alpha)| / S(0) between sampled minor-arc
     rationals (prime q in [Q, 4Q]) and major-arc centers (q <= major_q_max)."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     ev = get_evaluator(ctx)

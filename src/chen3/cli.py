@@ -152,9 +152,10 @@ def cmd_transfer(args) -> int:
     overrides = {}
     for item in args.override or []:
         k, _, v = item.partition("=")
-        if not _:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        overrides[k] = float(v)
+        try:
+            overrides[k] = float(v)
+        except ValueError:
+            raise ConfigError(f"override must be KEY=VALUE with a number, got {item!r}") from None
     report = run_transference(args.n, profile=args.profile, overrides=overrides)
     _emit(args, "transfer", {"n": args.n, "profile": args.profile,
                              "overrides": overrides}, report)
@@ -197,6 +198,8 @@ def cmd_contrast(args) -> int:
 def cmd_pollard(args) -> int:
     rng = np.random.default_rng(args.seed)
     N = args.N
+    if N < 1 or not all(0 < th <= 1 for th in args.densities):
+        raise ConfigError(f"need N >= 1 and densities in (0, 1], got N={N}, {args.densities}")
     sizes = [max(1, int(round(th * N))) for th in args.densities]
     sets = [rng.choice(N, size=s, replace=False) for s in sizes]
     res = pollard_check(N, sets[0], sets[1], sets[2], args.target)

@@ -91,8 +91,8 @@ def build_selberg(
     """
     if stage not in (1, 2):
         raise DomainError(f"stage must be 1 or 2, got {stage}")
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
+    if M < 1 or k0 < 1:
+        raise DomainError(f"M and k0 must be >= 1, got M={M}, k0={k0}")
     if z0 is None:
         z0 = n ** (1.0 / k0)
     if z1 is None:

@@ -2,11 +2,13 @@
 
 Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
-and the parameter ledger tying everything together.  Every stage on Z_N
-costs O(N log N) or less; the linear convolutions behind triple_sum and the
-Pollard count are arith_core's one FFT kernel, _fft_convolutions, folded
-mod N.  The O(N^2) enumerations that check the FFT routes are kept in the
-tests.
+and the parameter ledger tying everything together.  The DFTs on Z_N cost
+O(N log N): one per weight and Bohr indicator, one inverse per smoothing,
+from the product of its factors' spectra.  A Bohr set filters Z_N by one
+frequency at a time, O(sum_k |B_k|) with B_k the Bohr set of the first k
+frequencies.  The linear convolutions behind triple_sum and the Pollard
+count are arith_core's one FFT kernel, _fft_convolutions, folded mod N.
+The O(N^2) enumerations that check these routes are kept in the tests.
 
 The stage functions compute their inequalities and return the numbers with
 an ok flag; none of them reads the profile.  `run_transference` alone decides
@@ -120,14 +122,10 @@ def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
     freqs = frozenset(int(r) % N for r in frequencies)
     T = math.floor(Fraction(epsilon) * N)
     xs = np.arange(N, dtype=np.int64)
-    mask = np.ones(N, dtype=bool)
-    for r in freqs:
-        if r == 0:
-            continue
+    for r in freqs - {0}:
         t = (xs * r) % N
-        mask &= np.minimum(t, N - t) <= T
-    bohr = BohrSet(frequencies=freqs, epsilon=epsilon, N=N,
-                   members=np.nonzero(mask)[0].astype(np.int64))
+        xs = xs[np.minimum(t, N - t) <= T]
+    bohr = BohrSet(frequencies=freqs, epsilon=epsilon, N=N, members=xs)
     if bohr.size < bohr.pigeonhole_lower:
         raise InvariantError(
             f"Bohr set of size {bohr.size} below pigeonhole bound {bohr.pigeonhole_lower}"
@@ -144,28 +142,32 @@ def bohr_indicator(bohr: BohrSet) -> ZnWeight:
     return ZnWeight(bohr.N, v)
 
 
-def convolve(f: ZnWeight, g: ZnWeight) -> ZnWeight:
-    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), carrying its DFT
-    f~ g~, which the clip at 0 moves only by rounding."""
-    if f.N != g.N:
-        raise DomainError(f"mismatched N: {f.N} vs {g.N}")
-    spec = f.dft * g.dft
+def convolve(f: ZnWeight, *gs: ZnWeight) -> ZnWeight:
+    """Cyclic convolution f*g_1*...*g_k, (f*g)(x) = sum_y f(y) g(x-y), from
+    one inverse DFT of the product spectrum f~ g_1~ ... g_k~, which it
+    carries; the clip at 0 moves the values off it only by rounding."""
+    spec = f.dft
+    for g in gs:
+        if f.N != g.N:
+            raise DomainError(f"mismatched N: {f.N} vs {g.N}")
+        spec = spec * g.dft
     return ZnWeight(f.N, np.maximum(np.fft.ifft(spec).real, 0.0), _dft=spec)
 
 
 def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     """sum over x1 + x2 + x3 = target (mod N) of f(x1) g(x2) h(x3).
 
-    Two O(N log N) routes must agree to 1e-8 relative: the Fourier identity
-    (1/N) sum_r f~ g~ h~ e(target r / N), read off one inverse DFT of the
-    cached transforms, and the linear convolution f*g from a zero-padded real
-    FFT, folded mod N and paired with h(target - s).  The second is returned.
+    Two routes must agree to 1e-8 relative: the Fourier identity
+    (1/N) sum_r f~ g~ h~ e(target r / N), one O(N) dot product of the cached
+    transforms, and the linear convolution f*g from a zero-padded real FFT,
+    folded mod N and paired with h(target - s).  The second is returned.
     """
     if not (f.N == g.N == h.N):
         raise DomainError("mismatched N")
     N = f.N
     t = target % N
-    fourier = float(np.fft.ifft(f.dft * g.dft * h.dft)[t].real)
+    phases = np.exp(2j * np.pi * (t * np.arange(N, dtype=np.int64) % N) / N)
+    fourier = float(np.dot(f.dft * g.dft * h.dft, phases).real) / N
     (folded,) = _fft_convolutions(f.values, (g.values,), 2 * N - 1, N)
     linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
     scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
@@ -197,13 +199,11 @@ def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float) -> SmoothResult:
     caller's decision.
     """
     b = bohr_indicator(bohr)
-    sm = convolve(convolve(a, b), b)
+    sm = convolve(a, b, b)
     mass_in, mass_out = a.total(), sm.total()
     if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
         raise InvariantError("smoothing did not preserve mass")
-    closeness = 0.0
-    for r in bohr.frequencies:
-        closeness = max(closeness, abs(1.0 - b.dft[r]))
+    closeness = float(np.max(np.abs(1.0 - b.dft[list(bohr.frequencies)]), initial=0.0))
     if not closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12:
         raise InvariantError(
             f"|1 - b~(r)| = {closeness} exceeds 16 eps^2 = {16 * bohr.epsilon ** 2}"
@@ -316,16 +316,9 @@ class ParameterLedger:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {}
         mpmath = sys.modules.get("mpmath")  # an mpf exists only once mpmath is loaded
-        for k in ("n", "profile", "W", "w", "b1", "b2", "b3", "N", "k0", "B",
-                  "kappa", "delta", "epsilon", "varpi", "C1", "C2", "C3", "C4", "C5"):
-            v = getattr(self, k)
-            if mpmath is not None and isinstance(v, mpmath.mpf):
-                v = mpmath.nstr(v, 8)
-            out[k] = v
-        out["provenance"] = dict(self.provenance)
-        return out
+        mpf = mpmath.mpf if mpmath is not None else ()
+        return {k: mpmath.nstr(v, 8) if isinstance(v, mpf) else v for k, v in asdict(self).items()}
 
 
 def paper_kappa_delta_epsilon(varpi: float, C3: float, C4: float):
@@ -420,7 +413,7 @@ def choose_parameters(
     in arbitrary precision), B = 6^9.  Desk profile: finite stand-ins
     (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]).
     overrides may set the inputs in OVERRIDABLE before anything is derived
-    from them; any other key is a ConfigError.
+    from them; any other key, or a value out of range, is a ConfigError.
     """
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
@@ -428,6 +421,18 @@ def choose_parameters(
     unknown = sorted(set(overrides) - set(OVERRIDABLE))
     if unknown:
         raise ConfigError(f"cannot override {unknown}: only {', '.join(OVERRIDABLE)}")
+    # every value reaches the payload and must be finite; kappa^2 widens the
+    # prime window for N, delta enters the three-sum budget at negative
+    # powers and epsilon is a Bohr radius
+    ranges = {"kappa": lambda v: v > 0 and math.isfinite(v * v),
+              "delta": lambda v: 0 < v < math.inf, "epsilon": lambda v: 0 < v <= 0.5}
+
+    def check(values: dict) -> None:
+        bad = [f"{key}={float(v)}" for key, v in values.items() if not ranges.get(key, math.isfinite)(float(v))]
+        if bad:
+            raise ConfigError(f"need finite values, kappa > 0 with kappa^2 finite, delta > 0 "
+                              f"and 0 < epsilon <= 1/2: {', '.join(bad)}")
+    check({key: overrides[key] for key in OVERRIDABLE if key in overrides})  # before the paper formula
     C1, C2, C3, C4, C5 = (overrides.get(f"C{i}", 1.0) for i in range(1, 6))
     varpi = min(C1 * C2, 1.0) / 10000.0
     prov: dict[str, str] = {"varpi": "paper-formula"}
@@ -450,21 +455,17 @@ def choose_parameters(
         if underflow:
             raise ConfigError(f"paper-profile values underflow to 0.0 as floats: "
                               f"{', '.join(underflow)}; override each with KEY=VALUE")
-    # kappa widens the prime window for N, delta enters the three-sum budget
-    # at negative powers and epsilon is a Bohr radius: checked before k0 and
-    # N are derived, for both profiles
-    kf, df, ef = float(kappa), float(delta), float(epsilon)
-    bad = [f"{key}={value}" for key, value, ok in
-           (("kappa", kf, kf > 0), ("delta", df, df > 0), ("epsilon", ef, 0 < ef <= 0.5)) if not ok]
-    if bad:
-        raise ConfigError(f"need kappa > 0, delta > 0 and 0 < epsilon <= 1/2: {', '.join(bad)}")
+    check({"kappa": kappa, "delta": delta, "epsilon": epsilon})  # and the values it gave
+    kf = float(kappa)
+    k0 = choose_k0(kf)
     if profile == "paper":
-        k0 = choose_k0_paper(kappa)
+        # the F-f rule at the true (astronomically small) kappa is far below
+        # the integrator's resolution: the grid cap is used, and flagged
+        k0 = DESK_K0_CAP if k0 is None else k0
         prov["k0"] = "capped-desk-grid" if k0 == DESK_K0_CAP else "paper-rule"
+    elif k0 is None:
+        raise ConfigError(f"no k0 <= {DESK_K0_CAP} satisfies the F-f rule for kappa={kappa}")
     else:
-        k0 = choose_k0(kappa)
-        if k0 is None:
-            raise ConfigError(f"no k0 <= {DESK_K0_CAP} satisfies the F-f rule for kappa={kappa}")
         prov["k0"] = "derived"
 
     W, w = select_W(n)
@@ -478,14 +479,6 @@ def choose_parameters(
         k0=int(k0), B=float(B), kappa=kappa, delta=delta, epsilon=epsilon,
         varpi=varpi, C1=C1, C2=C2, C3=C3, C4=C4, C5=C5, provenance=prov,
     )
-
-
-def choose_k0_paper(kappa) -> int:
-    """Paper-profile k0: the F-f rule at the true (astronomically small)
-    kappa is far below the integrator's resolution, so the grid cap is
-    returned and flagged in provenance."""
-    k0 = choose_k0(float(kappa))
-    return k0 if k0 is not None else DESK_K0_CAP
 
 
 @dataclass

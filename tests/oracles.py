@@ -1,6 +1,7 @@
 """Direct oracles for the array and FFT routes of chen3, independent of them
 and slow by design: O(N) per value and O(N^2) sums on Z_N for
-chen3.transference and chen3.selberg_sieve, the Selberg pair count with one
+chen3.transference and chen3.selberg_sieve, the Bohr set as one mask over
+Z_N per frequency, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum and the
 double-loop Selberg quadratic form and remainder pair sum, the per-n range
 survey with its own Chen pair counts, the double loop over Chen pairs behind
@@ -52,6 +53,18 @@ def dft_direct(values: np.ndarray, rs) -> np.ndarray:
     return np.array(
         [np.sum(values * np.exp(-2j * np.pi * x * (r % N) / N)) for r in rs]
     )
+
+
+def bohr_set_direct(frequencies, epsilon: float, N: int) -> np.ndarray:
+    """The members of chen3.transference.bohr_set by one mask over all of Z_N,
+    and-ed with ||x r / N|| <= epsilon for each r in turn, O(|R| N)."""
+    T = math.floor(Fraction(epsilon) * N)
+    xs = np.arange(N, dtype=np.int64)
+    mask = np.ones(N, dtype=bool)
+    for r in frequencies:
+        t = (xs * (int(r) % N)) % N
+        mask &= np.minimum(t, N - t) <= T
+    return np.flatnonzero(mask)
 
 
 def convolve_direct(f, g) -> np.ndarray:

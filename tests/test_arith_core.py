@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chen3
 from chen3 import arith_core
 from chen3.arith_core import (
     DEFAULT_TABLE_BUDGET,
@@ -231,3 +234,49 @@ class TestFFTConvolutions:
         want = np.array([np.dot(f, g[(s - idx) % N]) for s in range(N)])
         (got,) = _fft_convolutions(f, (g,), 2 * N - 1, N)
         assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-12
+
+
+def np_fft_sites() -> tuple[list, int]:
+    """([(function, module.qualname)] for each np.fft.<function> in
+    src/chen3, the number of np.fft references) from each module's syntax
+    tree.  The two agree when np.fft is never held under another name."""
+    sites, refs = [], 0
+
+    def is_np_fft(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+    def visit(node, scope):
+        nonlocal refs
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Attribute):
+                refs += is_np_fft(child)
+                if is_np_fft(child.value):
+                    sites.append((child.attr, ".".join(scope)))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                # numpy enters as np alone: no transform under another name
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+                assert not any(name.startswith(("numpy", "scipy")) for name in names) or (
+                    ast.unparse(child) == "import numpy as np"), ast.unparse(child)
+            visit(child, inner)
+
+    for path in sorted(Path(chen3.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return sites, refs
+
+
+def test_np_fft_call_sites():
+    # one real FFT kernel; length-N DFTs for the cached weight transforms and
+    # the energy's independent route; one inverse DFT, per smoothing
+    sites, refs = np_fft_sites()
+    assert len(sites) == refs
+    assert set(sites) == {
+        ("rfft", "arith_core._fft_convolutions"),
+        ("irfft", "arith_core._fft_convolutions"),
+        ("fft", "transference.ZnWeight.dft"),
+        ("fft", "selberg_sieve.additive_energy"),
+        ("ifft", "transference.convolve"),
+    }

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chen3 import rosser_sieve
 from chen3.arith_core import factorize
@@ -94,7 +95,28 @@ class TestExitCodes:
         # the three-sum budget divides by delta: refused before any stage runs
         code, out, err = run(capsys, "transfer", "--n", "30003", "--override", "delta=0")
         assert code == 2 and not out
-        assert err.startswith("error: need kappa > 0, delta > 0 and 0 < epsilon <= 1/2: delta=0.0")
+        assert err.startswith("error: need finite values, kappa > 0 with kappa^2 finite, "
+                              "delta > 0 and 0 < epsilon <= 1/2: delta=0.0")
+
+    @pytest.mark.parametrize("item", ["kappa=abc", "kappa=inf", "kappa=1e200", "C1=nan", "B=inf"])
+    def test_bad_override_value_is_a_config_error(self, capsys, item):
+        # not a number, an overflow in k0 and N, or a payload that is not JSON
+        code, out, err = run(capsys, "transfer", "--n", "30003", "--override", item)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and item.split("=")[0] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pollard", "--N", "101", "--densities", "1.5", "0.6", "0.6"],
+        ["pollard", "--N", "0", "--densities", "0.6", "0.6", "0.6"],
+        ["contrast", "--n", "100000", "--W", "6", "--b", "5", "--samples", "0"],
+        ["ssum", "--n", "3000", "--alpha", "1/7", "--k0", "0"],
+        ["ssum", "--n", "3000", "--alpha", "1/7", "--k0", "-1"],
+        ["selberg", "--stage", "1", "--M", "5", "--W", "2", "--n", "100000", "--k0", "0"],
+    ], ids=["pollard-density", "pollard-N", "contrast-samples", "ssum-k0", "ssum-k0-negative",
+            "selberg-k0"])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error: ")
 
     def test_paper_assertion(self, capsys):
         # the level-set bound |A3| >= (1 - 3 varpi) N fails at n = 99999

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,7 +31,8 @@ from chen3.transference import (
     split_residues,
     triple_sum,
 )
-from oracles import convolve_direct, dft_direct, point_mass, pollard_direct, triple_sum_direct, uniform
+from oracles import (bohr_set_direct, convolve_direct, dft_direct, point_mass, pollard_direct,
+                     triple_sum_direct, uniform)
 
 
 class TestZnWeight:
@@ -166,6 +168,22 @@ class TestBohr:
         ]
         assert b.members.tolist() == want
 
+    @pytest.mark.parametrize("N, freqs, eps", [
+        (101, [0], 0.1),
+        (101, [0, 7, 7, 7], 0.1),  # repeated r
+        (101, [3, 104, 3 + 5 * 101, 250], 0.1),  # r >= N
+        (101, [-1, -103, 50, -50], 0.2),  # negative r
+        (97, [1, 2, 3, 0], 0.5),  # eps = 1/2: all of Z_N
+        (101, range(1, 101), 0.05),  # |R| = N - 1: {0}
+        (101, range(1, 101), 0.5),
+        (240, [7, 11, 0, 233], 0.375),  # eps N = 90 exactly
+        (16879, [1, 4, 9, 16, 16874], 0.3),
+    ])
+    def test_filtering_matches_full_mask(self, N, freqs, eps):
+        members = bohr_set(freqs, eps, N).members
+        assert members.dtype == np.int64
+        assert np.array_equal(members, bohr_set_direct(freqs, eps, N))
+
 
 class TestSmoothing:
     def test_beta_one_on_spectrum(self):
@@ -244,13 +262,13 @@ class TestTripleSum:
             assert triple_sum(f, g, h, hit) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("shift, raises", [(2e-8, True), (-2e-8, True), (5e-9, False)])
-    def test_route_mismatch_raises(self, monkeypatch, shift, raises):
-        # point masses hitting the target: both routes give 1, so the shift
-        # of the Fourier route is its relative error
+    def test_route_mismatch_raises(self, shift, raises):
+        # point masses hitting the target: both routes give 1, and a cached
+        # f~ scaled by 1 + shift scales the Fourier route alone, so the
+        # shift is its relative error
         N = 13
         f, g, h = (point_mass(N, x) for x in (2, 3, 4))
-        ifft = np.fft.ifft
-        monkeypatch.setattr(np.fft, "ifft", lambda a: ifft(a) + shift)
+        f._dft = f.dft * (1.0 + shift)
         if raises:
             with pytest.raises(InvariantError):
                 triple_sum(f, g, h, 9)
@@ -403,11 +421,22 @@ class TestParameters:
     @pytest.mark.parametrize("key, value", [
         ("kappa", 0.0), ("kappa", -0.5), ("delta", 0.0), ("delta", -1.0),
         ("epsilon", 0.0), ("epsilon", -0.05), ("epsilon", 0.6),
+        # not finite, or kappa^2 not finite: overflow in k0 and N, or a
+        # payload that is not JSON
+        ("kappa", math.inf), ("kappa", 1e200), ("kappa", math.nan), ("delta", math.inf),
+        ("epsilon", math.nan), ("B", math.inf), ("C1", math.nan), ("C3", -math.inf),
     ])
     def test_override_out_of_range(self, profile, key, value):
         overrides = {"kappa": 0.9, "delta": 0.05, "epsilon": 0.05, key: value}
-        with pytest.raises(ConfigError, match=f"{key}={value}$"):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}={value}") + "$"):
             choose_parameters(30_003, profile=profile, overrides=overrides)
+
+    def test_paper_formula_value_out_of_range(self):
+        # tiny C3 and C4 give delta = 1 and epsilon = 1 from the formula: the
+        # check on the resolved values refuses it before any stage runs
+        with pytest.raises(ConfigError, match=r"epsilon=1\.0$"):
+            choose_parameters(30_003, profile="paper",
+                              overrides={"kappa": 0.9, "delta": 0.2, "C3": 1e-30, "C4": 1e-30})
 
     def test_override_range_names_each_bad_key(self):
         with pytest.raises(ConfigError, match="kappa=0.0, delta=-1.0$"):
@@ -513,6 +542,19 @@ class TestPipeline:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             run_transference(100)
+
+    def test_transform_count(self, monkeypatch):
+        # one length-N DFT per weight and per Bohr indicator, and one inverse
+        # DFT per smoothing, of the product spectrum a~ b~ b~
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counting(a, fn=getattr(np.fft, name), name=name):
+                calls[name] += 1
+                return fn(a)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        run_transference(30003)
+        assert calls == {"fft": 6, "ifft": 3}
 
     def test_fft_routes_match_direct(self, monkeypatch):
         # N = 5077: the Pollard count and the raw triple sum of the pipeline
