@@ -85,10 +85,8 @@ class FactorTable:
         return 1
 
     def primes(self, bound: int) -> np.ndarray:
-        """All primes <= bound (bound <= hi), as the int64 x with spf(x) = x."""
-        spf = self.smallest_prime_factor[: bound + 1]
-        xs = np.flatnonzero(spf == np.arange(spf.size, dtype=np.int32))
-        return xs[xs >= 2].astype(np.int64, copy=False)
+        """All primes <= bound (bound <= hi), as the int64 x with Omega(x) = 1."""
+        return np.flatnonzero(self.omega_big[: max(bound + 1, 0)] == 1).astype(np.int64, copy=False)
 
 
 def build_factor_table(hi: int) -> FactorTable:
@@ -227,7 +225,7 @@ def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0):
             counts = np.empty(length, dtype=np.int64)
             np.rint(conv, out=counts, casting="unsafe")
             conv -= counts  # the rounding error, in the irfft buffer
-            err = float(np.max(np.abs(conv, out=conv)))
+            err = float(np.max(np.abs(conv, out=conv), initial=0.0))
             if not err < 0.25:
                 raise InvariantError(f"FFT counts are {err:.3g} from the nearest integers")
             conv = counts

@@ -29,6 +29,7 @@ from math import gcd
 import numpy as np
 
 from .arith_core import (
+    DEFAULT_TABLE_BUDGET,
     EULER_GAMMA,
     S1_PRIME_BOUND,
     _fft_convolutions,
@@ -40,7 +41,7 @@ from .arith_core import (
     primes_up_to,
     singular_series_S1,
 )
-from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError
+from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from .rosser_sieve import linear_sieve_F_f
 
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
@@ -413,7 +414,8 @@ def choose_parameters(
     in arbitrary precision), B = 6^9.  Desk profile: finite stand-ins
     (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]).
     overrides may set the inputs in OVERRIDABLE before anything is derived
-    from them; any other key, or a value out of range, is a ConfigError.
+    from them; any other key, or a value out of range, is a ConfigError.  A
+    window for N above DEFAULT_TABLE_BUDGET is a ResourceBudgetError.
     """
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
@@ -473,6 +475,9 @@ def choose_parameters(
     b1, b2, b3 = split_residues(n, W)
     lo = (1.0 + kf ** 2 / 20.0) * n / W
     hi = (1.0 + kf ** 2 / 10.0) * n / W
+    if lo > DEFAULT_TABLE_BUDGET:  # every weight is a length-N array
+        raise ResourceBudgetError(f"N >= {lo:.4g} exceeds the budget of {DEFAULT_TABLE_BUDGET} "
+                                  f"points on Z_N (kappa={kappa})")
     N = find_prime_in(lo, hi)
     return ParameterLedger(
         n=n, profile=profile, W=W, w=w, b1=b1, b2=b2, b3=b3, N=N,

@@ -4,7 +4,9 @@ chen3.transference and chen3.selberg_sieve, the Bohr set as one mask over
 Z_N per frequency, the Selberg pair count with one
 divisor indicator per d, the four-fold Selberg remainder sum and the
 double-loop Selberg quadratic form and remainder pair sum, the per-n range
-survey with its own Chen pair counts, the double loop over Chen pairs behind
+survey with its own Chen pair counts, the full-length count of all-Chen
+representations from one self-convolution of the Chen indicator (the route
+before the residue-class split), the double loop over Chen pairs behind
 the representation rows, the per-term phase sum behind chen3.circle_method's
 complete sums mod q, the Rosser support by depth-first search, the
 divisor-class sums by one strided add per d and the residue-class sums by
@@ -23,6 +25,8 @@ import numpy as np
 
 from chen3.arith_core import (
     EULER_GAMMA,
+    _fft_convolutions,
+    _indicator,
     build_factor_table,
     chen_primes,
     factorize,
@@ -152,6 +156,22 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
         rows.append((n, rep_count, min_k, rep_count > 0 and min_k <= 2))
     dtype = [("n", np.int64), ("rep_count", np.int64), ("min_k", np.int64), ("has_all_chen", bool)]
     return SurveyReport(n_lo=n_lo, n_hi=n_hi, variant=variant, rows=np.array(rows, dtype=dtype).view(np.recarray))
+
+
+def representation_count_full(n: int, table=None) -> int:
+    """chen3.goldbach_verify.representation_count on the integers, with no
+    residue classes: the unordered Chen pair counts u[s] for s <= n from one
+    squared transform of the Chen indicator, gathered at n - p3 over every
+    Chen prime p3 <= n - 4."""
+    if table is None:
+        table = build_factor_table(n + 2)
+    chens = chen_primes(n - 4, table=table)
+    ind = _indicator(chens, chens.max(initial=-1) + 1)
+    (u,) = _fft_convolutions(ind, (ind,), n + 1)
+    doubled = 2 * chens
+    u[doubled[doubled <= n]] += 1  # p1 = p2 is counted once among ordered pairs
+    u //= 2
+    return int(np.sum(u[n - chens]))
 
 
 def quadratic_form_direct(system) -> Fraction:

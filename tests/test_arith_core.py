@@ -77,6 +77,12 @@ class TestFactorTable:
                 pk *= p
         assert int(np.sum(t.omega_big[1:], dtype=np.int64)) == legendre
 
+    def test_primes_read_omega(self, table_1e5):
+        for bound in (-2, 0, 1, 2, 3, 4, 100_002):  # no primes below 0, not a slice from the end
+            ps = table_1e5.primes(bound)
+            assert ps.dtype == np.int64 and np.array_equal(ps, primes_up_to(bound)), bound
+        assert np.array_equal(build_factor_table(100_003).primes(100_003), primes_up_to(100_003))
+
     def test_dtypes(self, table_1e5):
         assert table_1e5.smallest_prime_factor.dtype == np.int32
         assert table_1e5.omega_big.dtype == np.uint8
@@ -210,6 +216,13 @@ class TestFFTConvolutions:
         (square,) = _fft_convolutions(f, (f,), length)
         (copy,) = _fft_convolutions(f, (f.copy(),), length)
         assert np.array_equal(square, copy)
+
+    def test_length_zero_is_empty(self):
+        ind = np.zeros(0, dtype=bool)
+        (got,) = _fft_convolutions(ind, (ind,), 0)
+        assert got.dtype == np.int64 and got.size == 0
+        (got,) = _fft_convolutions(np.ones(3, dtype=bool), (np.ones(3, dtype=bool),), 0)
+        assert got.dtype == np.int64 and got.size == 0
 
     @given(st.sampled_from(SMALL_PRIMES), st.data())
     @settings(max_examples=100, deadline=None)

@@ -105,6 +105,12 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error: ") and item.split("=")[0] in err
 
+    @pytest.mark.parametrize("kappa", ["1e4", "1e150"])
+    def test_N_above_the_table_budget_exits_3(self, capsys, kappa):
+        code, out, err = run(capsys, "transfer", "--n", "99999", "--override", f"kappa={kappa}")
+        assert code == 3 and not out
+        assert err.startswith("resource limit: N >= ") and "kappa=" in err
+
     @pytest.mark.parametrize("argv", [
         ["pollard", "--N", "101", "--densities", "1.5", "0.6", "0.6"],
         ["pollard", "--N", "0", "--densities", "0.6", "0.6", "0.6"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chen3.arith_core import _fft_size
+from chen3.arith_core import _fft_size, build_factor_table
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     _survey_counts,
@@ -9,7 +9,7 @@ from chen3.goldbach_verify import (
     range_survey,
     representation_count,
 )
-from oracles import representation_ok, representations_direct, survey_direct
+from oracles import representation_count_full, representation_ok, representations_direct, survey_direct
 
 
 def count_irfft(monkeypatch) -> list[int]:
@@ -75,10 +75,20 @@ class TestFind:
                 find_representations(bad)
 
     def test_fast_count_matches_enumeration(self, table_1e5):
-        for n in (9, 33, 99, 459, 999):
+        for n in (9, 15, 21, 27, 33, 99, 459, 999, 3003):
             assert representation_count(n, table=table_1e5) == len(
                 find_representations(n, table=table_1e5)
             )
+
+
+def test_count_matches_full_length_count():
+    """The class-split count against the single full-length convolution,
+    at small n, where 2 + 2 + (n - 4) and 3 + 3 + 3 matter and the (5, 5, 5)
+    grid has at most one point, and at desk scale."""
+    table = build_factor_table(3_000_005)
+    for n in (9, 15, 21, 27, 33, 3003, 99999, 3000003):
+        assert representation_count(n, table=table) == representation_count_full(n, table), n
+    assert representation_count(9) == 3  # (2, 2; 5), (2, 5; 2), (3, 3; 3)
 
 
 def test_fft_size_is_least_smooth_size():
@@ -171,6 +181,9 @@ class TestSurvey:
             (1000, 5003, "basic", None),  # n_lo = 4 (mod 6)
             (9, 20001, "strict", 50),
             (9, 30001, "strict", 7),
+            # z = 3 keeps the Chen primes 1 mod 6, z = 5 leaves none of them
+            (9, 27, "strict", 3),
+            (9, 27, "strict", 5),
         ],
     )
     def test_matches_direct_survey(self, n_lo, n_hi, variant, z):
@@ -182,11 +195,15 @@ class TestSurvey:
             unrepresented = [r for r in got.rows if r.rep_count == 0]
             assert len(unrepresented) == 19 and all(r.min_k == -1 for r in unrepresented)
 
-    def test_three_ffts_at_desk_scale(self, monkeypatch):
-        # the Chen pairs, every count, and class 1, which resolves every n
+    def test_sixth_length_ffts_at_desk_scale(self, monkeypatch):
+        # the (1, 5) and (1, 1) pair counts from one transform of class 1,
+        # the (5, 5) pair counts, then for each prime class its counts and
+        # the first Omega(p + 2) class, which resolves every n: Omega = 2
+        # for the primes 1 mod 6 (3 divides p + 2), Omega = 1 for 5 mod 6
         sizes = count_irfft(monkeypatch)
         range_survey(9, 20001)
-        assert len(sizes) == 3
+        assert len(sizes) == 7
+        assert max(sizes) <= _fft_size(20001 // 6 + 1, 0)
 
     def test_later_classes_and_stop(self, monkeypatch):
         """_survey_counts on a synthetic Omega(p + 2), where classes k >= 2

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import chen3.goldbach_verify
 import chen3.transference
 from chen3.arith_core import build_factor_table, chen_primes
-from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError
+from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from chen3.transference import (
     ZnWeight,
     bohr_set,
@@ -437,6 +437,17 @@ class TestParameters:
         with pytest.raises(ConfigError, match=r"epsilon=1\.0$"):
             choose_parameters(30_003, profile="paper",
                               overrides={"kappa": 0.9, "delta": 0.2, "C3": 1e-30, "C4": 1e-30})
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e150])
+    def test_N_above_the_table_budget(self, monkeypatch, kappa):
+        # N = 8.3e10 would be np.zeros(N) in build_weights; at 8.3e302 the
+        # prime search would run far outside is_prime_u64's range
+        def no_search(lo, hi):
+            raise AssertionError("find_prime_in reached")
+
+        monkeypatch.setattr(chen3.transference, "find_prime_in", no_search)
+        with pytest.raises(ResourceBudgetError, match=re.escape(f"kappa={kappa})")):
+            choose_parameters(99_999, overrides={"kappa": kappa})
 
     def test_override_range_names_each_bad_key(self):
         with pytest.raises(ConfigError, match="kappa=0.0, delta=-1.0$"):
