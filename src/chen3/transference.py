@@ -2,12 +2,15 @@
 
 Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
-and the parameter ledger tying everything together.  The DFTs on Z_N cost
-O(N log N): one per weight and Bohr indicator, one inverse per smoothing,
-from the product of its factors' spectra.  A Bohr set filters Z_N by one
-frequency at a time, O(sum_k |B_k|) with B_k the Bohr set of the first k
-frequencies.  The linear convolutions behind triple_sum and the Pollard
-count are arith_core's one FFT kernel, _fft_convolutions, folded mod N.
+and the parameter ledger tying everything together.  a2 is a1: the table
+budget on N keeps W <= 6, where one residue is admissible, so b1 = b2 and
+the weights are a1 and a3.  The DFTs on Z_N cost O(N log N): one per
+distinct weight and Bohr indicator, one inverse per smoothing, from the
+product of its factors' spectra; four forward and two inverse in all.  A
+Bohr set filters Z_N by one frequency at a time, O(sum_k |B_k|) with B_k
+the Bohr set of the first k frequencies.  The linear convolutions behind
+triple_sum and the Pollard count are arith_core's one FFT kernel,
+_fft_convolutions, folded mod N.
 The O(N^2) enumerations that check these routes are kept in the tests.
 
 The stage functions compute their inequalities and return the numbers with
@@ -497,15 +500,22 @@ class BuiltWeights:
 
 
 def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
-    """The three normalized weights on Z_N.
+    """The normalized weights on Z_N; a1 and a2 are one object.
 
-    a1, a2: strict Chen primes W x + b_i (Omega(p+2) <= 2 and no factor of
-    p+2 below n^{1/10}), x <= (n - b_i)/(2W), weight
-    C2 S1^{-1}/1000 * phi2(W) log(Wx+b_i)^2 / n.
+    a1 = a2: strict Chen primes W x + b1 (Omega(p+2) <= 2 and no factor of
+    p+2 below n^{1/10}), x <= (n - b1)/(2W), weight
+    C2 S1^{-1}/1000 * phi2(W) log(Wx+b1)^2 / n.
     a3: primes W x + b3 with no factor of p+2 below n^{1/k0},
     x <= (n - b3)/W, weight e^gamma phi2(W) log(Wx+b3) log(n) / (4 k0 S1 n).
+
+    b1 = b2 for every ledger choose_parameters returns: W = 30 needs
+    log n >= 30, and then N > n/W > DEFAULT_TABLE_BUDGET, so W <= 6, where
+    the one admissible residue (b = 1 mod 2, b = 5 mod 6) is every b_i.  A
+    ledger with b1 != b2 is a DomainError.
     """
-    n, W, N = ledger.n, ledger.W, ledger.N
+    if ledger.b1 != ledger.b2:
+        raise DomainError(f"a1 and a2 are one weight: need b1 = b2, got {ledger.b1} and {ledger.b2}")
+    n, W, N, b1, b3 = ledger.n, ledger.W, ledger.N, ledger.b1, ledger.b3
     if table is None:
         table = build_factor_table(n + 2)
     S1 = singular_series_S1(S1_PRIME_BOUND)
@@ -518,38 +528,22 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         ps = ps[(ps % W == b % W) & (ps > b)]
         return (ps - b) // W
 
-    weights = []
-    sums = []
-    sizes = []
-    supports = []
-    for i, b in enumerate((ledger.b1, ledger.b2, ledger.b3)):
-        if i < 2:
-            xmax = (n - b) // (2 * W)
-            xs = support(chen_primes(W * xmax + b, "strict", z=z1, table=table), b)
-            vals_at = (
-                float(ledger.C2) / S1 / 1000.0
-                * phi2_W * np.log(W * xs + b) ** 2 / n
-            )
-        else:
-            xmax = (n - b) // W
-            ps = table.primes(W * xmax + b)
-            xs = support(ps[table.smallest_prime_factor[ps + 2] >= z0], b)
-            vals_at = (
-                math.exp(EULER_GAMMA) * phi2_W
-                * np.log(W * xs + b) * math.log(n)
-                / (4.0 * ledger.k0 * S1 * n)
-            )
+    def weight(xs: np.ndarray, vals_at: np.ndarray) -> ZnWeight:
         v = np.zeros(N)
         np.add.at(v, xs % N, vals_at)
-        zw = ZnWeight(N, v)
-        weights.append(zw)
-        sums.append(zw.total())
-        sizes.append(int(xs.size))
-        supports.append(xs)
+        return ZnWeight(N, v)
+
+    x1 = support(chen_primes(W * ((n - b1) // (2 * W)) + b1, "strict", z=z1, table=table), b1)
+    a1 = weight(x1, float(ledger.C2) / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
+    ps = table.primes(W * ((n - b3) // W) + b3)
+    x3 = support(ps[table.smallest_prime_factor[ps + 2] >= z0], b3)
+    a3 = weight(x3, math.exp(EULER_GAMMA) * phi2_W * np.log(W * x3 + b3) * math.log(n)
+                / (4.0 * ledger.k0 * S1 * n))
     return BuiltWeights(
-        a1=weights[0], a2=weights[1], a3=weights[2],
-        support_sizes=tuple(sizes), sums=tuple(sums),
-        support_x=tuple(supports),
+        a1=a1, a2=a1, a3=a3,
+        support_sizes=(int(x1.size), int(x1.size), int(x3.size)),
+        sums=(a1.total(), a1.total(), a3.total()),
+        support_x=(x1, x1, x3),
     )
 
 
@@ -610,33 +604,34 @@ def run_transference(
         "a3_sum_status": a3_sum_status,
     })
 
+    # every stage runs once per distinct weight, (a1, a3); the report lists
+    # a1, a2, a3, with a2 = a1
+    weights, a123 = (built.a1, built.a3), (0, 0, 1)
     delta, eps = float(ledger.delta), float(ledger.epsilon)
-    specs = [spectrum(wt, delta) for wt in (built.a1, built.a2, built.a3)]
+    specs = [spectrum(wt, delta) for wt in weights]
     report["stages"].append({
         "stage": "spectra",
         "delta": delta,
-        "sizes": [len(s.members) for s in specs],
-        "chebyshev_bounds": [s.chebyshev_bound for s in specs],
+        "sizes": [len(specs[i].members) for i in a123],
+        "chebyshev_bounds": [specs[i].chebyshev_bound for i in a123],
     })
 
     bohrs = [bohr_set(s.members, eps, N) for s in specs]
     report["stages"].append({
         "stage": "bohr_sets",
         "epsilon": eps,
-        "sizes": [b.size for b in bohrs],
-        "pigeonhole_lower": [b.pigeonhole_lower for b in bohrs],
+        "sizes": [bohrs[i].size for i in a123],
+        "pigeonhole_lower": [bohrs[i].pigeonhole_lower for i in a123],
     })
 
     w_val = ledger.w
+    preconds = (
+        eps ** len(specs[0].members) >= ledger.C5 / (kappa * math.sqrt(w_val)),
+        w_val > 2 and eps ** len(specs[1].members) >= (2.0 / (w_val - 2) + 0.9 * kappa ** 2) / kappa,
+    )
     smooth = []
     sup_flags = []
-    for i, (wt, bo, sp) in enumerate(zip((built.a1, built.a2, built.a3), bohrs, specs)):
-        if i < 2:
-            precond = eps ** len(sp.members) >= ledger.C5 / (kappa * math.sqrt(w_val))
-        else:
-            precond = eps ** len(sp.members) >= (
-                2.0 / (w_val - 2) + 0.9 * kappa ** 2
-            ) / kappa if w_val > 2 else False
+    for wt, bo, precond in zip(weights, bohrs, preconds):
         res = smooth_and_bound(wt, bo, kappa)
         smooth.append(res)
         sup_flags.append({
@@ -648,25 +643,25 @@ def run_transference(
                             f"(1+2kappa)/N = {res.sup_bound}", precondition=precond),
             "fourier_closeness_max": res.fourier_closeness_max,
         })
-    report["stages"].append({"stage": "smoothing", "per_weight": sup_flags})
+    report["stages"].append({"stage": "smoothing", "per_weight": [sup_flags[i] for i in a123]})
 
     varpi = float(ledger.varpi)
     level = [np.nonzero(r.weight.values >= varpi / N)[0] for r in smooth]
     a3_lower = (1.0 - 3.0 * varpi) * N
-    a3_lower_ok = bool(level[2].size >= a3_lower)
+    a3_lower_ok = bool(level[1].size >= a3_lower)
     report["stages"].append({
         "stage": "level_sets",
-        "sizes": [int(ls.size) for ls in level],
+        "sizes": [int(level[i].size) for i in a123],
         "A3_lower_bound": a3_lower,
         "A3_lower_ok": a3_lower_ok,
-        "A3_lower_status": claim(a3_lower_ok, f"|A3| = {level[2].size} below "
+        "A3_lower_status": claim(a3_lower_ok, f"|A3| = {level[1].size} below "
                                  f"(1 - 3 varpi) N = {a3_lower}"),
     })
 
-    thetas = [ls.size / N for ls in level]
+    thetas = [level[i].size / N for i in a123]
     pollard_entry: dict = {"stage": "pollard", "thetas": thetas}
     try:
-        pres = pollard_check(N, level[0], level[1], level[2], n_prime % N)
+        pres = pollard_check(N, level[0], level[0], level[1], n_prime % N)
         pollard_entry.update(asdict(pres), status="computed")
     except DomainError as exc:
         pollard_entry.update(status="hypotheses-unmet", detail=str(exc))
@@ -674,7 +669,7 @@ def run_transference(
 
     cmp_res = threesum_comparison(
         (built.a1, built.a2, built.a3),
-        tuple(r.weight for r in smooth),
+        tuple(smooth[i].weight for i in a123),
         n_prime % N,
         ledger,
     )

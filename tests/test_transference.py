@@ -26,6 +26,7 @@ from chen3.transference import (
     paper_kappa_delta_epsilon,
     pollard_check,
     run_transference,
+    select_W,
     smooth_and_bound,
     spectrum,
     split_residues,
@@ -486,6 +487,64 @@ class TestResidues:
             split_residues(10, 6)
 
 
+class TestOneChenWeight:
+    """a1 and a2 are one weight: b1 = b2 for every ledger choose_parameters
+    can return, since W = 30 would put N above the table budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(7, (8 * 10**8 - 3) // 6))
+    def test_one_residue_under_the_budget(self, k):
+        n = 6 * k + 3  # the odd multiples of 3 in [45, 8e8]
+        try:
+            led = choose_parameters(n)
+        except (ResourceBudgetError, ConfigError):
+            return
+        assert led.W in (2, 6)
+        assert led.b1 == led.b2 == led.b3
+
+    def test_W_30_is_over_the_budget(self):
+        assert select_W(100_000_000_000_005)[0] == 30
+        with pytest.raises(ResourceBudgetError):
+            choose_parameters(100_000_000_000_005)
+
+    def test_distinct_b1_b2_rejected(self):
+        led = choose_parameters(9_999)
+        with pytest.raises(DomainError, match="b1 = b2"):
+            build_weights(replace(led, b2=1))
+
+    @pytest.mark.parametrize("n", [30_003, 99_999, 999_999])
+    def test_a2_entries_repeat_a1(self, n):
+        built = build_weights(choose_parameters(n))
+        assert built.a1 is built.a2 and built.support_x[0] is built.support_x[1]
+        stages = {s["stage"]: s for s in run_transference(n, ground_truth=False)["stages"]}
+        entries = [stages["weights"]["support_sizes"], stages["weights"]["sums"],
+                   stages["spectra"]["sizes"], stages["spectra"]["chebyshev_bounds"],
+                   stages["bohr_sets"]["sizes"], stages["bohr_sets"]["pigeonhole_lower"],
+                   stages["smoothing"]["per_weight"], stages["level_sets"]["sizes"],
+                   stages["pollard"]["thetas"]]
+        for entry in entries:
+            assert len(entry) == 3 and entry[0] == entry[1]
+
+    @pytest.mark.parametrize("n", [30_003, 99_999, 300_003])
+    def test_raw_triple_sum_is_the_integer_count(self, n):
+        # no wrap on the supports: the Z_N sum is the weighted count of
+        # x1 + x2 + x3 = n' over the integers, here one gather over s2 per x1
+        rep = run_transference(n, ground_truth=False)
+        led = choose_parameters(n)
+        built = build_weights(led)
+        s1, s2, s3 = built.support_x
+        assert max(s1.max(), s3.max()) < led.N  # a_i(x) is values[x]
+        a3_on_z = np.zeros(int(s3.max()) + 1)
+        a3_on_z[s3] = built.a3.values[s3]
+        total = 0.0
+        for x1 in s1:
+            x3 = rep["n_prime"] - x1 - s2
+            ok = (x3 >= 0) & (x3 < a3_on_z.size)
+            total += built.a1.values[x1] * np.dot(built.a2.values[s2[ok]], a3_on_z[x3[ok]])
+        assert total > 0
+        assert rep["raw_triple_sum"] == pytest.approx(total, rel=1e-12)
+
+
 class TestPipeline:
     def test_one_factor_table(self, monkeypatch):
         calls = []
@@ -555,8 +614,9 @@ class TestPipeline:
             run_transference(100)
 
     def test_transform_count(self, monkeypatch):
-        # one length-N DFT per weight and per Bohr indicator, and one inverse
-        # DFT per smoothing, of the product spectrum a~ b~ b~
+        # one length-N DFT per distinct weight (a1 = a2, a3) and per Bohr
+        # indicator, and one inverse DFT per smoothing, of the product
+        # spectrum a~ b~ b~
         calls = {"fft": 0, "ifft": 0}
         for name in calls:
             def counting(a, fn=getattr(np.fft, name), name=name):
@@ -565,7 +625,7 @@ class TestPipeline:
 
             monkeypatch.setattr(np.fft, name, counting)
         run_transference(30003)
-        assert calls == {"fft": 6, "ifft": 3}
+        assert calls == {"fft": 4, "ifft": 2}
 
     def test_fft_routes_match_direct(self, monkeypatch):
         # N = 5077: the Pollard count and the raw triple sum of the pipeline
@@ -665,14 +725,20 @@ class TestPaperClaims:
 
     def test_sup_without_precondition_is_diagnostic(self, monkeypatch):
         # a3's sup bound fails, but its precondition is false: no assertion
-        calls = []
-        fn = chen3.transference.smooth_and_bound
+        a3 = []
+        build, smooth = chen3.transference.build_weights, chen3.transference.smooth_and_bound
 
-        def third_fails(*args):
-            calls.append(args)
-            res = fn(*args)
-            return replace(res, sup_ok=False) if len(calls) == 3 else res
+        def keep_a3(*args):
+            built = build(*args)
+            a3.append(built.a3)
+            return built
 
-        monkeypatch.setattr(chen3.transference, "smooth_and_bound", third_fails)
-        a3 = _stages("paper")["smoothing"]["per_weight"][2]
-        assert (a3["sup_ok"], a3["precondition_holds"], a3["status"]) == (False, False, "diagnostic")
+        def a3_fails(a, *args):
+            res = smooth(a, *args)
+            return replace(res, sup_ok=False) if a is a3[-1] else res
+
+        monkeypatch.setattr(chen3.transference, "build_weights", keep_a3)
+        monkeypatch.setattr(chen3.transference, "smooth_and_bound", a3_fails)
+        per_weight = _stages("paper")["smoothing"]["per_weight"]
+        assert [(w["sup_ok"], w["precondition_holds"], w["status"]) for w in per_weight] == [
+            (True, True, "asserted"), (True, True, "asserted"), (False, False, "diagnostic")]
