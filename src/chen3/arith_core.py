@@ -25,6 +25,9 @@ from .errors import DomainError, InvariantError, ResourceBudgetError
 # cannot wrap.
 DEFAULT_TABLE_BUDGET = 1 << 27
 
+# Hard cap on the bound of one prime sieve (a bool array of that length).
+DEFAULT_SIEVE_BUDGET = 200_000_000
+
 EULER_GAMMA = 0.5772156649015329
 
 # Prime bound of the partial singular series S1 in every weight and model.
@@ -32,9 +35,12 @@ S1_PRIME_BOUND = 10 ** 6
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain Eratosthenes)."""
+    """All primes <= n as an int64 array (plain Eratosthenes).  Raises
+    ResourceBudgetError, before allocating, when n > DEFAULT_SIEVE_BUDGET."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    if n > DEFAULT_SIEVE_BUDGET:
+        raise ResourceBudgetError(f"prime sieve to {n} exceeds budget {DEFAULT_SIEVE_BUDGET}")
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
@@ -92,10 +98,12 @@ class FactorTable:
 def build_factor_table(hi: int) -> FactorTable:
     """Build the spf/Omega table for [1, hi].
 
-    One strided smallest-prime-factor sieve, then Omega(x) = Omega(x / spf(x))
-    + 1 filled one block [2^k, 2^(k+1)) at a time: x / spf(x) < 2^k there, so
-    each block reads only finished entries.  Raises ResourceBudgetError, before
-    allocating, when hi > DEFAULT_TABLE_BUDGET.
+    One strided smallest-prime-factor sieve over the primes <= sqrt(hi) in
+    descending order, so that the smallest factor of each x writes last;
+    then Omega(x) = Omega(x / spf(x)) + 1 filled one block [2^k, 2^(k+1)) at
+    a time: x / spf(x) < 2^k there, so each block reads only finished
+    entries.  Raises ResourceBudgetError, before allocating, when
+    hi > DEFAULT_TABLE_BUDGET.
     """
     if hi < 1:
         raise DomainError(f"need hi >= 1, got {hi}")
@@ -104,9 +112,8 @@ def build_factor_table(hi: int) -> FactorTable:
             f"table of {hi} entries exceeds budget of {DEFAULT_TABLE_BUDGET} entries"
         )
     spf = np.zeros(hi + 1, dtype=np.int32)
-    for p in primes_up_to(isqrt(hi)):
-        s = spf[p * p :: p]
-        s[s == 0] = p
+    for p in primes_up_to(isqrt(hi))[::-1].tolist():
+        spf[p * p :: p] = p  # the smaller primes write later
     unset = np.flatnonzero(spf == 0)
     spf[unset] = unset  # the primes, and spf(1) = 1
     omega = np.zeros(hi + 1, dtype=np.uint8)

@@ -19,12 +19,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
 
 from .arith_core import (
+    DEFAULT_SIEVE_BUDGET,
     EULER_GAMMA,
     S1_PRIME_BOUND,
     mult_functions,
@@ -32,9 +33,8 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import DomainError, ResourceBudgetError
-from .rosser_sieve import RosserWeights, _class_sums, _form_roots, _lambda_terms, build_rosser
-
-DEFAULT_SIEVE_BUDGET = 200_000_000
+from .rosser_sieve import (DEFAULT_SUPPORT_CAP, RosserWeights, _class_sums, _form_roots,
+                           _lambda_terms, _sifted, build_rosser)
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,13 @@ class ExpSumEvaluator:
             raise DomainError(f"unknown mode {mode!r}")
         if mode not in self._weights:
             # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
+            W, c, size = self.ctx.W, self.ctx.b + 2, self.ctx.m + 1
             if mode == "moebius":
-                small = np.array(self.small_primes, dtype=np.int64)
-                terms = small, np.ones_like(small)
+                w = _sifted(W, c, self.ctx.z0, size)
             else:
                 rw = self._rosser("+" if mode == "rosser_plus" else "-")
-                terms = _lambda_terms(rw, self.small_primes)
-            T = _class_sums(*_form_roots(*terms, self.ctx.W, self.ctx.b + 2), self.ctx.m + 1)
-            w = T[self.xs] == 0 if mode == "moebius" else T[self.xs]
-            self._weights[mode] = w * self.logp
+                w = _class_sums(*_form_roots(*_lambda_terms(rw, self.small_primes), W, c), size)
+            self._weights[mode] = w[self.xs] * self.logp
         return self._weights[mode]
 
     def exp_sum(self, alpha, mode: str) -> complex:
@@ -297,12 +295,17 @@ class ArcDissection:
         self.B_exponent = B_exponent
         self.Q = math.log(n) ** B_exponent
         self.radius = self.Q / n
-        self.rationals = [
-            (a, q)
-            for q in range(1, int(self.Q) + 1)
-            for a in range(1, q + 1)
-            if gcd(a, q) == 1
-        ]
+
+    @cached_property
+    def rationals(self) -> list[tuple[int, int]]:
+        """Every (a, q) with 1 <= a <= q <= Q and gcd(a, q) = 1, built on
+        first use.  Raises ResourceBudgetError, before building, when the
+        Q (Q + 1)/2 pairs a <= q <= Q exceed DEFAULT_SUPPORT_CAP."""
+        Q = int(self.Q)
+        if Q * (Q + 1) // 2 > DEFAULT_SUPPORT_CAP:
+            raise ResourceBudgetError(f"the rationals a/q with q <= Q = {Q} exceed the cap of "
+                                      f"{DEFAULT_SUPPORT_CAP} entries")
+        return [(a, q) for q in range(1, Q + 1) for a in range(1, q + 1) if gcd(a, q) == 1]
 
     def classify(self, alpha: float) -> tuple[str, int | None, int | None]:
         """('major', a, q) for the lowest-q arc containing alpha, else ('minor', None, None)."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arith_core import build_factor_table, chen_primes
+from .arith_core import DEFAULT_TABLE_BUDGET, build_factor_table, chen_primes
 from .circle_method import (
     ArcDissection,
     SieveContext,
@@ -102,6 +102,7 @@ def cmd_rosser(args) -> int:
 
 def cmd_arcs(args) -> int:
     dis = ArcDissection(args.n, args.B)
+    num_rationals = len(dis.rationals)  # over budget: exit 3 before sampling
     rows = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.samples):
@@ -110,7 +111,7 @@ def cmd_arcs(args) -> int:
         rows.append({"alpha": alpha, "kind": kind, "a": a, "q": q})
     _emit(args, "arcs",
           {"n": args.n, "B": args.B, "samples": args.samples},
-          {"Q": dis.Q, "radius": dis.radius, "num_rationals": len(dis.rationals),
+          {"Q": dis.Q, "radius": dis.radius, "num_rationals": num_rationals,
            "samples": rows})
     return 0
 
@@ -200,6 +201,8 @@ def cmd_pollard(args) -> int:
     N = args.N
     if N < 1 or not all(0 < th <= 1 for th in args.densities):
         raise ConfigError(f"need N >= 1 and densities in (0, 1], got N={N}, {args.densities}")
+    if N > DEFAULT_TABLE_BUDGET:  # before drawing the sets
+        raise ResourceBudgetError(f"N={N} exceeds the budget of {DEFAULT_TABLE_BUDGET} points on Z_N")
     sizes = [max(1, int(round(th * N))) for th in args.densities]
     sets = [rng.choice(N, size=s, replace=False) for s in sizes]
     res = pollard_check(N, sets[0], sets[1], sets[2], args.target)

@@ -13,10 +13,11 @@ prime of each class.
 The range survey puts the pairs (3, p) and (2, 2) on the pair grids as
 shifted indicators, so each prime class P_c meets one grid u.  It counts
 u * 1_{P_c} and finds the smallest Omega(p3 + 2) from u * 1_{P_c,k} over the
-subclasses P_c,k = {p in P_c : Omega(p + 2) = k} in order of k, until every
-n is resolved.  p3 = 3 reads the (1, 5) cross count and p3 = 2 the pair
-(2, n - 4).  All products come from arith_core's one kernel,
-_fft_convolutions.
+subclasses P_c,k = {p in P_c : Omega(p + 2) = k} in order of k, until no n
+can lower its best k so far.  p3 = 3 reads the (1, 5) cross count and
+p3 = 2 the pair (2, n - 4); these seed the best k, then class 5 runs, then
+class 1, whose Omega(p + 2) is at least 2.  All products come from
+arith_core's one kernel, _fft_convolutions.
 """
 
 from __future__ import annotations
@@ -61,15 +62,17 @@ def find_representations(
     """All representations n = p1 + p2 + p3 (p1 <= p2 Chen, p3 prime with
     Omega(p3 + 2) <= 2) as the rows (p1, p2, p3, Omega(p3 + 2)) of an
     (m, 4) int64 array, ordered by (p1, p2), optionally truncated to the
-    first limit >= 0 rows.  For each p1 one mask over the Chen primes p2 in
-    [p1, n - p1 - 2] picks the p3 = n - p1 - p2 that qualify."""
+    first limit >= 0 rows.  For each p1 the basic Chen indicator, read at
+    the p3 = n - p1 - p2 for the Chen primes p2 in [p1, n - p1 - 2], picks
+    the p3 that qualify."""
     _check_n(n)
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if table is None:
         table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
-    spf = table.smallest_prime_factor
+    # p3 <= n - 4 qualifies exactly when it is a basic Chen prime
+    is_chen = _indicator(chen_primes(n - 4, table=table), n - 3)
     om = table.omega_big
     blocks = [np.empty((0, 4), dtype=np.int64)]
     found = 0
@@ -78,9 +81,8 @@ def find_representations(
             break
         p2 = chens[i : np.searchsorted(chens, n - p1 - 2, side="right")]
         p3 = n - p1 - p2
-        k = om[p3 + 2]
-        hit = (spf[p3] == p3) & (k <= 2)
-        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3, k))[hit])
+        hit = is_chen[p3]
+        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3, om[p3 + 2]))[hit])
         found += blocks[-1].shape[0]
     return np.concatenate(blocks)[:limit]
 
@@ -108,32 +110,33 @@ def representation_count(n: int, table: FactorTable | None = None) -> int:
 
 
 def _survey_counts(
-    u: np.ndarray, primes: np.ndarray, om_shift: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    u: np.ndarray, primes: np.ndarray, om_shift: np.ndarray, ns: np.ndarray, best: np.ndarray
+) -> np.ndarray:
     """For each n in ns (all below u.size, as are the primes): the count
-    sum_p u[n - p] over the primes p <= n, and the smallest om_shift of a
-    prime p with u[n - p] > 0, or -1 when there is none.
+    sum_p u[n - p] over the primes p <= n, returned, and the smallest
+    om_shift of a prime p with u[n - p] > 0, folded into best (the running
+    minimum per n, lowered in place).
 
     The counts are u * 1_P, and the minimum takes one more product
     u * 1_{P_k} per class P_k = {p : om_shift(p) = k}, in increasing k, all
-    from one transform of u, and stops once every n with a positive count is
-    resolved.  u >= 0, so a class count at n is positive exactly when some p
-    in the class is.
+    from one transform of u, and stops at the first k where no n with a
+    positive count and best above k is left open.  u >= 0, so a class count
+    at n is positive exactly when some p in the class is.
     """
     top = u.size
     ks = np.unique(om_shift).tolist()
     classes = [primes] + [primes[om_shift == k] for k in ks]
     counts = _fft_convolutions(u, (_indicator(c, top) for c in classes), top)
     rep = next(counts)[ns]
-    min_k = np.full(ns.size, -1, dtype=np.int64)
     open_ = rep > 0
     for k in ks:
+        open_ &= best > k
         if not open_.any():
             break
         hit = open_ & (next(counts)[ns] > 0)
-        min_k[hit] = k
+        best[hit] = k
         open_ &= ~hit
-    return rep, min_k
+    return rep
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,18 +199,17 @@ def range_survey(
     primes = table.primes(n_hi - 4)
     om = table.omega_big
     p1, p5 = (primes[primes % 6 == c] for c in (1, 5))
-    terms = (
-        _survey_counts(u1, (p1 - 1) // 6, om[p1 + 2], ms + 1),
-        _survey_counts(v5, (p5 - 5) // 6, om[p5 + 2], ms),
-        (cross[ms] + three * (ns == 9), int(om[5])),  # p3 = 3; 3 + 3 + 3 at n = 9
-        (two * np.isin(ms, x5), int(om[4])),  # p3 = 2, with the pair (2, n - 4 = 6m + 5)
-    )
+    # the p3 = 3 and p3 = 2 terms seed the best Omega(p3 + 2) per n; class 5
+    # (Omega(p + 2) = 1 is possible) runs before class 1 (3 | p + 2)
+    rep3 = cross[ms] + three * (ns == 9)  # p3 = 3; 3 + 3 + 3 at n = 9
+    rep2 = two * np.isin(ms, x5)  # p3 = 2, with the pair (2, n - 4 = 6m + 5)
     none = np.iinfo(np.int64).max
-    rep = np.zeros(ns.size, dtype=np.int64)
     min_k = np.full(ns.size, none)
-    for count, k in terms:
-        rep += count
+    for count, k in ((rep3, int(om[5])), (rep2, int(om[4]))):
         np.minimum(min_k, np.where(count > 0, k, none), out=min_k)
+    rep = rep3 + rep2
+    rep += _survey_counts(v5, (p5 - 5) // 6, om[p5 + 2], ms, min_k)
+    rep += _survey_counts(u1, (p1 - 1) // 6, om[p1 + 2], ms + 1, min_k)
     min_k[min_k == none] = -1
     ok = (rep > 0) & (min_k <= 2)
     rows = np.rec.fromarrays((ns, rep, min_k, ok), names=("n", "rep_count", "min_k", "has_all_chen"))

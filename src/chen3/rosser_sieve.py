@@ -58,17 +58,9 @@ def build_rosser(
     sign: str,
     primes: np.ndarray | None = None,
 ) -> RosserWeights:
-    """Enumerate the full support of lambda_D^sign one chain length at a time.
-
-    The children of a level-k product d with last prime p_k are the d p with
-    p < p_k, d p < D and, at a checked position k + 1, d p^3 < D.  Both
-    conditions hold for every smaller p once they hold for one, so each
-    node's admissible primes are a prefix of the ascending primes: one
-    searchsorted against a float bound with slack finds its end, and exact
-    integer checks of the prefix's last prime settle the boundary.  The
-    support count is checked against DEFAULT_SUPPORT_CAP before each level
-    is allocated.
-    """
+    """Enumerate the full support of lambda_D^sign one chain length at a time
+    (_squarefree_levels), checking the count against DEFAULT_SUPPORT_CAP
+    before each level is allocated."""
     if D <= 1:
         raise DomainError(f"D must be > 1, got {D}")
     if sign not in ("+", "-"):
@@ -77,12 +69,29 @@ def build_rosser(
         raise DomainError(f"D must be at most 2^62 so that d p^3 fits in int64, got {D}")
     if primes is None:
         primes = primes_up_to(max(2, math.ceil(D) - 1))
+    parity = int(sign == "+")  # '+' checks odd positions, '-' checks even positions
+    return RosserWeights(D, sign, *_squarefree_levels(primes, D, parity, DEFAULT_SUPPORT_CAP))
+
+
+def _squarefree_levels(primes, D: float, check_parity: int | None, cap: int) -> tuple[np.ndarray, ...]:
+    """Every squarefree d = p_1...p_k < D (p_1 > ... > p_k from primes) whose
+    chain passes the cube checks, as the arrays (d, value, parent, prime) of
+    RosserWeights: value = (-1)^k, in level order.
+
+    A position k with k % 2 == check_parity also needs p_1...p_{k-1} p_k^3
+    < D; check_parity None checks no position, which gives every squarefree
+    product below D.  The children of a level-k product d with last prime
+    p_k are the d p with p < p_k, d p < D and, at a checked position k + 1,
+    d p^3 < D.  Both conditions hold for every smaller p once they hold for
+    one, so each node's admissible primes are a prefix of the ascending
+    primes: one searchsorted against a float bound with slack finds its
+    end, and exact integer checks of the prefix's last prime settle the
+    boundary.  Raises ResourceBudgetError before a level would take the
+    count past cap.
+    """
     P = np.unique(np.asarray(primes, dtype=np.int64))
     P = P[P < D]
     top = math.ceil(D) - 1  # the largest integer below D: d p < D iff d p <= top
-
-    # '+' checks odd positions, '-' checks even positions.
-    check_parity = 1 if sign == "+" else 0
     d = np.ones(1, dtype=np.int64)
     nxt = np.array([P.size])  # the children of node i use the primes P[:nxt[i]]
     levels = [(d, np.ones(1, dtype=np.int64), np.full(1, -1), d)]
@@ -100,18 +109,15 @@ def build_rosser(
             cnt[i] -= 1
             i = i[cnt[i] > 0]
         size = int(cnt.sum())
-        if total + size > DEFAULT_SUPPORT_CAP:
-            raise ResourceBudgetError(
-                f"Rosser support exceeds cap of {DEFAULT_SUPPORT_CAP} entries"
-            )
+        if total + size > cap:
+            raise ResourceBudgetError(f"squarefree support exceeds cap of {cap} entries")
         parent = np.repeat(np.arange(d.size), cnt)
         nxt = np.arange(size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         d = d[parent] * P[nxt]
         levels.append((d, np.full(size, (-1) ** k), parent + total - cnt.size, P[nxt]))
         total += size
         k += 1
-    d, value, parent, prime = (np.concatenate(a) for a in zip(*levels))
-    return RosserWeights(D=D, sign=sign, d=d, value=value, parent=parent, prime=prime)
+    return tuple(np.concatenate(a) for a in zip(*levels))
 
 
 def _lambda_terms(weights: RosserWeights, pool: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +135,10 @@ def _form_roots(d, v, W: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(d, r, v) for the residue-class kernel, with d | W x + c exactly when
     x = r (mod d).
 
-    Needs gcd(c, W) = 1: then d | W x + c holds on the one class
-    x = -c W^{-1} (mod d) when gcd(d, W) = 1, and for no x otherwise, so the
-    d not prime to W are dropped with their values.
+    When gcd(d, W) = 1, d | W x + c holds on the one class
+    x = -c W^{-1} (mod d).  The d not prime to W are dropped with their
+    values, which needs each of them to share no prime with gcd(c, W): then
+    d divides no W x + c.
     """
     d, v = np.asarray(d, dtype=np.int64), np.asarray(v)
     keep = np.gcd(d, W) == 1
@@ -141,6 +148,17 @@ def _form_roots(d, v, W: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     res, which = np.unique(d % W, return_inverse=True)
     k = np.array([c * pow(t, -1, W) % W for t in res.tolist()], dtype=np.int64)[which]
     return d, (k * (d // W) + (k * (d % W) - c) // W) % d, v
+
+
+def _sifted(W: int, c: int, z: float, size: int) -> np.ndarray:
+    """The bool mask of the x in [0, size) for which W x + c has no prime
+    factor below z: the x in no root class of a prime p < z.  All False when
+    such a p divides both W and c, since it then divides every W x + c; the
+    other p dividing W divide no W x + c."""
+    P = primes_up_to(math.ceil(z) - 1)  # the primes below z
+    if np.any(math.gcd(W, c) % P == 0):
+        return np.zeros(size, dtype=bool)
+    return _class_sums(*_form_roots(P, np.ones_like(P), W, c), size) == 0
 
 
 def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
@@ -189,14 +207,15 @@ def sandwich_check(
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
+    # first, so that primes_up_to(limit) checks the budget before any allocation
+    lower = divisor_sum_table(weights_minus, limit)
+    upper = divisor_sum_table(weights_plus, limit)
     squarefree = np.ones(limit + 1, dtype=bool)
     squarefree[0] = False
     for p in primes_up_to(isqrt(limit)):
         squarefree[p * p :: p * p] = False
     mid = np.zeros(limit + 1, dtype=np.int64)
     mid[1] = 1  # sum of mu(d) over d | q is [q = 1]
-    lower = divisor_sum_table(weights_minus, limit)
-    upper = divisor_sum_table(weights_plus, limit)
     bad = np.flatnonzero(squarefree & ((lower > mid) | (mid > upper)))
     return int(np.count_nonzero(squarefree)), bad
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import _fft_convolutions, build_factor_table, primes_up_to
-from .errors import DomainError, ResourceBudgetError
-from .rosser_sieve import _class_sums
+from .arith_core import _fft_convolutions, primes_up_to
+from .errors import DomainError
+from .rosser_sieve import _class_sums, _sifted, _squarefree_levels
 
 DEFAULT_L_CAP = 500_000
 
@@ -56,22 +56,6 @@ class SelbergSystem:
 
     def lam_float(self) -> dict[int, float]:
         return {d: float(v) for d, v in self.lam.items()}
-
-
-def _enumerate_squarefree(primes: list[int], cap: float):
-    """All squarefree products < cap of the given primes, with their chains."""
-    out = [(1, ())]
-    def extend(prod, chain, start):
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if prod * p >= cap:
-                continue
-            if len(out) >= DEFAULT_L_CAP:
-                raise ResourceBudgetError(f"squarefree support exceeds cap {DEFAULT_L_CAP}")
-            out.append((prod * p, chain + (p,)))
-            extend(prod * p, chain + (p,), i + 1)
-    extend(1, (), 0)
-    return out
 
 
 def build_selberg(
@@ -119,9 +103,15 @@ def build_selberg(
         omega_map[p] = w
     g = {p: Fraction(omega_map[p], p - omega_map[p]) for p in sieve_primes}
 
-    ls = _enumerate_squarefree(sieve_primes, hi)
-    chains = dict(ls)
-    g_of = {l: math.prod((g[p] for p in chain), start=Fraction(1)) for l, chain in ls}
+    # the squarefree l < hi of the sieving primes; a chain (ascending) is its
+    # last prime followed by its parent's chain
+    levels = _squarefree_levels(sieve_primes, hi, None, DEFAULT_L_CAP)
+    ls, _, parent, last = (a.tolist() for a in levels)
+    chain_of = [()]
+    for i in range(1, len(ls)):
+        chain_of.append((last[i],) + chain_of[parent[i]])
+    chains = dict(zip(ls, chain_of))
+    g_of = {l: math.prod((g[p] for p in chain), start=Fraction(1)) for l, chain in chains.items()}
     G1 = sum(g_of.values(), Fraction(0))
 
     # sum_{d | l} mu(l/d) mu(l) g(l) = (-1)^k y_d over the l in the support,
@@ -232,14 +222,16 @@ def pair_count_bound(
     The pointwise form sum_x s1(x)^2 s2(x)^2 dominates every x that survives
     both sieves; primes <= z1 are invisible to the stage-2 sieve, so the
     asserted comparison uses the count restricted to p1 > z1.  The survivors
-    come from one factor table: spf(p + 2) >= z0.
+    are the primes p = W x + (b mod W) whose p + 2 _sifted finds free of the
+    primes below z0 on the grid x <= (n - b mod W)/W.
     """
     sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
     sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
 
-    table = build_factor_table(n + 2)
-    ps = table.primes(n)
-    survivors = ps[(ps % W == b % W) & (table.smallest_prime_factor[ps + 2] >= z0)]
+    ps = primes_up_to(n)
+    c = b % W  # the primes = b (mod W) are the W x + c, x >= 0
+    xs = (ps[ps % W == c] - c) // W
+    survivors = W * xs[_sifted(W, c + 2, z0, (n - c) // W + 1)[xs]] + c
     paired = np.isin(survivors + W * M, survivors)
     exact = int(np.count_nonzero(paired))
     exact_above = int(np.count_nonzero(paired & (survivors > z1)))

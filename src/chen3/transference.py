@@ -45,7 +45,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
-from .rosser_sieve import linear_sieve_F_f
+from .rosser_sieve import _sifted, linear_sieve_F_f
 
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
 OVERRIDABLE = ("kappa", "delta", "epsilon", "B", "C1", "C2", "C3", "C4", "C5")
@@ -273,7 +273,10 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
     sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
     guarded FFT convolution of the indicators, cut after max(X2 u X3).
+    N above DEFAULT_TABLE_BUDGET is a ResourceBudgetError.
     """
+    if N > DEFAULT_TABLE_BUDGET:  # before the length-N indicators
+        raise ResourceBudgetError(f"N={N} exceeds the budget of {DEFAULT_TABLE_BUDGET} points on Z_N")
     inds = [_indicator(np.mod(np.asarray(X, dtype=np.int64), N), N) for X in (X1, X2, X3)]
     sets = [np.flatnonzero(ind) for ind in inds]
     th = [X.size / N for X in sets]
@@ -535,8 +538,9 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
 
     x1 = support(chen_primes(W * ((n - b1) // (2 * W)) + b1, "strict", z=z1, table=table), b1)
     a1 = weight(x1, float(ledger.C2) / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
-    ps = table.primes(W * ((n - b3) // W) + b3)
-    x3 = support(ps[table.smallest_prime_factor[ps + 2] >= z0], b3)
+    m3 = (n - b3) // W
+    x3 = support(table.primes(W * m3 + b3), b3)
+    x3 = x3[_sifted(W, b3 + 2, z0, m3 + 1)[x3]]
     a3 = weight(x3, math.exp(EULER_GAMMA) * phi2_W * np.log(W * x3 + b3) * math.log(n)
                 / (4.0 * ledger.k0 * S1 * n))
     return BuiltWeights(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import chen3
 from chen3 import arith_core
 from chen3.arith_core import (
+    DEFAULT_SIEVE_BUDGET,
     DEFAULT_TABLE_BUDGET,
     _fft_convolutions,
     build_factor_table,
@@ -106,6 +107,11 @@ class TestPrimes:
 
     def test_count_1e5(self):
         assert primes_up_to(100_000).size == 9592
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
+        with pytest.raises(ResourceBudgetError):
+            primes_up_to(DEFAULT_SIEVE_BUDGET + 1)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=300, deadline=None)

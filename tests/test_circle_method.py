@@ -270,6 +270,19 @@ class TestArcs:
         expect = sum(mult_functions(q).phi for q in range(1, Q + 1))
         assert len(dis.rationals) == expect
 
+    def test_rationals_are_lazy_and_capped(self, monkeypatch):
+        dis = ArcDissection(10**6, 4.0)  # Q ~ 36,400: about 4 * 10^8 fractions
+        assert int(dis.Q) == 36430 and "rationals" not in vars(dis)
+        assert dis.classify(0.5) == ("major", 1, 2)
+        with pytest.raises(ResourceBudgetError):
+            dis.rationals
+        # at Q = 9 the cap is on the Q (Q + 1)/2 = 45 pairs a <= q
+        monkeypatch.setattr(circle_method, "DEFAULT_SUPPORT_CAP", 45)
+        assert len(ArcDissection(10**4, 1.0).rationals) == 28
+        monkeypatch.setattr(circle_method, "DEFAULT_SUPPORT_CAP", 44)
+        with pytest.raises(ResourceBudgetError):
+            ArcDissection(10**4, 1.0).rationals
+
 
 class TestBVDelta:
     def test_oracle_small(self):

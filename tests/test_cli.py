@@ -140,6 +140,17 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error: paper-profile values underflow to 0.0 as floats: delta;")
 
+    @pytest.mark.parametrize("argv", [
+        ["rosser", "--D", "1e10"],
+        ["rosser", "--D", "100", "--sandwich-limit", "10000000000"],
+        ["pollard", "--N", "10000000000", "--densities", "0.6", "0.6", "0.6"],
+        ["arcs", "--n", "1000000", "--B", "4"],
+    ], ids=["rosser-D", "rosser-sandwich-limit", "pollard-N", "arcs-B"])
+    def test_allocation_above_a_budget_exits_3(self, capsys, argv):
+        # each raises before it allocates by its flag
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out and err.startswith("resource limit: ")
+
     def test_resource_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)
         code, _, err = run(capsys, "rosser", "--D", "100")

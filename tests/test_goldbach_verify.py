@@ -197,12 +197,12 @@ class TestSurvey:
 
     def test_sixth_length_ffts_at_desk_scale(self, monkeypatch):
         # the (1, 5) and (1, 1) pair counts from one transform of class 1,
-        # the (5, 5) pair counts, then for each prime class its counts and
-        # the first Omega(p + 2) class, which resolves every n: Omega = 2
-        # for the primes 1 mod 6 (3 divides p + 2), Omega = 1 for 5 mod 6
+        # the (5, 5) pair counts, then for each prime class its counts; only
+        # class 5 needs an Omega(p + 2) class, Omega = 1, which resolves
+        # every n, so class 1 (3 divides p + 2, Omega >= 2) needs none
         sizes = count_irfft(monkeypatch)
         range_survey(9, 20001)
-        assert len(sizes) == 7
+        assert len(sizes) == 5
         assert max(sizes) <= _fft_size(20001 // 6 + 1, 0)
 
     def test_later_classes_and_stop(self, monkeypatch):
@@ -225,10 +225,28 @@ class TestSurvey:
             want_k.append(int(om_shift[ps][cnts > 0].min()) if cnts.any() else -1)
 
         sizes = count_irfft(monkeypatch)
-        rep, min_k = _survey_counts(u, primes, om_shift, ns)
+        none = np.iinfo(np.int64).max
+        best = np.full(ns.size, none)
+        rep = _survey_counts(u, primes, om_shift, ns, best)
         assert rep.tolist() == want_rep
-        assert min_k.tolist() == want_k
+        assert np.where(best == none, -1, best).tolist() == want_k
 
         assert -1 in want_k and max(want_k) == 3
         # the counts, then classes 1, 2 and 3; class 9 is never convolved
         assert len(sizes) == 4
+
+    def test_running_best_stops_across_grids(self, monkeypatch):
+        """A best k already found on another grid stops the classes above it
+        and is lowered only where this grid does better."""
+        u = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+        primes = np.array([0, 2, 3])
+        om_shift = np.array([1, 2, 3])
+        ns = np.array([3, 5, 7])
+        # n = 3: u[3], u[1] > 0 (p = 0, 2; k = 1, 2); n = 5: u[3] > 0 only
+        # (p = 2, k = 2); n = 7: u[7], u[4] > 0 (p = 0, 3; k = 1, 3)
+        sizes = count_irfft(monkeypatch)
+        best = np.array([2, 2, 0])
+        rep = _survey_counts(u, primes, om_shift, ns, best)
+        assert rep.tolist() == [2, 1, 2]
+        assert best.tolist() == [1, 2, 0]
+        assert len(sizes) == 2  # the counts and class 1: no best is above k = 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chen3.arith_core import EULER_GAMMA, factorize, mult_functions, primes_up_to
+from chen3.arith_core import DEFAULT_SIEVE_BUDGET, EULER_GAMMA, factorize, mult_functions, primes_up_to
 from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
 from oracles import (
@@ -77,6 +77,11 @@ class TestSupport:
         assert len(build_rosser(10, "+").support) == 2
         with pytest.raises(ResourceBudgetError):
             build_rosser(10, "-")
+
+    def test_D_above_the_sieve_budget(self):
+        # the default primes below D would be a sieve of 10^10 entries
+        with pytest.raises(ResourceBudgetError):
+            build_rosser(1e10, "+")
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
@@ -199,6 +204,18 @@ class TestClassSums:
         assert np.array_equal(T, class_sums_direct([11, 55], [1, 1], 100, 6, 1))
 
 
+class TestSifted:
+    @pytest.mark.parametrize("W, c", [(2, 3), (6, 7), (6, 3), (30, 9)])
+    @pytest.mark.parametrize("z", [1.5, 2, 30, 300])
+    def test_matches_trial_division(self, W, c, z):
+        # size 2000: the p > sqrt(2000) go through np.add.at; (6, 3) and
+        # (30, 9) share the prime 3 with W, which divides every W x + c
+        size = 2000
+        small = [p for p in range(2, math.ceil(z)) if factorize(p) == [(p, 1)]]
+        want = [all((W * x + c) % p for p in small) for x in range(size)]
+        assert rosser_sieve._sifted(W, c, z, size).tolist() == want
+
+
 class TestSandwich:
     def test_example_q15(self):
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
@@ -224,6 +241,12 @@ class TestSandwich:
         wp, wm = build_rosser(100, "+"), build_rosser(100, "-")
         checked, bad = sandwich_check(wp, wm, limit)
         assert checked == squarefree_count(limit) and bad.size == 0
+
+    def test_limit_above_the_sieve_budget(self):
+        # raised by primes_up_to before any array of length limit + 1 exists
+        wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
+        with pytest.raises(ResourceBudgetError):
+            sandwich_check(wp, wm, DEFAULT_SIEVE_BUDGET + 1)
 
     def test_reports_failures(self):
         # lambda^- in the upper slot fails exactly where sum lambda^- < sum mu

@@ -1,10 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chen3 import selberg_sieve
+from chen3 import arith_core, selberg_sieve
+from chen3.arith_core import primes_up_to
 from chen3.errors import DomainError, ResourceBudgetError
+from chen3.rosser_sieve import _squarefree_levels
 from chen3.selberg_sieve import (
     additive_energy,
     build_selberg,
@@ -31,6 +35,52 @@ PAIR_CASES = [  # (n, W, b, M, z0, z1) and the exact count where it is pinned
     ((10**5, 30, 7, 1, 20, 40), None),
     ((20000, 2, 1, 3, 300, 1000), 15),  # stage-1 d above sqrt(xmax) go through np.add.at
 ]
+
+
+def squarefree_products(primes, D) -> dict[int, tuple[int, ...]]:
+    """d -> ascending chain, for every product d < D of distinct primes, by
+    itertools.combinations one size at a time."""
+    out = {1: ()}
+    for k in itertools.count(1):
+        found = {math.prod(c): c for c in itertools.combinations(sorted(primes), k)
+                 if math.prod(c) < D}
+        if not found:
+            return out
+        out.update(found)
+
+
+class TestSquarefreeLevels:
+    @pytest.mark.parametrize("kwargs, size", [
+        (dict(stage=1, M=5, W=2, n=10**6, k0=8, z0=300), 91),  # the sieve_sums benchmark's system
+        (dict(stage=2, M=5, W=2, n=10**6, k0=8, z0=30, z1=60), 8),
+        (dict(stage=2, M=5, W=2, n=10**6, k0=8, z0=60, z1=30), 1),  # an empty window
+    ])
+    def test_support_and_chains(self, kwargs, size):
+        s = build_selberg(**kwargs)
+        hi = kwargs["z0"] if kwargs["stage"] == 1 else kwargs["z1"]
+        want = squarefree_products(s.omega, hi)
+        assert len(want) == size
+        d, value, parent, prime = _squarefree_levels(sorted(s.omega), hi, None, size)
+        chains = {}
+        for i in range(d.size):
+            chain, j = [], i
+            while j > 0:
+                chain.append(int(prime[j]))
+                j = int(parent[j])
+            chains[int(d[i])] = tuple(sorted(chain))
+        assert d.size == len(chains) and chains == want
+        assert value.tolist() == [(-1) ** len(want[x]) for x in d.tolist()]
+        assert s.chains == want and set(s.lam) == set(want)
+        if size > 1:
+            with pytest.raises(ResourceBudgetError):
+                _squarefree_levels(sorted(s.omega), hi, None, size - 1)
+
+    def test_deep_chains(self):
+        primes = primes_up_to(100)
+        d, _, parent, prime = _squarefree_levels(primes, 10**4, None, 10**5)
+        want = squarefree_products(primes.tolist(), 10**4)
+        assert sorted(d.tolist()) == sorted(want) and max(len(c) for c in want.values()) == 5
+        assert np.array_equal(d[1:], d[parent[1:]] * prime[1:])
 
 
 class TestOmega:
@@ -115,9 +165,16 @@ class TestPairCount:
         assert rep.exact_count >= rep.exact_count_above_z1
 
     @pytest.mark.parametrize("args, exact", PAIR_CASES)
-    def test_matches_direct(self, args, exact):
+    def test_matches_direct(self, args, exact, monkeypatch):
+        want = pair_count_direct(*args)
+
+        def refuse(hi):  # the survivors are sifted on the residue-class kernel
+            raise AssertionError(f"build_factor_table({hi}) called")
+
+        monkeypatch.setattr(arith_core, "build_factor_table", refuse)
+        assert not hasattr(selberg_sieve, "build_factor_table")
         rep = pair_count_bound(*args)
-        assert rep == pair_count_direct(*args)
+        assert rep == want
         if exact is not None:
             assert rep.exact_count == exact
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import chen3.goldbach_verify
 import chen3.transference
-from chen3.arith_core import build_factor_table, chen_primes
+from chen3.arith_core import DEFAULT_TABLE_BUDGET, build_factor_table, chen_primes, is_prime_u64
 from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from chen3.transference import (
     ZnWeight,
@@ -335,6 +335,11 @@ class TestPollard:
         with pytest.raises(DomainError):
             pollard_check(11, [], range(11), range(11), 0)
 
+    def test_N_above_the_table_budget(self, monkeypatch):
+        monkeypatch.setattr(chen3.transference, "np", None)  # any numpy call would fail
+        with pytest.raises(ResourceBudgetError):
+            pollard_check(DEFAULT_TABLE_BUDGET + 1, [0], [0], [0], 0)
+
 
 class TestPollardGuard:
     @staticmethod
@@ -570,6 +575,17 @@ class TestPipeline:
         from chen3.arith_core import is_prime_u64
 
         assert is_prime_u64(p)
+
+    @pytest.mark.parametrize("n", [9999, 30003])
+    def test_a3_support_by_trial_division(self, n):
+        # the x >= 1 with W x + b3 prime and no prime below z0 dividing W x + b3 + 2
+        led = choose_parameters(n)
+        W, b3 = led.W, led.b3
+        z0 = n ** (1.0 / led.k0)
+        small = [p for p in range(2, math.ceil(z0)) if p < z0 and is_prime_u64(p)]
+        want = [x for x in range(1, (n - b3) // W + 1)
+                if is_prime_u64(W * x + b3) and all((W * x + b3 + 2) % p for p in small)]
+        assert build_weights(led).support_x[2].tolist() == want
 
     def test_end_to_end_small(self):
         rep = run_transference(9_999)
