@@ -49,6 +49,14 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def _root(n: int, k: int) -> float:
+    """n^(1/k) as a sieving level, exact at a perfect k-th power n = r^k:
+    there the float power can overshoot r (3125^(1/5) = 5.000000000000001),
+    which would put r among the primes below the level."""
+    r = round(n ** (1.0 / k))
+    return float(r) if r ** k == n else n ** (1.0 / k)
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

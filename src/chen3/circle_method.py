@@ -28,6 +28,7 @@ from .arith_core import (
     DEFAULT_SIEVE_BUDGET,
     EULER_GAMMA,
     S1_PRIME_BOUND,
+    _root,
     mult_functions,
     primes_up_to,
     singular_series_S1,
@@ -59,7 +60,7 @@ class SieveContext:
     @property
     def z0(self) -> float:
         """Inner sieving level n^{1/k0}: the weights sift p + 2 by the primes below it."""
-        return self.n ** (1.0 / self.k0)
+        return _root(self.n, self.k0)
 
     @property
     def D(self) -> float:

@@ -174,12 +174,15 @@ def cmd_goldbach(args) -> int:
               {"count": len(reps), "first": reps[0, :3].tolist() if len(reps) else None})
         return 0 if len(reps) else 1
     survey = range_survey(args.n, args.hi, variant=args.variant, z=args.z)
+    rows = survey.rows
     if args.csv:
-        _write_csv(args.csv, ["n", "rep_count", "min_k", "has_all_chen"],
-                   survey.rows.tolist())
+        _write_csv(args.csv, ["n", "rep_count", "min_k", "has_all_chen"], rows.tolist())
+    ks, counts = np.unique(rows.min_k, return_counts=True)
+    i = np.argmin(rows.rep_count) if len(rows) else None
     _emit(args, "goldbach", {"lo": args.n, "hi": args.hi, "variant": args.variant},
-          {"rows": len(survey.rows), "failures": survey.failures,
-           "all_ok": survey.all_ok})
+          {"rows": len(rows), "failures": survey.failures, "all_ok": survey.all_ok,
+           "min_k_counts": dict(zip(ks.tolist(), counts.tolist())),
+           "fewest": None if i is None else {"n": int(rows.n[i]), "rep_count": int(rows.rep_count[i])}})
     return 0 if survey.all_ok else 1
 
 
@@ -191,7 +194,7 @@ def cmd_contrast(args) -> int:
     _emit(args, "contrast",
           {"n": args.n, "W": args.W, "b": args.b, "B": args.B,
            "samples": args.samples},
-          {"median_minor": rep.median_minor, "median_major": rep.median_major,
+          {"Q": dis.Q, "median_minor": rep.median_minor, "median_major": rep.median_major,
            "max_minor": rep.max_minor, "ok": rep.ok})
     return 0 if rep.ok else 1
 

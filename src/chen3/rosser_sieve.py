@@ -66,7 +66,7 @@ def build_rosser(
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     if D > 2.0 ** 62:
-        raise DomainError(f"D must be at most 2^62 so that d p^3 fits in int64, got {D}")
+        raise DomainError(f"D must be at most 2^62 so that top // d and the cubes fit in int64, got {D}")
     if primes is None:
         primes = primes_up_to(max(2, math.ceil(D) - 1))
     parity = int(sign == "+")  # '+' checks odd positions, '-' checks even positions
@@ -84,30 +84,23 @@ def _squarefree_levels(primes, D: float, check_parity: int | None, cap: int) -> 
     p_k are the d p with p < p_k, d p < D and, at a checked position k + 1,
     d p^3 < D.  Both conditions hold for every smaller p once they hold for
     one, so each node's admissible primes are a prefix of the ascending
-    primes: one searchsorted against a float bound with slack finds its
-    end, and exact integer checks of the prefix's last prime settle the
-    boundary.  Raises ResourceBudgetError before a level would take the
+    primes.  With top the largest integer below D, d p < D iff p <= top // d
+    and d p^3 < D iff p^3 <= top // d, so one integer searchsorted of
+    top // d, in the primes or in their cubes, finds each prefix's end
+    exactly.  Raises ResourceBudgetError before a level would take the
     count past cap.
     """
     P = np.unique(np.asarray(primes, dtype=np.int64))
     P = P[P < D]
-    top = math.ceil(D) - 1  # the largest integer below D: d p < D iff d p <= top
+    top = math.ceil(D) - 1
+    cubes = P[P <= round(max(top, 0) ** (1 / 3)) + 1] ** 3  # the cube of every p with p^3 <= top
     d = np.ones(1, dtype=np.int64)
     nxt = np.array([P.size])  # the children of node i use the primes P[:nxt[i]]
     levels = [(d, np.ones(1, dtype=np.int64), np.full(1, -1), d)]
     total, k = 1, 1
     while d.size:
-        checked = k % 2 == check_parity
-        lim = D / d
-        if checked:
-            lim = np.cbrt(lim)  # lim > 1, so the cube root is the smaller bound
-        cnt = np.minimum(nxt, np.searchsorted(P, lim * (1.0 + 1e-9), side="right"))
-        i = np.flatnonzero(cnt)
-        while i.size:  # drop the last prime of each prefix while it fails exactly
-            last = P[cnt[i] - 1]
-            i = i[d[i] * (last ** 3 if checked else last) > top]
-            cnt[i] -= 1
-            i = i[cnt[i] > 0]
+        fits = np.searchsorted(cubes if k % 2 == check_parity else P, top // d, side="right")
+        cnt = np.minimum(nxt, fits)
         size = int(cnt.sum())
         if total + size > cap:
             raise ResourceBudgetError(f"squarefree support exceeds cap of {cap} entries")

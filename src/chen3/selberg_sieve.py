@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import _fft_convolutions, primes_up_to
+from .arith_core import _fft_convolutions, _root, primes_up_to
 from .errors import DomainError
 from .rosser_sieve import _class_sums, _sifted, _squarefree_levels
 
@@ -78,9 +78,9 @@ def build_selberg(
     if M < 1 or k0 < 1:
         raise DomainError(f"M and k0 must be >= 1, got M={M}, k0={k0}")
     if z0 is None:
-        z0 = n ** (1.0 / k0)
+        z0 = _root(n, k0)
     if z1 is None:
-        z1 = n ** 0.1
+        z1 = _root(n, 10)
     if stage == 1:
         lo, hi = 2.0, z0
         om = lambda p: omega_stage1(p, W, M)

@@ -37,6 +37,7 @@ from .arith_core import (
     S1_PRIME_BOUND,
     _fft_convolutions,
     _indicator,
+    _root,
     build_factor_table,
     chen_primes,
     is_prime_u64,
@@ -272,7 +273,7 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     theta_i = |X_i|/N, and N > 2 theta^-2 where
     theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
     sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
-    guarded FFT convolution of the indicators, cut after max(X2 u X3).
+    guarded FFT convolution of the indicators.
     N above DEFAULT_TABLE_BUDGET is a ResourceBudgetError.
     """
     if N > DEFAULT_TABLE_BUDGET:  # before the length-N indicators
@@ -290,8 +291,7 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
         problems.append(f"N={N} <= 2 theta^-2 with theta = {theta:.4f}")
     if problems:
         raise DomainError("Pollard hypotheses unmet: " + "; ".join(problems))
-    top = int(max(sets[1][-1], sets[2][-1])) + 1
-    (c,) = _fft_convolutions(inds[1][:top], (inds[2][:top],), 2 * N - 1, N)
+    (c,) = _fft_convolutions(inds[1], (inds[2],), 2 * N - 1, N)
     count = int(np.sum(c[(y % N - sets[0]) % N]))
     bound = theta ** 3 * N ** 2
     return PollardResult(count=count, theta=theta, bound=bound, ok=count >= bound)
@@ -523,8 +523,8 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         table = build_factor_table(n + 2)
     S1 = singular_series_S1(S1_PRIME_BOUND)
     phi2_W = float(mult_functions(W).phi2)
-    z1 = max(n ** 0.1, 2.0)  # every spf(p + 2) is >= 2
-    z0 = n ** (1.0 / ledger.k0)
+    z1 = max(_root(n, 10), 2.0)  # every spf(p + 2) is >= 2
+    z0 = _root(n, ledger.k0)
 
     def support(ps: np.ndarray, b: int) -> np.ndarray:
         """The x >= 1 with W x + b in ps."""

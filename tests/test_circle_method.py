@@ -55,6 +55,19 @@ class TestExpSum:
             want = brute_moebius_sum(CTX, alpha)
             assert got == pytest.approx(want, abs=1e-8 * (abs(want) + 1))
 
+    @pytest.mark.parametrize("n, k", [(5**5, 5), (5**10, 10)])
+    def test_level_at_a_perfect_power(self, n, k):
+        # n^(1/k) is 5.000000000000001 in floats; the weight sifts p + 2 by
+        # exactly the primes q with q^k < n
+        ctx = SieveContext(n=n, W=6, b=5, k0=k)
+        ps = primes_up_to(n)
+        small = [q for q in ps[:10].tolist() if q ** k < n]
+        assert ctx.z0 == 5.0 and ExpSumEvaluator(ctx).small_primes == small == [2, 3]
+        ps = ps[ps % 6 == 5]
+        keep = np.all([(ps + 2) % q != 0 for q in small], axis=0)
+        want = math.fsum(np.log(ps[keep].astype(np.float64)).tolist())
+        assert exp_sum(ctx, 0.0).real == pytest.approx(want, rel=1e-12)
+
     def test_sieve_budget(self, monkeypatch):
         monkeypatch.setattr(circle_method, "DEFAULT_SIEVE_BUDGET", 3000)
         assert ExpSumEvaluator(CTX).xs.size > 0  # n = 3000 is within the budget

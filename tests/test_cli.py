@@ -213,12 +213,25 @@ class TestSubcommands:
                              "--variant", "strict", "--z", "23")
         assert code == 1 and not err
         res = json.loads(out)["payload"]["result"]
-        assert res == {"rows": 4, "failures": [9, 15, 21, 27], "all_ok": False}
+        assert res == {"rows": 4, "failures": [9, 15, 21, 27], "all_ok": False,
+                       "min_k_counts": {"-1": 4}, "fewest": {"n": 9, "rep_count": 0}}
 
     def test_goldbach_survey(self, capsys):
         code, out, _ = run(capsys, "goldbach", "--n", "9", "--hi", "99")
         assert code == 0
         assert json.loads(out)["payload"]["result"]["all_ok"]
+
+    @pytest.mark.parametrize("lo, hi, rows, min_k_counts, fewest", [
+        ("9", "2000", 332, {"1": 332}, {"n": 9, "rep_count": 3}),
+        ("10", "14", 0, {}, None),  # no odd multiple of 3 in [10, 14]
+    ])
+    def test_goldbach_survey_statistics(self, capsys, lo, hi, rows, min_k_counts, fewest):
+        code, out, _ = run(capsys, "goldbach", "--n", lo, "--hi", hi)
+        assert code == 0
+        res = json.loads(out)["payload"]["result"]
+        assert res["rows"] == rows
+        assert res["min_k_counts"] == min_k_counts
+        assert res["fewest"] == fewest
 
     def test_goldbach_survey_to_a_million(self, capsys):
         code, out, _ = run(capsys, "goldbach", "--n", "9", "--hi", "1000000")
@@ -238,6 +251,13 @@ class TestSubcommands:
         assert code == 0
         res = json.loads(out)["payload"]["result"]
         assert res["qf_equals_inv_G1"]
+
+    def test_contrast_reports_Q(self, capsys):
+        code, out, _ = run(capsys, "contrast", "--n", "100000", "--W", "6", "--b", "5",
+                           "--samples", "20")
+        res = json.loads(out)["payload"]["result"]
+        assert res["Q"] == pytest.approx(np.log(1e5) ** 2)  # 132.5
+        assert code == (0 if res["ok"] else 1)
 
     def test_arcs_seeded(self, capsys):
         _, out1, _ = run(capsys, "arcs", "--n", "10000", "--samples", "5",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chen3.arith_core import _fft_size, build_factor_table
+from chen3 import goldbach_verify
+from chen3.arith_core import _fft_convolutions, _fft_size, build_factor_table
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     _survey_counts,
@@ -23,6 +24,24 @@ def count_irfft(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.fft, "irfft", counted)
     return sizes
+
+
+MOD = 2**31 - 1  # a prime: r^s mod MOD times a value mod MOD stays below 2^62
+
+
+def poly_mod(c: np.ndarray, r: int) -> int:
+    """sum_s c[s] r^s mod MOD, with the powers of r formed in int64 blocks of
+    1024: the powers within a block times the power at each block's start."""
+    block = 1024
+    head = np.ones(block, dtype=np.int64)
+    for s in range(1, block):
+        head[s] = head[s - 1] * r % MOD
+    step = pow(r, block, MOD)
+    starts = np.ones(-(-c.size // block), dtype=np.int64)
+    for j in range(1, starts.size):
+        starts[j] = starts[j - 1] * step % MOD
+    powers = (starts[:, None] * head % MOD).ravel()[: c.size]
+    return int(np.sum(np.asarray(c, dtype=np.int64) % MOD * powers % MOD) % MOD)
 
 
 class TestFind:
@@ -250,3 +269,38 @@ class TestSurvey:
         assert rep.tolist() == [2, 1, 2]
         assert best.tolist() == [1, 2, 0]
         assert len(sizes) == 2  # the counts and class 1: no best is above k = 2
+
+
+class TestSurveyProductsExact:
+    """Every FFT product of a survey to 10^6 checked exactly: the full
+    product C = F G, recomputed at f.size + g.size - 1 on the same transform
+    size, has the survey's counts as its prefix, and C(r) = F(r) G(r) mod a
+    prime P at random r.  By Schwartz-Zippel a wrong C passes one trial
+    with probability at most deg / P."""
+
+    def test_every_product(self, monkeypatch):
+        kernel = goldbach_verify._fft_convolutions
+        products = []
+
+        def recording(f, gs, length, fold=0):
+            gs = list(gs)
+            for g, c in zip(gs, kernel(f, gs, length, fold)):
+                products.append((f.copy(), g.copy(), c.copy()))
+                yield c
+
+        assert poly_mod(np.arange(3000), 5) == sum(s * pow(5, s, MOD) for s in range(3000)) % MOD
+        monkeypatch.setattr(goldbach_verify, "_fft_convolutions", recording)
+        range_survey(9, 10**6)
+        assert len(products) == 5
+        rng = np.random.default_rng(11)
+        for f, g, c in products:
+            assert _fft_size(f.size, f.size + g.size - 1) == _fft_size(f.size, c.size)
+            (full,) = _fft_convolutions(f, (g,), f.size + g.size - 1)
+            assert np.array_equal(full[: c.size], c)
+            for r in rng.integers(2, MOD - 1, size=2).tolist():
+                assert poly_mod(full, r) == poly_mod(f, r) * poly_mod(g, r) % MOD
+
+        # not vacuous: one recorded count off by 1 fails both checks
+        full[c.size // 2] += 1
+        assert not np.array_equal(full[: c.size], c)
+        assert poly_mod(full, r) != poly_mod(f, r) * poly_mod(g, r) % MOD

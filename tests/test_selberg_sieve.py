@@ -54,6 +54,7 @@ class TestSquarefreeLevels:
         (dict(stage=1, M=5, W=2, n=10**6, k0=8, z0=300), 91),  # the sieve_sums benchmark's system
         (dict(stage=2, M=5, W=2, n=10**6, k0=8, z0=30, z1=60), 8),
         (dict(stage=2, M=5, W=2, n=10**6, k0=8, z0=60, z1=30), 1),  # an empty window
+        (dict(stage=1, M=5, W=2, n=10**6, k0=8, z0=0.5), 1),  # a level below 1
     ])
     def test_support_and_chains(self, kwargs, size):
         s = build_selberg(**kwargs)
@@ -131,6 +132,24 @@ class TestWeights:
     def test_quadratic_form_matches_double_loop(self, kwargs):
         s = build_selberg(**kwargs)
         assert quadratic_form(s) == quadratic_form_direct(s) == 1 / s.G1
+
+    @pytest.mark.parametrize("kwargs, k", [
+        (dict(stage=1, M=1, W=2, n=5**5, k0=5), 5),  # z0 = n^(1/5) is 5.000000000000001 in floats
+        (dict(stage=1, M=1, W=2, n=5**10, k0=10), 10),
+        (dict(stage=2, M=1, W=2, n=5**10, k0=5, z0=3), 10),  # z1 = n^0.1 likewise
+    ])
+    def test_level_at_a_perfect_power(self, kwargs, k):
+        # the window holds exactly the primes p >= its lower end with p^k < n,
+        # and G1 sums g(l) over the squarefree l with l^k < n built from its
+        # sieving primes
+        s = build_selberg(**kwargs)
+        n, W, M, lo = kwargs["n"], kwargs["W"], kwargs["M"], kwargs.get("z0", 2)
+        om = omega_stage1 if kwargs["stage"] == 1 else omega_stage2
+        window = [p for p in primes_up_to(100).tolist() if p >= lo and p ** k < n and om(p, W, M)]
+        assert sorted([*s.omega, *s.skipped_primes]) == window
+        g = {p: Fraction(w, p - w) for p, w in s.omega.items()}
+        assert s.G1 == sum(math.prod(g[p] for p in c) for r in range(len(g) + 1)
+                           for c in itertools.combinations(g, r) if math.prod(c) ** k < n)
 
     def test_skipped_primes_recorded(self):
         # W = 2, M = 1: WM - 2 = 0, so every odd p "divides" it -> omega = 3 = p at p = 3
