@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .arith_core import (
     EULER_GAMMA,
-    FactorTable,
     build_factor_table,
     chen_primes,
     is_prime_u64,

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DomainError, InvariantError, ResourceBudgetError
 
 # Hard cap on the number of table entries built in one call.  It keeps every
-# x below 2^31 and every Omega(x) below 2^8, so int32 spf and uint8 Omega
-# cannot wrap.
+# x below 2^31, so int32 spf cannot wrap.
 DEFAULT_TABLE_BUDGET = 1 << 27
 
 # Hard cap on the bound of one prime sieve (a bool array of that length).
@@ -86,12 +85,13 @@ def is_prime_u64(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Smallest prime factor (int32) and Omega with multiplicity (uint8) of
-    every x in [1, hi], both indexed by x itself; entry 0 is unused."""
+    """Smallest prime factor (int32) of every x in [1, hi], indexed by x
+    itself (entry 0 is unused), and the sorted int64 primes <= hi, stored
+    read-only since one table serves many calls."""
 
     hi: int
     smallest_prime_factor: np.ndarray
-    omega_big: np.ndarray
+    prime_list: np.ndarray
 
     @property
     def lo(self) -> int:
@@ -99,19 +99,30 @@ class FactorTable:
         return 1
 
     def primes(self, bound: int) -> np.ndarray:
-        """All primes <= bound (bound <= hi), as the int64 x with Omega(x) = 1."""
-        return np.flatnonzero(self.omega_big[: max(bound + 1, 0)] == 1).astype(np.int64, copy=False)
+        """All primes <= bound, a slice of the stored list.  Raises
+        DomainError when bound > hi."""
+        if bound > self.hi:
+            raise DomainError(f"table to {self.hi} does not cover the primes to {bound}")
+        return self.prime_list[: np.searchsorted(self.prime_list, bound, side="right")]
+
+    def omega(self, xs) -> np.ndarray:
+        """Omega with multiplicity of each x in xs (1 <= x <= hi) as int64:
+        the number of times spf divides out before 1 is reached."""
+        rest = np.array(xs, dtype=np.int64)
+        out = np.zeros(rest.shape, dtype=np.int64)
+        while (live := rest > 1).any():
+            out += live
+            rest //= self.smallest_prime_factor[rest]  # spf(1) = 1 keeps 1 at 1
+        return out
 
 
 def build_factor_table(hi: int) -> FactorTable:
-    """Build the spf/Omega table for [1, hi].
+    """Build the spf table and prime list for [1, hi].
 
     One strided smallest-prime-factor sieve over the primes <= sqrt(hi) in
     descending order, so that the smallest factor of each x writes last;
-    then Omega(x) = Omega(x / spf(x)) + 1 filled one block [2^k, 2^(k+1)) at
-    a time: x / spf(x) < 2^k there, so each block reads only finished
-    entries.  Raises ResourceBudgetError, before allocating, when
-    hi > DEFAULT_TABLE_BUDGET.
+    the entries left unset are 0, 1 and the primes.  Raises
+    ResourceBudgetError, before allocating, when hi > DEFAULT_TABLE_BUDGET.
     """
     if hi < 1:
         raise DomainError(f"need hi >= 1, got {hi}")
@@ -122,17 +133,10 @@ def build_factor_table(hi: int) -> FactorTable:
     spf = np.zeros(hi + 1, dtype=np.int32)
     for p in primes_up_to(isqrt(hi))[::-1].tolist():
         spf[p * p :: p] = p  # the smaller primes write later
-    unset = np.flatnonzero(spf == 0)
+    unset = np.flatnonzero(spf == 0).astype(np.int64, copy=False)
     spf[unset] = unset  # the primes, and spf(1) = 1
-    omega = np.zeros(hi + 1, dtype=np.uint8)
-    start = 2
-    while start <= hi:
-        stop = min(2 * start, hi + 1)
-        cofactor = np.arange(start, stop, dtype=np.int32)
-        cofactor //= spf[start:stop]
-        omega[start:stop] = omega[cofactor] + 1
-        start = stop
-    return FactorTable(hi=hi, smallest_prime_factor=spf, omega_big=omega)
+    unset.flags.writeable = False
+    return FactorTable(hi=hi, smallest_prime_factor=spf, prime_list=unset[2:])
 
 
 def chen_primes(
@@ -143,7 +147,8 @@ def chen_primes(
 ) -> np.ndarray:
     """Sorted array of Chen primes p <= bound.
 
-    basic: Omega(p+2) <= 2.  strict: additionally gcd(p+2, P(z)) = 1.
+    basic: Omega(p+2) <= 2, read as spf(c) = c for c = (p+2)/spf(p+2).
+    strict: additionally gcd(p+2, P(z)) = 1.
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
@@ -154,7 +159,8 @@ def chen_primes(
     if table.hi < bound + 2:
         raise DomainError("table does not cover [1, bound + 2]")
     ps = table.primes(bound)
-    cond = table.omega_big[ps + 2] <= 2
+    cofactor = (ps + 2) // table.smallest_prime_factor[ps + 2]
+    cond = table.smallest_prime_factor[cofactor] == cofactor  # 1 or a prime
     if variant == "strict":
         cond &= table.smallest_prime_factor[ps + 2] >= z
     return ps[cond]

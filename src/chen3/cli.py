@@ -74,7 +74,7 @@ def cmd_chen(args) -> int:
     ps = chen_primes(args.bound, variant=args.variant, z=args.z, table=table)
     if args.csv:
         _write_csv(args.csv, ["p", "omega_p_plus_2"],
-                   zip(ps.tolist(), table.omega_big[ps + 2].tolist()))
+                   zip(ps.tolist(), table.omega(ps + 2).tolist()))
     _emit(args, "chen", {"bound": args.bound, "variant": args.variant, "z": args.z},
           {"count": int(ps.size), "largest": int(ps[-1]) if ps.size else None})
     return 0

@@ -73,18 +73,17 @@ def find_representations(
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
     # p3 <= n - 4 qualifies exactly when it is a basic Chen prime
     is_chen = _indicator(chen_primes(n - 4, table=table), n - 3)
-    om = table.omega_big
-    blocks = [np.empty((0, 4), dtype=np.int64)]
+    blocks = [np.empty((0, 3), dtype=np.int64)]
     found = 0
     for i, p1 in enumerate(chens.tolist()):
         if 2 * p1 > n - 2 or (limit is not None and found >= limit):
             break
         p2 = chens[i : np.searchsorted(chens, n - p1 - 2, side="right")]
         p3 = n - p1 - p2
-        hit = is_chen[p3]
-        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3, om[p3 + 2]))[hit])
+        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3))[is_chen[p3]])
         found += blocks[-1].shape[0]
-    return np.concatenate(blocks)[:limit]
+    rows = np.concatenate(blocks)[:limit]
+    return np.column_stack((rows, table.omega(rows[:, 2] + 2)))
 
 
 def representation_count(n: int, table: FactorTable | None = None) -> int:
@@ -175,14 +174,14 @@ def range_survey(
     """
     if n_hi < n_lo:
         raise DomainError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
-    n_lo = max(n_lo, 9)
-    table = build_factor_table(n_hi + 2)
-    chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
+    n_lo, hi = max(n_lo, 9), max(n_hi, 9)  # a range below 9 holds no n: an empty survey
+    table = build_factor_table(hi + 2)
+    chens = chen_primes(hi - 4, variant=variant, z=z, table=table)
     two, three = np.isin((2, 3), chens)
     x1, x5 = ((chens[chens % 6 == c] - c) // 6 for c in (1, 5))
     ns = np.arange(n_lo + (3 - n_lo) % 6, n_hi + 1, 6)
     ms = (ns - 9) // 6
-    top = max((n_hi - 9) // 6 + 1, 0)
+    top = (hi - 9) // 6 + 1
 
     # n = 6m + 9, and each pair sum s meets one class of p3 = n - s:
     # s = 6t + 6 (the pairs (1, 5)) meets p3 = 3 at t = m; s = 6t + 2 (the
@@ -196,8 +195,7 @@ def range_survey(
         u1[x5[x5 < top] + 1] += 1
         v5[x1[x1 < top]] += 1
 
-    primes = table.primes(n_hi - 4)
-    om = table.omega_big
+    primes = table.primes(hi - 4)
     p1, p5 = (primes[primes % 6 == c] for c in (1, 5))
     # the p3 = 3 and p3 = 2 terms seed the best Omega(p3 + 2) per n; class 5
     # (Omega(p + 2) = 1 is possible) runs before class 1 (3 | p + 2)
@@ -205,11 +203,11 @@ def range_survey(
     rep2 = two * np.isin(ms, x5)  # p3 = 2, with the pair (2, n - 4 = 6m + 5)
     none = np.iinfo(np.int64).max
     min_k = np.full(ns.size, none)
-    for count, k in ((rep3, int(om[5])), (rep2, int(om[4]))):
+    for count, k in zip((rep3, rep2), table.omega([5, 4]).tolist()):
         np.minimum(min_k, np.where(count > 0, k, none), out=min_k)
     rep = rep3 + rep2
-    rep += _survey_counts(v5, (p5 - 5) // 6, om[p5 + 2], ms, min_k)
-    rep += _survey_counts(u1, (p1 - 1) // 6, om[p1 + 2], ms + 1, min_k)
+    rep += _survey_counts(v5, (p5 - 5) // 6, table.omega(p5 + 2), ms, min_k)
+    rep += _survey_counts(u1, (p1 - 1) // 6, table.omega(p1 + 2), ms + 1, min_k)
     min_k[min_k == none] = -1
     ok = (rep > 0) & (min_k <= 2)
     rows = np.rec.fromarrays((ns, rep, min_k, ok), names=("n", "rep_count", "min_k", "has_all_chen"))

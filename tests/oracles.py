@@ -135,16 +135,15 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
     """chen3.goldbach_verify.range_survey with the unordered Chen pair counts
     from one bincount of p1 + p2 over the p2 >= p1 per Chen prime p1, and one
     gather of them at n - p3 over every prime p3 <= n - 4 per n,
-    O(#n pi(n))."""
+    O(#n pi(n)), with Omega(p3 + 2) by trial division."""
     n_lo = max(n_lo, 9)
-    table = build_factor_table(n_hi + 2)
-    chens = chen_primes(n_hi - 4, variant=variant, z=z, table=table)
+    chens = chen_primes(n_hi - 4, variant=variant, z=z)
     unordered = np.zeros(n_hi + 1, dtype=np.int64)
     for i, p1 in enumerate(chens.tolist()):
         sums = p1 + chens[i:]
         unordered += np.bincount(sums[sums <= n_hi], minlength=n_hi + 1)
-    primes = table.primes(n_hi)
-    om_shift = table.omega_big[primes + 2]
+    primes = primes_up_to(n_hi)
+    om_shift = np.array([omega_direct(p + 2) for p in primes.tolist()], dtype=np.int64)
     rows = []
     start = n_lo + (3 - n_lo) % 6
     for n in range(start, n_hi + 1, 6):
@@ -287,6 +286,11 @@ def rosser_divisor_sum(weights, q: int) -> int:
     return sum(rosser_weight(weights, d) for d in divs)
 
 
+def omega_direct(x: int) -> int:
+    """Omega(x) with multiplicity, by trial division."""
+    return sum(e for _, e in factorize(x))
+
+
 def is_chen_direct(p: int, variant: str = "basic", z: float | None = None) -> bool:
     """p prime and Omega(p + 2) <= 2, and for the strict variant no prime
     factor of p + 2 below z, by trial division."""
@@ -298,11 +302,9 @@ def is_chen_direct(p: int, variant: str = "basic", z: float | None = None) -> bo
 def representations_direct(n: int, variant: str = "basic", z: float | None = None,
                            limit: int | None = None) -> np.ndarray:
     """chen3.goldbach_verify.find_representations by a double loop over the
-    Chen primes p1 <= p2, one factor-table lookup of p3 = n - p1 - p2 each:
+    Chen primes p1 <= p2, one trial-division check of p3 = n - p1 - p2 each:
     the rows (p1, p2, p3, Omega(p3 + 2)) as an (m, 4) int64 array."""
-    table = build_factor_table(n + 2)
-    chens = chen_primes(n - 4, variant=variant, z=z, table=table)
-    spf, om = table.smallest_prime_factor, table.omega_big
+    chens = chen_primes(n - 4, variant=variant, z=z)
     out = []
     for p1 in chens.tolist():
         if 2 * p1 > n - 2:
@@ -311,8 +313,8 @@ def representations_direct(n: int, variant: str = "basic", z: float | None = Non
             p3 = n - p1 - p2
             if p3 < 2 or (limit is not None and len(out) >= limit):
                 break
-            if spf[p3] == p3 and om[p3 + 2] <= 2:
-                out.append((p1, p2, p3, int(om[p3 + 2])))
+            if is_prime_u64(p3) and (k := omega_direct(p3 + 2)) <= 2:
+                out.append((p1, p2, p3, k))
     return np.array(out, dtype=np.int64).reshape(-1, 4)
 
 
@@ -336,7 +338,7 @@ def representation_ok(n: int, row, variant: str = "basic", z: float | None = Non
         return False
     if not (is_chen_direct(p1, variant, z) and is_chen_direct(p2, variant, z)):
         return False
-    return is_prime_u64(p3) and sum(e for _, e in factorize(p3 + 2)) == k
+    return is_prime_u64(p3) and omega_direct(p3 + 2) == k
 
 
 def squarefree_count(x: int) -> int:

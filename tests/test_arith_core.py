@@ -50,17 +50,23 @@ def spf_oracle(x: int) -> int:
 
 class TestFactorTable:
     def test_against_trial_division(self, table_1e5):
-        for x in list(range(1, 500)) + [9991, 30030, 65536, 99991, 100002]:
-            assert table_1e5.omega_big[x] == omega_oracle(x), x
-            assert table_1e5.smallest_prime_factor[x] == spf_oracle(x), x
+        # every x below 500 (Omega(1) = 0), 3^10 = 59049, a primorial and x = hi
+        xs = list(range(1, 500)) + [9991, 30030, 59049, 65536, 99991, 100002]
+        assert xs[-1] == table_1e5.hi
+        got = table_1e5.omega(xs)
+        assert got.dtype == np.int64 and got.tolist() == [omega_oracle(x) for x in xs]
+        assert table_1e5.omega(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert table_1e5.smallest_prime_factor[xs].tolist() == [spf_oracle(x) for x in xs]
 
     def test_against_trial_division_at_block_seams(self):
-        # Omega is filled one block [2^k, 2^(k+1)) at a time
+        # every x to 5000 and the points around each power of two, up to x = hi
+        hi = 2**17 + 1
+        t = build_factor_table(hi)
         seams = {2**k + e for k in range(1, 18) for e in (-1, 0, 1)}
-        t = build_factor_table(2**17 + 1)
-        for x in sorted(set(range(1, 5001)) | seams):
-            assert t.omega_big[x] == omega_oracle(x), x
-            assert t.smallest_prime_factor[x] == spf_oracle(x), x
+        xs = sorted(set(range(1, 5001)) | seams)
+        assert xs[-1] == hi
+        assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
+        assert t.smallest_prime_factor[xs].tolist() == [spf_oracle(x) for x in xs]
 
     def test_prime_and_omega_identities(self):
         hi = 2**20 + 3
@@ -76,17 +82,20 @@ class TestFactorTable:
             while pk <= hi:
                 legendre += hi // pk
                 pk *= p
-        assert int(np.sum(t.omega_big[1:], dtype=np.int64)) == legendre
+        assert int(np.sum(t.omega(np.arange(1, hi + 1)))) == legendre
 
-    def test_primes_read_omega(self, table_1e5):
+    def test_primes_slice_the_list(self, table_1e5):
         for bound in (-2, 0, 1, 2, 3, 4, 100_002):  # no primes below 0, not a slice from the end
             ps = table_1e5.primes(bound)
             assert ps.dtype == np.int64 and np.array_equal(ps, primes_up_to(bound)), bound
+            assert not ps.flags.writeable  # one table serves many calls
         assert np.array_equal(build_factor_table(100_003).primes(100_003), primes_up_to(100_003))
+        assert build_factor_table(1).primes(1).size == 0
+        with pytest.raises(DomainError, match="does not cover"):  # not cut at hi = 100_002
+            table_1e5.primes(table_1e5.hi + 1)
 
     def test_dtypes(self, table_1e5):
         assert table_1e5.smallest_prime_factor.dtype == np.int32
-        assert table_1e5.omega_big.dtype == np.uint8
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
@@ -130,7 +139,7 @@ class TestChen:
 
     def test_seven_is_chen(self, table_1e5):
         # 7 + 2 = 9 = 3^2 has Omega = 2
-        assert table_1e5.omega_big[9] == 2
+        assert table_1e5.omega([9]).tolist() == [2]
         assert 7 in chen_primes(7, table=table_1e5)
 
     def test_strict_variant(self, table_1e5):
@@ -299,3 +308,15 @@ def test_np_fft_call_sites():
         ("fft", "selberg_sieve.additive_energy"),
         ("ifft", "transference.convolve"),
     }
+
+
+def test_factor_table_arrays_read_in_arith_core_only():
+    # the other modules go through FactorTable.primes and FactorTable.omega
+    names = {"smallest_prime_factor", "prime_list"}
+    readers = set()
+    for path in sorted(Path(chen3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.Constant) and node.value in names):
+                readers.add(path.stem)
+    assert readers == {"arith_core"}

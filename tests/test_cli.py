@@ -224,6 +224,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("lo, hi, rows, min_k_counts, fewest", [
         ("9", "2000", 332, {"1": 332}, {"n": 9, "rep_count": 3}),
         ("10", "14", 0, {}, None),  # no odd multiple of 3 in [10, 14]
+        ("3", "5", 0, {}, None),  # below 9, no n is surveyed
     ])
     def test_goldbach_survey_statistics(self, capsys, lo, hi, rows, min_k_counts, fewest):
         code, out, _ = run(capsys, "goldbach", "--n", lo, "--hi", hi)

@@ -175,6 +175,12 @@ class TestSurvey:
         with pytest.raises(DomainError):
             range_survey(100, 50)
 
+    @pytest.mark.parametrize("n_lo, n_hi", [(-7, -3), (1, 1), (3, 5), (3, 8), (8, 8), (10, 14)])
+    def test_ranges_without_an_n_are_empty(self, n_lo, n_hi):
+        rep = range_survey(n_lo, n_hi)
+        assert len(rep.rows) == 0 and rep.failures == [] and rep.all_ok
+        assert rep.rows.dtype.names == ("n", "rep_count", "min_k", "has_all_chen")
+
     def test_empty_chen_set(self):
         # p + 2 has a prime factor below 23 for every prime p <= 23
         rep = range_survey(9, 27, "strict", 23)

@@ -517,6 +517,14 @@ class TestOneChenWeight:
         with pytest.raises(DomainError, match="b1 = b2"):
             build_weights(replace(led, b2=1))
 
+    def test_short_table_rejected(self):
+        # a table to about n/2 covers the Chen primes of a1 but not the
+        # primes of a3, which run to n: no a3 support cut at the table's end
+        led = choose_parameters(30_003)
+        assert build_weights(led, build_factor_table(30_005)).support_sizes[2] == 1632
+        with pytest.raises(DomainError, match="does not cover"):
+            build_weights(led, build_factor_table(18_001))
+
     @pytest.mark.parametrize("n", [30_003, 99_999, 999_999])
     def test_a2_entries_repeat_a1(self, n):
         built = build_weights(choose_parameters(n))
