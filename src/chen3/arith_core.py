@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, ResourceBudgetError
 
-# Hard cap on the number of table entries built in one call.  It keeps every
-# x below 2^31, so int32 spf cannot wrap.
+# Hard cap on the integers covered by one factor table.  A composite's spf is
+# at most isqrt(DEFAULT_TABLE_BUDGET) = 11585 < 2^16, so uint16 spf cannot wrap.
 DEFAULT_TABLE_BUDGET = 1 << 27
 
 # Hard cap on the bound of one prime sieve (a bool array of that length).
@@ -85,9 +85,9 @@ def is_prime_u64(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FactorTable:
-    """Smallest prime factor (int32) of every x in [1, hi], indexed by x
-    itself (entry 0 is unused), and the sorted int64 primes <= hi, stored
-    read-only since one table serves many calls."""
+    """Smallest prime factor of every odd x in [1, hi], entry i for
+    x = 2i + 1 (uint16; 0 marks 1 and the primes), and the sorted int64
+    primes <= hi, stored read-only since one table serves many calls."""
 
     hi: int
     smallest_prime_factor: np.ndarray
@@ -105,24 +105,46 @@ class FactorTable:
             raise DomainError(f"table to {self.hi} does not cover the primes to {bound}")
         return self.prime_list[: np.searchsorted(self.prime_list, bound, side="right")]
 
+    def _covered(self, xs) -> np.ndarray:
+        """xs as int64, or DomainError unless every x is in [1, hi]."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and not (xs.min() >= 1 and xs.max() <= self.hi):
+            raise DomainError(f"table covers [1, {self.hi}], got x in [{xs.min()}, {xs.max()}]")
+        return xs
+
+    def spf(self, xs) -> np.ndarray:
+        """Smallest prime factor of each x in xs (1 <= x <= hi) as int64,
+        with spf(1) = 1."""
+        xs = self._covered(xs)
+        entry = self.smallest_prime_factor[(xs - 1) >> 1]  # an even x reads x - 1, in range
+        out = np.where(entry == 0, xs, entry)
+        out[(xs & 1) == 0] = 2
+        return out
+
     def omega(self, xs) -> np.ndarray:
         """Omega with multiplicity of each x in xs (1 <= x <= hi) as int64:
-        the number of times spf divides out before 1 is reached."""
-        rest = np.array(xs, dtype=np.int64)
-        out = np.zeros(rest.shape, dtype=np.int64)
-        while (live := rest > 1).any():
-            out += live
-            rest //= self.smallest_prime_factor[rest]  # spf(1) = 1 keeps 1 at 1
-        return out
+        the power of 2, then the number of times spf divides out of the odd
+        rest before 1 or a prime is left, and 1 more for a prime."""
+        rest = self._covered(xs).astype(np.int32)  # x <= hi < 2^31; int32 divides faster
+        out = np.zeros(rest.shape, dtype=np.uint8)  # Omega(x) <= log2(hi) < 2^8
+        while (even := (rest & 1) == 0).any():
+            out += even
+            rest >>= even
+        while (composite := (p := self.smallest_prime_factor[rest >> 1]) != 0).any():
+            out += composite
+            rest //= np.maximum(p, 1, out=p)  # 1 and the primes stay
+        out += rest > 1
+        return out.astype(np.int64)
 
 
 def build_factor_table(hi: int) -> FactorTable:
     """Build the spf table and prime list for [1, hi].
 
-    One strided smallest-prime-factor sieve over the primes <= sqrt(hi) in
-    descending order, so that the smallest factor of each x writes last;
-    the entries left unset are 0, 1 and the primes.  Raises
-    ResourceBudgetError, before allocating, when hi > DEFAULT_TABLE_BUDGET.
+    One strided smallest-prime-factor sieve on the odd x, over the odd
+    primes <= sqrt(hi) in descending order, so that the smallest factor of
+    each x writes last; the entries left unset are 1 and the odd primes.
+    Raises ResourceBudgetError, before allocating, when hi >
+    DEFAULT_TABLE_BUDGET.
     """
     if hi < 1:
         raise DomainError(f"need hi >= 1, got {hi}")
@@ -130,13 +152,14 @@ def build_factor_table(hi: int) -> FactorTable:
         raise ResourceBudgetError(
             f"table of {hi} entries exceeds budget of {DEFAULT_TABLE_BUDGET} entries"
         )
-    spf = np.zeros(hi + 1, dtype=np.int32)
-    for p in primes_up_to(isqrt(hi))[::-1].tolist():
-        spf[p * p :: p] = p  # the smaller primes write later
-    unset = np.flatnonzero(spf == 0).astype(np.int64, copy=False)
-    spf[unset] = unset  # the primes, and spf(1) = 1
-    unset.flags.writeable = False
-    return FactorTable(hi=hi, smallest_prime_factor=spf, prime_list=unset[2:])
+    spf = np.zeros((hi + 1) // 2, dtype=np.uint16)
+    for p in primes_up_to(isqrt(hi))[:0:-1].tolist():
+        spf[p * p // 2 :: p] = p  # the smaller primes write later
+    primes = 2 * np.flatnonzero(spf == 0) + 1  # 1 and the odd primes
+    primes[0] = 2  # in place of 1
+    primes = primes[: primes.size if hi > 1 else 0]
+    primes.flags.writeable = False
+    return FactorTable(hi=hi, smallest_prime_factor=spf, prime_list=primes)
 
 
 def chen_primes(
@@ -148,21 +171,24 @@ def chen_primes(
     """Sorted array of Chen primes p <= bound.
 
     basic: Omega(p+2) <= 2, read as spf(c) = c for c = (p+2)/spf(p+2).
-    strict: additionally gcd(p+2, P(z)) = 1.
+    strict: additionally gcd(p+2, P(z)) = 1, for any z >= 2 (empty once
+    z > bound + 2).
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
-    if variant == "strict" and (z is None or not (2 <= z <= bound)):
-        raise DomainError("strict variant needs 2 <= z <= bound")
+    if variant == "strict" and (z is None or not z >= 2):
+        raise DomainError(f"strict variant needs z >= 2, got {z}")
     if table is None:
         table = build_factor_table(bound + 2)
     if table.hi < bound + 2:
         raise DomainError("table does not cover [1, bound + 2]")
     ps = table.primes(bound)
-    cofactor = (ps + 2) // table.smallest_prime_factor[ps + 2]
-    cond = table.smallest_prime_factor[cofactor] == cofactor  # 1 or a prime
+    cofactor = ps + 2
+    p = table.spf(cofactor)
+    cofactor //= p
+    cond = table.spf(cofactor) == cofactor  # 1 or a prime
     if variant == "strict":
-        cond &= table.smallest_prime_factor[ps + 2] >= z
+        cond &= p >= z
     return ps[cond]
 
 

@@ -72,7 +72,8 @@ def find_representations(
         table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
     # p3 <= n - 4 qualifies exactly when it is a basic Chen prime
-    is_chen = _indicator(chen_primes(n - 4, table=table), n - 3)
+    basic = chens if variant == "basic" else chen_primes(n - 4, table=table)
+    is_chen = _indicator(basic, n - 3)
     blocks = [np.empty((0, 3), dtype=np.int64)]
     found = 0
     for i, p1 in enumerate(chens.tolist()):

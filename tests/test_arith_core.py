@@ -56,7 +56,7 @@ class TestFactorTable:
         got = table_1e5.omega(xs)
         assert got.dtype == np.int64 and got.tolist() == [omega_oracle(x) for x in xs]
         assert table_1e5.omega(np.empty(0, dtype=np.int64)).shape == (0,)
-        assert table_1e5.smallest_prime_factor[xs].tolist() == [spf_oracle(x) for x in xs]
+        assert table_1e5.spf(xs).tolist() == [spf_oracle(x) for x in xs]
 
     def test_against_trial_division_at_block_seams(self):
         # every x to 5000 and the points around each power of two, up to x = hi
@@ -66,14 +66,34 @@ class TestFactorTable:
         xs = sorted(set(range(1, 5001)) | seams)
         assert xs[-1] == hi
         assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
-        assert t.smallest_prime_factor[xs].tolist() == [spf_oracle(x) for x in xs]
+        assert t.spf(xs).tolist() == [spf_oracle(x) for x in xs]
+
+    @pytest.mark.parametrize("hi", [1, 2, 3, 4, 5, 2**17, 2**17 + 3])
+    def test_odd_layout_edges(self, hi):
+        # tiny tables, x = hi odd and even, and the even x: powers of two,
+        # 2p and 4 = 2 + 2, which the odd-only array does not store
+        t = build_factor_table(hi)
+        xs = sorted({x for x in [1, 2, 3, 4, 5, hi - 1, hi] if 1 <= x <= hi}
+                    | {2**k for k in range(18) if 2**k <= hi}
+                    | {2 * p for p in (2, 3, 5, 11, 65521) if 2 * p <= hi}
+                    | {2**k * 3**2 for k in range(1, 14) if 2**k * 9 <= hi})
+        assert xs[-1] == hi
+        assert t.spf(xs).tolist() == [spf_oracle(x) for x in xs]
+        assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
+        assert t.spf(xs).dtype == np.int64
+
+    def test_outside_the_table_raises(self, table_1e5):
+        for xs in ([0], [-3], [table_1e5.hi + 1], [1, 2**32 + 3]):
+            for read in (table_1e5.spf, table_1e5.omega):
+                with pytest.raises(DomainError, match="covers"):
+                    read(xs)
 
     def test_prime_and_omega_identities(self):
         hi = 2**20 + 3
         t = build_factor_table(hi)
         xs = np.arange(2, hi + 1)
         ps = primes_up_to(hi)
-        assert np.array_equal(xs[t.smallest_prime_factor[2:] == xs], ps)
+        assert np.array_equal(xs[t.spf(xs) == xs], ps)
         assert np.array_equal(t.primes(hi), ps)
         # sum_{x <= hi} Omega(x) = Omega(hi!) = sum_{p^k <= hi} floor(hi / p^k)
         legendre = 0
@@ -90,12 +110,23 @@ class TestFactorTable:
             assert ps.dtype == np.int64 and np.array_equal(ps, primes_up_to(bound)), bound
             assert not ps.flags.writeable  # one table serves many calls
         assert np.array_equal(build_factor_table(100_003).primes(100_003), primes_up_to(100_003))
-        assert build_factor_table(1).primes(1).size == 0
+        for hi in range(1, 65):  # 2 stands in for the entry of 1
+            assert np.array_equal(build_factor_table(hi).primes(hi), primes_up_to(hi)), hi
         with pytest.raises(DomainError, match="does not cover"):  # not cut at hi = 100_002
             table_1e5.primes(table_1e5.hi + 1)
 
     def test_dtypes(self, table_1e5):
-        assert table_1e5.smallest_prime_factor.dtype == np.int32
+        assert table_1e5.smallest_prime_factor.dtype == np.uint16
+
+    @pytest.mark.parametrize("hi", [1, 2, 3, 100_001, 100_002])
+    def test_one_uint16_entry_per_odd_x(self, hi):
+        t = build_factor_table(hi)
+        assert t.smallest_prime_factor.shape == ((hi + 1) // 2,)
+        assert t.smallest_prime_factor.nbytes == 2 * ((hi + 1) // 2)
+
+    def test_spf_fits_uint16_under_the_budget(self):
+        # a composite x <= hi has spf(x) <= isqrt(hi)
+        assert math.isqrt(DEFAULT_TABLE_BUDGET) < 2**16
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
@@ -105,7 +136,7 @@ class TestFactorTable:
     @given(st.integers(min_value=2, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_spf_divides_and_is_prime(self, table_1e5, x):
-        p = int(table_1e5.smallest_prime_factor[x])
+        p = int(table_1e5.spf([x])[0])
         assert x % p == 0 and is_prime_u64(p)
 
 
@@ -151,12 +182,26 @@ class TestChen:
 
     def test_matches_per_prime_predicate(self, table_1e5):
         ps = primes_up_to(20_000).tolist()
-        for variant, z in (("basic", None), ("strict", 2), ("strict", 10), ("strict", 100)):
+        for variant, z in (("basic", None), ("strict", 2), ("strict", 10), ("strict", 100),
+                           ("strict", 20_001), ("strict", 10**6), ("strict", math.inf)):
             want = [p for p in ps if is_chen_direct(p, variant, z)]
             assert chen_primes(20_000, variant=variant, z=z, table=table_1e5).tolist() == want
 
+    @pytest.mark.parametrize("bound", [2, 3, 17, 29, 100])
+    def test_strict_z_above_the_bound(self, table_1e5, bound):
+        # any z >= 2 is allowed, and the set is empty once z > bound + 2
+        ps = primes_up_to(bound).tolist()
+        for z in (2, bound, bound + 1, bound + 2, bound + 3, 10 * bound):
+            want = [p for p in ps if is_chen_direct(p, "strict", z)]
+            assert chen_primes(bound, "strict", z=z, table=table_1e5).tolist() == want, z
+        assert chen_primes(bound, "strict", z=bound + 3, table=table_1e5).size == 0
+        if bound in (17, 29):  # bound + 2 is prime
+            assert chen_primes(bound, "strict", z=bound + 2, table=table_1e5).tolist() == [bound]
+
     def test_domain(self, table_1e5):
         for kwargs in ({"bound": 1}, {"bound": 100, "variant": "strict"},
+                       {"bound": 100, "variant": "strict", "z": 1.5},
+                       {"bound": 100, "variant": "strict", "z": math.nan},
                        {"bound": 100_001, "table": table_1e5}):
             with pytest.raises(DomainError):
                 chen_primes(**kwargs)

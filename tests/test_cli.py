@@ -118,8 +118,10 @@ class TestExitCodes:
         ["ssum", "--n", "3000", "--alpha", "1/7", "--k0", "0"],
         ["ssum", "--n", "3000", "--alpha", "1/7", "--k0", "-1"],
         ["selberg", "--stage", "1", "--M", "5", "--W", "2", "--n", "100000", "--k0", "0"],
+        ["goldbach", "--n", "9", "--hi", "27", "--variant", "strict", "--z", "1.5"],
+        ["chen", "--bound", "100", "--variant", "strict", "--z", "nan"],
     ], ids=["pollard-density", "pollard-N", "contrast-samples", "ssum-k0", "ssum-k0-negative",
-            "selberg-k0"])
+            "selberg-k0", "goldbach-z-below-2", "chen-z-nan"])
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("error: ")
@@ -215,6 +217,14 @@ class TestSubcommands:
         res = json.loads(out)["payload"]["result"]
         assert res == {"rows": 4, "failures": [9, 15, 21, 27], "all_ok": False,
                        "min_k_counts": {"-1": 4}, "fewest": {"n": 9, "rep_count": 0}}
+
+    def test_goldbach_survey_z_above_the_chen_bound(self, capsys):
+        # z = 25 > 23 = hi - 4 is no input error: the strict Chen set is
+        # empty, so every n fails (exit 1), as at z = 23
+        code, out, err = run(capsys, "goldbach", "--n", "9", "--hi", "27",
+                             "--variant", "strict", "--z", "25")
+        assert code == 1 and not err
+        assert json.loads(out)["payload"]["result"]["failures"] == [9, 15, 21, 27]
 
     def test_goldbach_survey(self, capsys):
         code, out, _ = run(capsys, "goldbach", "--n", "9", "--hi", "99")
