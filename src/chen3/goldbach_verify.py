@@ -5,19 +5,22 @@ Exhaustive at desk scale, on the residue classes mod 6 (the W-trick with
 W = 6).  Every prime above 3 is 1 or 5 mod 6 and n is 3 mod 6, so three such
 primes sum to n only in the classes (1, 1, 1) and (5, 5, 5): the mixed
 triples sum to 1 or 5 mod 6.  Each class c sits on the grid x = (p - c)/6,
-about n/6 long, and its pair counts are one self-convolution there
-(_class_pair_counts).  The rest goes through 2 or 3: 2 only as
-2 + 2 + (n - 4), in any order, and 3 only as 3 + 3 + 3 or as 3 plus one
-prime of each class.
+about n/6 long.  The count at one n reads the triples of each class grid
+that sum to t = (n - 3c)/6 as one coefficient of a cube
+(arith_core._fft_triple_count); the survey's pair counts are one
+self-convolution on each grid (_class_pair_counts).  The rest goes through
+2 or 3: 2 only as 2 + 2 + (n - 4), in any order, and 3 only as 3 + 3 + 3
+or as 3 plus one prime of each class.
 
 The range survey puts the pairs (3, p) and (2, 2) on the pair grids as
 shifted indicators, so each prime class P_c meets one grid u.  It counts
 u * 1_{P_c} and finds the smallest Omega(p3 + 2) from u * 1_{P_c,k} over the
-subclasses P_c,k = {p in P_c : Omega(p + 2) = k} in order of k, until no n
-can lower its best k so far.  p3 = 3 reads the (1, 5) cross count and
-p3 = 2 the pair (2, n - 4); these seed the best k, then class 5 runs, then
-class 1, whose Omega(p + 2) is at least 2.  All products come from
-arith_core's one kernel, _fft_convolutions.
+subclasses P_c,k = {p in P_c : Omega(p + 2) = k} in order of k, each formed
+only when reached, until no n can lower its best k so far.  p3 = 3 reads
+the (1, 5) cross count and p3 = 2 the pair (2, n - 4); these seed the best
+k, then class 5 runs, then class 1, whose Omega(p + 2) is at least 2.  All
+its products come from arith_core's kernel of linear products,
+_fft_convolutions.
 """
 
 from __future__ import annotations
@@ -26,8 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import FactorTable, _fft_convolutions, _indicator, build_factor_table, chen_primes
-from .errors import DomainError
+from .arith_core import (
+    FactorTable,
+    _fft_convolutions,
+    _fft_triple_count,
+    _indicator,
+    build_factor_table,
+    chen_primes,
+)
+from .errors import DomainError, InvariantError
 
 
 def _check_n(n: int) -> None:
@@ -89,51 +99,68 @@ def find_representations(
 
 def representation_count(n: int, table: FactorTable | None = None) -> int:
     """Number of representations with all three of p1, p2, p3 Chen primes
-    (p1 <= p2): for each class c in {1, 5}, the self-count u of its grid
-    gathered at (n - 3c)/6 - x3, plus the terms through 2 and 3 (both Chen
-    primes) as gathers of the Chen indicator."""
+    (p1 <= p2): for each class c in {1, 5}, the ordered triples on its grid
+    that sum to t = (n - 3c)/6, one coefficient of a cube
+    (_fft_triple_count), made unordered in (p1, p2) as (ordered + #{p1 =
+    p2})/2, or InvariantError when that sum is odd; plus the terms through
+    2 and 3 (both Chen primes) as gathers of the Chen indicator."""
     _check_n(n)
     if table is None:
         table = build_factor_table(n + 2)
     chens = chen_primes(n - 4, table=table)
-    count = 0
-    for c in (1, 5):
-        t = (n - 3 * c) // 6  # x1 + x2 + x3 for p_i = 6 x_i + c
-        xs = (chens[chens % 6 == c] - c) // 6
-        (u,) = _class_pair_counts(xs, t + 1)
-        count += int(np.sum(u[t - xs[xs <= t]]))
     is_chen = _indicator(chens, n - 3)
+    ordered = sum(_fft_triple_count((chens[chens % 6 == c] - c) // 6, (n - 3 * c) // 6)
+                  for c in (1, 5))
+    # p1 = p2 = p in either class: 2p + p3 = n, and then p3 is in p's class
+    halves = chens[(chens > 3) & (2 * chens < n)]
+    doubles = np.count_nonzero(is_chen[n - 2 * halves])
+    if (ordered + doubles) % 2:
+        raise InvariantError(f"{ordered} ordered triples and {doubles} with p1 = p2 do not pair up")
     # 3 + p + p' with p = 1, p' = 5 mod 6 counts once per place of the 3;
     # 2 + 2 + (n - 4) twice: (2, 2; n - 4) and (2, n - 4; 2)
     cross = np.count_nonzero(is_chen[n - 3 - chens[chens % 6 == 1]])
-    return count + int(3 * cross + (n == 9) + 2 * is_chen[n - 4])
+    return int((ordered + doubles) // 2 + 3 * cross + (n == 9) + 2 * is_chen[n - 4])
 
 
 def _survey_counts(
-    u: np.ndarray, primes: np.ndarray, om_shift: np.ndarray, ns: np.ndarray, best: np.ndarray
+    u: np.ndarray, primes: np.ndarray, in_class, ns: np.ndarray, best: np.ndarray
 ) -> np.ndarray:
     """For each n in ns (all below u.size, as are the primes): the count
-    sum_p u[n - p] over the primes p <= n, returned, and the smallest
-    om_shift of a prime p with u[n - p] > 0, folded into best (the running
-    minimum per n, lowered in place).
+    sum_p u[n - p] over the primes p <= n, returned, and the smallest k with
+    u[n - p] > 0 for some p in the class in_class(k) (a bool mask over
+    primes), folded into best (the running minimum per n, lowered in place).
 
     The counts are u * 1_P, and the minimum takes one more product
-    u * 1_{P_k} per class P_k = {p : om_shift(p) = k}, in increasing k, all
-    from one transform of u, and stops at the first k where no n with a
-    positive count and best above k is left open.  u >= 0, so a class count
-    at n is positive exactly when some p in the class is.
+    u * 1_{P_k} per nonempty class P_k, for k = 1, 2, ..., all from one
+    transform of u.  A class is formed only when its k is reached, and the
+    classes stop at the first k where no n with a positive count and best
+    above k is left open.  u >= 0, so a class count at n is positive
+    exactly when some p in the class is.
     """
     top = u.size
-    ks = np.unique(om_shift).tolist()
-    classes = [primes] + [primes[om_shift == k] for k in ks]
-    counts = _fft_convolutions(u, (_indicator(c, top) for c in classes), top)
+    open_ = np.ones(ns.size, dtype=bool)  # every n until the counts are in: a kernel
+    # that read ahead would form classes early, never too few
+    formed = []  # the k of each class formed whose product is not yet read
+
+    def indicators():
+        """1_P, then 1_{P_k} for each nonempty class in increasing k, each
+        formed only while some open n has best above k."""
+        yield _indicator(primes, top)
+        for k in range(1, 64):  # Omega(x) <= log2(x) < 64
+            if not (open_ & (best > k)).any():
+                return
+            members = primes[in_class(k)]
+            if members.size:
+                formed.append(k)
+                yield _indicator(members, top)
+
+    counts = _fft_convolutions(u, indicators(), top)
     rep = next(counts)[ns]
     open_ = rep > 0
-    for k in ks:
+    for conv in counts:
+        k = formed.pop(0)
         open_ &= best > k
-        if not open_.any():
-            break
-        hit = open_ & (next(counts)[ns] > 0)
+        hit = open_ & (conv[ns] > 0)
         best[hit] = k
         open_ &= ~hit
     return rep
@@ -207,8 +234,8 @@ def range_survey(
     for count, k in zip((rep3, rep2), table.omega([5, 4]).tolist()):
         np.minimum(min_k, np.where(count > 0, k, none), out=min_k)
     rep = rep3 + rep2
-    rep += _survey_counts(v5, (p5 - 5) // 6, table.omega(p5 + 2), ms, min_k)
-    rep += _survey_counts(u1, (p1 - 1) // 6, table.omega(p1 + 2), ms + 1, min_k)
+    rep += _survey_counts(v5, (p5 - 5) // 6, lambda k: table.omega(p5 + 2) == k, ms, min_k)
+    rep += _survey_counts(u1, (p1 - 1) // 6, lambda k: table.omega(p1 + 2) == k, ms + 1, min_k)
     min_k[min_k == none] = -1
     ok = (rep > 0) & (min_k <= 2)
     rows = np.rec.fromarrays((ns, rep, min_k, ok), names=("n", "rep_count", "min_k", "has_all_chen"))

@@ -8,7 +8,8 @@ z1 = n^{1/10}, out of (Wx+b)(Wx+WM+b).  The local root counts are
     omega2(p) = 2 / 1 analogously,
 
 and zero whenever p | W.  Weights are computed exactly in rationals.  The
-additive energy takes f*f from arith_core's one FFT kernel, _fft_convolutions.
+additive energy takes f*f from arith_core's FFT kernel of linear products,
+_fft_convolutions.
 """
 
 from __future__ import annotations

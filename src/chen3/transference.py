@@ -9,8 +9,8 @@ distinct weight and Bohr indicator, one inverse per smoothing, from the
 product of its factors' spectra; four forward and two inverse in all.  A
 Bohr set filters Z_N by one frequency at a time, O(sum_k |B_k|) with B_k
 the Bohr set of the first k frequencies.  The linear convolutions behind
-triple_sum and the Pollard count are arith_core's one FFT kernel,
-_fft_convolutions, folded mod N.
+triple_sum and the Pollard count are arith_core's FFT kernel of linear
+products, _fft_convolutions, folded mod N.
 The O(N^2) enumerations that check these routes are kept in the tests.
 
 The stage functions compute their inequalities and return the numbers with

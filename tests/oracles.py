@@ -6,8 +6,10 @@ divisor indicator per d, the four-fold Selberg remainder sum and the
 double-loop Selberg quadratic form and remainder pair sum, the per-n range
 survey with its own Chen pair counts, the full-length count of all-Chen
 representations from one self-convolution of the Chen indicator (the route
-before the residue-class split), the double loop over Chen pairs behind
-the representation rows, the per-term phase sum behind chen3.circle_method's
+before the residue-class split), the same count from the pair counts of each
+residue class grid (the route before one coefficient of a cube), the
+odd-only spf table from one unblocked strided sieve, the double loop over
+Chen pairs behind the representation rows, the per-term phase sum behind chen3.circle_method's
 complete sums mod q, the Rosser support by depth-first search, the
 divisor-class sums by one strided add per d and the residue-class sums by
 one pass per x, and per-item trial-division checks of a Rosser weight, its
@@ -35,7 +37,7 @@ from chen3.arith_core import (
     primes_up_to,
 )
 from chen3.errors import DomainError
-from chen3.goldbach_verify import SurveyReport
+from chen3.goldbach_verify import SurveyReport, _class_pair_counts
 from chen3.rosser_sieve import LinearSieveFns
 from chen3.selberg_sieve import PairCountReport, build_selberg
 from chen3.transference import ZnWeight
@@ -171,6 +173,36 @@ def representation_count_full(n: int, table=None) -> int:
     u[doubled[doubled <= n]] += 1  # p1 = p2 is counted once among ordered pairs
     u //= 2
     return int(np.sum(u[n - chens]))
+
+
+def representation_count_pairs(n: int, table=None) -> int:
+    """chen3.goldbach_verify.representation_count with the unordered pair
+    counts of each residue class grid from _class_pair_counts (a squared
+    transform and its inverse), gathered at t - x3 over the grid points
+    x3 <= t: the route before one coefficient of a cube."""
+    if table is None:
+        table = build_factor_table(n + 2)
+    chens = chen_primes(n - 4, table=table)
+    count = 0
+    for c in (1, 5):
+        t = (n - 3 * c) // 6
+        xs = (chens[chens % 6 == c] - c) // 6
+        (u,) = _class_pair_counts(xs, t + 1)
+        count += int(np.sum(u[t - xs[xs <= t]]))
+    is_chen = _indicator(chens, n - 3)
+    cross = np.count_nonzero(is_chen[n - 3 - chens[chens % 6 == 1]])
+    return count + int(3 * cross + (n == 9) + 2 * is_chen[n - 4])
+
+
+def spf_table_direct(hi: int) -> np.ndarray:
+    """The odd-only uint16 spf entries of chen3.arith_core.build_factor_table
+    (entry i for x = 2i + 1, 0 at 1 and the primes) from one strided pass
+    per odd prime <= sqrt(hi) over the whole array, in descending order:
+    the sieve with no blocks."""
+    spf = np.zeros((hi + 1) // 2, dtype=np.uint16)
+    for p in primes_up_to(math.isqrt(hi))[:0:-1].tolist():
+        spf[p * p // 2 :: p] = p
+    return spf
 
 
 def quadratic_form_direct(system) -> Fraction:

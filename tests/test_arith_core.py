@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import chen3
 from chen3 import arith_core
 from chen3.arith_core import (
+    _SIEVE_BLOCK,
     DEFAULT_SIEVE_BUDGET,
     DEFAULT_TABLE_BUDGET,
     _fft_convolutions,
+    _fft_triple_count,
     build_factor_table,
     chen_primes,
     factorize,
@@ -23,7 +25,7 @@ from chen3.arith_core import (
     singular_series_S1,
 )
 from chen3.errors import DomainError, ResourceBudgetError
-from oracles import is_chen_direct
+from oracles import is_chen_direct, spf_table_direct
 
 
 def omega_oracle(x: int) -> int:
@@ -48,6 +50,14 @@ def spf_oracle(x: int) -> int:
     return x
 
 
+def spf_read(t, xs) -> np.ndarray:
+    """spf of each x off the table's odd-only array: 2 at an even x, and x
+    itself at 1 and the odd primes, whose entries are 0."""
+    xs = np.asarray(xs, dtype=np.int64)
+    entry = t.smallest_prime_factor[(xs - 1) >> 1].astype(np.int64)
+    return np.where(xs % 2 == 0, 2, np.where(entry == 0, xs, entry))
+
+
 class TestFactorTable:
     def test_against_trial_division(self, table_1e5):
         # every x below 500 (Omega(1) = 0), 3^10 = 59049, a primorial and x = hi
@@ -56,7 +66,7 @@ class TestFactorTable:
         got = table_1e5.omega(xs)
         assert got.dtype == np.int64 and got.tolist() == [omega_oracle(x) for x in xs]
         assert table_1e5.omega(np.empty(0, dtype=np.int64)).shape == (0,)
-        assert table_1e5.spf(xs).tolist() == [spf_oracle(x) for x in xs]
+        assert spf_read(table_1e5, xs).tolist() == [spf_oracle(x) for x in xs]
 
     def test_against_trial_division_at_block_seams(self):
         # every x to 5000 and the points around each power of two, up to x = hi
@@ -66,7 +76,29 @@ class TestFactorTable:
         xs = sorted(set(range(1, 5001)) | seams)
         assert xs[-1] == hi
         assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
-        assert t.spf(xs).tolist() == [spf_oracle(x) for x in xs]
+        assert spf_read(t, xs).tolist() == [spf_oracle(x) for x in xs]
+
+    def test_blocked_sieve_equals_one_pass(self):
+        # four blocks, the last of 3 entries; spf and Omega at x = k 2^20 +- 0..3,
+        # around the first x of each block (entry k 2^19 is x = k 2^20 + 1)
+        edge = 2 * _SIEVE_BLOCK
+        assert edge == 2**20
+        hi = 3 * edge + 5
+        t = build_factor_table(hi)
+        assert np.array_equal(t.smallest_prime_factor, spf_table_direct(hi))
+        xs = [k * edge + e for k in (1, 2, 3) for e in range(-3, 4) if k * edge + e <= hi]
+        assert spf_read(t, xs).tolist() == [spf_oracle(x) for x in xs]
+        assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
+
+    @pytest.mark.parametrize("hi", [2**20 - 1, 2**20, 2**21 - 1, 2**21])
+    def test_table_ending_on_a_block_edge(self, hi):
+        # (hi + 1)//2 entries fill exactly one or two blocks
+        assert ((hi + 1) // 2) % _SIEVE_BLOCK == 0
+        t = build_factor_table(hi)
+        assert np.array_equal(t.smallest_prime_factor, spf_table_direct(hi))
+        xs = [hi - 3, hi - 2, hi - 1, hi]
+        assert spf_read(t, xs).tolist() == [spf_oracle(x) for x in xs]
+        assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
 
     @pytest.mark.parametrize("hi", [1, 2, 3, 4, 5, 2**17, 2**17 + 3])
     def test_odd_layout_edges(self, hi):
@@ -78,22 +110,20 @@ class TestFactorTable:
                     | {2 * p for p in (2, 3, 5, 11, 65521) if 2 * p <= hi}
                     | {2**k * 3**2 for k in range(1, 14) if 2**k * 9 <= hi})
         assert xs[-1] == hi
-        assert t.spf(xs).tolist() == [spf_oracle(x) for x in xs]
+        assert spf_read(t, xs).tolist() == [spf_oracle(x) for x in xs]
         assert t.omega(xs).tolist() == [omega_oracle(x) for x in xs]
-        assert t.spf(xs).dtype == np.int64
 
     def test_outside_the_table_raises(self, table_1e5):
         for xs in ([0], [-3], [table_1e5.hi + 1], [1, 2**32 + 3]):
-            for read in (table_1e5.spf, table_1e5.omega):
-                with pytest.raises(DomainError, match="covers"):
-                    read(xs)
+            with pytest.raises(DomainError, match="covers"):
+                table_1e5.omega(xs)
 
     def test_prime_and_omega_identities(self):
         hi = 2**20 + 3
         t = build_factor_table(hi)
         xs = np.arange(2, hi + 1)
         ps = primes_up_to(hi)
-        assert np.array_equal(xs[t.spf(xs) == xs], ps)
+        assert np.array_equal(xs[spf_read(t, xs) == xs], ps)
         assert np.array_equal(t.primes(hi), ps)
         # sum_{x <= hi} Omega(x) = Omega(hi!) = sum_{p^k <= hi} floor(hi / p^k)
         legendre = 0
@@ -136,7 +166,7 @@ class TestFactorTable:
     @given(st.integers(min_value=2, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_spf_divides_and_is_prime(self, table_1e5, x):
-        p = int(table_1e5.spf([x])[0])
+        p = int(spf_read(table_1e5, [x])[0])
         assert x % p == 0 and is_prime_u64(p)
 
 
@@ -309,6 +339,36 @@ class TestFFTConvolutions:
         assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-12
 
 
+@st.composite
+def triple_cases(draw):
+    """(xs, t): t = 0 or any residue mod 3, and distinct xs in [0, t + 3],
+    so that some lie above t."""
+    t = draw(st.one_of(st.just(0), st.integers(1, 200)))
+    xs = draw(st.sets(st.integers(0, t + 3), max_size=40))
+    return np.array(sorted(xs), dtype=np.int64), t
+
+
+class TestFFTTripleCount:
+    @given(triple_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_triple_enumeration(self, case):
+        xs, t = case
+        members = set(xs.tolist())
+        want = sum(t - a - b in members for a in members for b in members)
+        assert _fft_triple_count(xs, t) == want
+
+    def test_every_residue_of_t(self):
+        for t in range(0, 40):  # odd sizes 1, 5, 25 and even ones, t = 0, 1, 2 mod 3
+            xs = np.arange(0, t + 2, 2)
+            want = sum(t - a - b in set(xs.tolist()) for a in xs.tolist() for b in xs.tolist())
+            assert _fft_triple_count(xs, t) == want, t
+
+    def test_negative_t_and_empty_set(self):
+        assert _fft_triple_count(np.array([0, 1], dtype=np.int64), -1) == 0
+        assert _fft_triple_count(np.empty(0, dtype=np.int64), 7) == 0
+        assert _fft_triple_count(np.array([0], dtype=np.int64), 0) == 1
+
+
 def np_fft_sites() -> tuple[list, int]:
     """([(function, module.qualname)] for each np.fft.<function> in
     src/chen3, the number of np.fft references) from each module's syntax
@@ -342,13 +402,15 @@ def np_fft_sites() -> tuple[list, int]:
 
 
 def test_np_fft_call_sites():
-    # one real FFT kernel; length-N DFTs for the cached weight transforms and
-    # the energy's independent route; one inverse DFT, per smoothing
+    # two real FFT kernels, the linear products and one coefficient of a
+    # cube; length-N DFTs for the cached weight transforms and the energy's
+    # independent route; one inverse DFT, per smoothing
     sites, refs = np_fft_sites()
     assert len(sites) == refs
     assert set(sites) == {
         ("rfft", "arith_core._fft_convolutions"),
         ("irfft", "arith_core._fft_convolutions"),
+        ("rfft", "arith_core._fft_triple_count"),
         ("fft", "transference.ZnWeight.dft"),
         ("fft", "selberg_sieve.additive_energy"),
         ("ifft", "transference.convolve"),

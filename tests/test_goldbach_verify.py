@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from chen3 import goldbach_verify
-from chen3.arith_core import _fft_convolutions, _fft_size, build_factor_table
+from chen3.arith_core import (
+    FactorTable,
+    _fft_convolutions,
+    _fft_size,
+    _least_smooth,
+    build_factor_table,
+)
 from chen3.errors import DomainError, InvariantError
 from chen3.goldbach_verify import (
     _survey_counts,
@@ -10,7 +16,30 @@ from chen3.goldbach_verify import (
     range_survey,
     representation_count,
 )
-from oracles import representation_count_full, representation_ok, representations_direct, survey_direct
+from oracles import (
+    representation_count_full,
+    representation_count_pairs,
+    representation_ok,
+    representations_direct,
+    survey_direct,
+)
+
+
+RFFT = np.fft.rfft
+
+
+def shift_cubes(monkeypatch, by: float) -> None:
+    """Wrap np.fft.rfft so that each cube's constant term in
+    _fft_triple_count moves by `by`: bin 0 of an indicator of h points on
+    Z_M is h, with weight 1 in the M-scaled sum, so h + d with (h + d)^3 =
+    h^3 + by M moves the term by exactly `by`, up to float rounding."""
+    def shifted(a, n=None):
+        out = RFFT(a, n)
+        h = float(np.count_nonzero(a))
+        out[0] += np.cbrt(h**3 + by * a.size) - h
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", shifted)
 
 
 def count_irfft(monkeypatch) -> list[int]:
@@ -100,6 +129,24 @@ class TestFind:
             )
 
 
+def test_count_matches_class_pair_counts(table_1e5):
+    """One coefficient of a cube per class against the pair counts of each
+    class grid at every n below 400, where t is negative, 0 or small and the
+    cyclic size is odd or even, and at 99999."""
+    for n in list(range(9, 400, 6)) + [99999]:
+        got = representation_count(n, table=table_1e5)
+        assert type(got) is int and got == representation_count_pairs(n, table_1e5), n
+
+
+def test_count_at_the_scale_edge():
+    """n = 3 10^7: cyclic sizes of about 10^7, and a class of 489,815 grid
+    points whose cube has the coefficient 10,731,365,895 (read 5.7e-6 from
+    it on x86-64)."""
+    n = 30_000_003
+    table = build_factor_table(n + 2)
+    assert representation_count(n, table=table) == representation_count_pairs(n, table)
+
+
 def test_count_matches_full_length_count():
     """The class-split count against the single full-length convolution,
     at small n, where 2 + 2 + (n - 4) and 3 + 3 + 3 matter and the (5, 5, 5)
@@ -111,41 +158,65 @@ def test_count_matches_full_length_count():
 
 
 def test_fft_size_is_least_smooth_size():
-    """Against a brute-force search: the least 2^a 3^b 5^c >= each target."""
-    def smooth(s):
-        for p in (2, 3, 5):
+    """Against a brute-force search: the least 2^a 3^b 5^c >= each target,
+    and the least 2^a 5^b, prime to 3, of the cube's coefficient."""
+    def smooth(s, primes):
+        for p in primes:
             while s % p == 0:
                 s //= p
         return s == 1
 
     limit = 2 * 10**4
-    least = np.zeros(limit + 1, dtype=np.int64)
-    nxt = limit  # 2 * 10^4 = 2^5 5^4 is itself 5-smooth
-    for s in range(limit, 0, -1):
-        if smooth(s):
-            nxt = s
-        least[s] = nxt
-    for target in range(1, 10**4 + 1):
-        assert _fft_size(0, target) == least[target], target
-        assert _fft_size(target, 0) == least[2 * target], target
-        assert _fft_size(target // 3, target) == least[target], target
+    for primes in ((2, 3, 5), (2, 5)):
+        least = np.zeros(limit + 1, dtype=np.int64)
+        nxt = limit  # 2 * 10^4 = 2^5 5^4 is itself 5-smooth
+        for s in range(limit, 0, -1):
+            if smooth(s, primes):
+                nxt = s
+            least[s] = nxt
+        if primes == (2, 5):
+            for target in range(-1, limit + 1):
+                assert _least_smooth(target, (5,)) == least[max(target, 1)], target
+            continue
+        for target in range(1, 10**4 + 1):
+            assert _fft_size(0, target) == least[target], target
+            assert _fft_size(target, 0) == least[2 * target], target
+            assert _fft_size(target // 3, target) == least[target], target
 
 
 class TestPairCountGuard:
     def test_perturbed_convolution_raises(self, monkeypatch):
+        for by in (0.3, -0.3):  # each class's cube, past the 0.25 guard
+            shift_cubes(monkeypatch, by)
+            with pytest.raises(InvariantError):
+                representation_count(999)
+        monkeypatch.setattr(np.fft, "rfft", RFFT)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
         with pytest.raises(InvariantError):
-            representation_count(999)
-        with pytest.raises(InvariantError):
             range_survey(9, 999)
+
+    def test_unpaired_triples_raise(self, monkeypatch, table_1e5):
+        # ordered triples + those with p1 = p2 is even when both counts are right
+        kernel = goldbach_verify._fft_triple_count
+        extra = iter([1, 0])  # one triple too many in class 1
+        monkeypatch.setattr(goldbach_verify, "_fft_triple_count",
+                            lambda xs, t: kernel(xs, t) + next(extra))
+        with pytest.raises(InvariantError, match="pair up"):
+            representation_count(999, table=table_1e5)
 
     def test_small_error_is_rounded_away(self, monkeypatch, table_1e5):
         want = representation_count(999, table=table_1e5)
         want_rows = range_survey(9, 999).rows
+        # a relative error e in every bin moves a cube by about 3e
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None: RFFT(a, n) * (1 + 1e-6))
+        assert representation_count(999, table=table_1e5) == want
+        for by in (0.2, -0.2):  # each class's cube, near the 0.25 guard
+            shift_cubes(monkeypatch, by)
+            assert representation_count(999, table=table_1e5) == want
+        monkeypatch.setattr(np.fft, "rfft", RFFT)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) - 0.2)
-        assert representation_count(999, table=table_1e5) == want
         assert np.array_equal(range_survey(9, 999).rows, want_rows)
 
 
@@ -222,13 +293,18 @@ class TestSurvey:
 
     def test_sixth_length_ffts_at_desk_scale(self, monkeypatch):
         # the (1, 5) and (1, 1) pair counts from one transform of class 1,
-        # the (5, 5) pair counts, then for each prime class its counts; only
-        # class 5 needs an Omega(p + 2) class, Omega = 1, which resolves
-        # every n, so class 1 (3 divides p + 2, Omega >= 2) needs none
+        # the (5, 5) pair counts, then for each prime class its counts; p3 =
+        # 3 (Omega(5) = 1) already gives every n its least k, so no
+        # Omega(p + 2) class is formed, let alone convolved
         sizes = count_irfft(monkeypatch)
+        read = []
+        omega = FactorTable.omega
+        monkeypatch.setattr(FactorTable, "omega",
+                            lambda self, xs: read.append(len(xs)) or omega(self, xs))
         range_survey(9, 20001)
         assert len(sizes) == 5
         assert max(sizes) <= _fft_size(20001 // 6 + 1, 0)
+        assert read == [2]  # Omega(5) and Omega(4), for p3 = 3 and p3 = 2
 
     def test_later_classes_and_stop(self, monkeypatch):
         """_survey_counts on a synthetic Omega(p + 2), where classes k >= 2
@@ -252,13 +328,14 @@ class TestSurvey:
         sizes = count_irfft(monkeypatch)
         none = np.iinfo(np.int64).max
         best = np.full(ns.size, none)
-        rep = _survey_counts(u, primes, om_shift, ns, best)
+        asked = []
+        rep = _survey_counts(u, primes, lambda k: asked.append(k) or om_shift == k, ns, best)
         assert rep.tolist() == want_rep
         assert np.where(best == none, -1, best).tolist() == want_k
 
         assert -1 in want_k and max(want_k) == 3
-        # the counts, then classes 1, 2 and 3; class 9 is never convolved
-        assert len(sizes) == 4
+        # the counts, then classes 1, 2 and 3; class 9 is never formed
+        assert len(sizes) == 4 and asked == [1, 2, 3]
 
     def test_running_best_stops_across_grids(self, monkeypatch):
         """A best k already found on another grid stops the classes above it
@@ -271,10 +348,27 @@ class TestSurvey:
         # (p = 2, k = 2); n = 7: u[7], u[4] > 0 (p = 0, 3; k = 1, 3)
         sizes = count_irfft(monkeypatch)
         best = np.array([2, 2, 0])
-        rep = _survey_counts(u, primes, om_shift, ns, best)
+        asked = []
+        rep = _survey_counts(u, primes, lambda k: asked.append(k) or om_shift == k, ns, best)
         assert rep.tolist() == [2, 1, 2]
         assert best.tolist() == [1, 2, 0]
-        assert len(sizes) == 2  # the counts and class 1: no best is above k = 2
+        # the counts and class 1: no best is above k = 2
+        assert len(sizes) == 2 and asked == [1]
+
+
+    def test_empty_class_is_not_convolved(self, monkeypatch):
+        """A k with no prime in its class is passed over with no product."""
+        u = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+        primes = np.array([0, 2, 3])
+        om_shift = np.array([2, 2, 3])  # class 1 is empty
+        ns = np.array([3, 5, 7])
+        sizes = count_irfft(monkeypatch)
+        best = np.full(ns.size, np.iinfo(np.int64).max)
+        asked = []
+        rep = _survey_counts(u, primes, lambda k: asked.append(k) or om_shift == k, ns, best)
+        assert rep.tolist() == [2, 1, 2] and best.tolist() == [2, 2, 2]
+        # the counts and class 2, which settles every n
+        assert len(sizes) == 2 and asked == [1, 2]
 
 
 class TestSurveyProductsExact:
@@ -289,9 +383,15 @@ class TestSurveyProductsExact:
         products = []
 
         def recording(f, gs, length, fold=0):
-            gs = list(gs)
-            for g, c in zip(gs, kernel(f, gs, length, fold)):
-                products.append((f.copy(), g.copy(), c.copy()))
+            fed = []  # each g as the kernel takes it, until its product is recorded
+
+            def feed():
+                for g in gs:
+                    fed.append(g.copy())
+                    yield g
+
+            for c in kernel(f, feed(), length, fold):
+                products.append((f.copy(), fed.pop(0), c.copy()))
                 yield c
 
         assert poly_mod(np.arange(3000), 5) == sum(s * pow(5, s, MOD) for s in range(3000)) % MOD
