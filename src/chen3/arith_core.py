@@ -1,5 +1,5 @@
-"""Prime generation, factor tables, prime-type predicates and the two FFT
-count kernels.
+"""The one prime sieve, a factor table whose prime list primes_up_to
+returns, prime-type predicates and the two FFT count kernels.
 
 Everything downstream (sieve weights, exponential sums, the transference
 pipeline) consumes the objects built here; every real FFT of the package is
@@ -22,17 +22,15 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, ResourceBudgetError
 
-# Hard cap on the integers covered by one factor table.  A composite's spf is
-# at most isqrt(DEFAULT_TABLE_BUDGET) = 11585 < 2^16, so uint16 spf cannot wrap.
-DEFAULT_TABLE_BUDGET = 1 << 27
-
 # Entries of the factor table sieved per block: 2^19 uint16 entries (1 MiB)
 # stay in a 2 MiB L2 cache while every sieving prime strides through them.
 # Blocks of 2^18 to 2^20 entries built the tables to 10^7 and 10^8 in about
 # the same time on a 2-core x86 VM; 2^17 and 2^21 were up to 1.5 times slower.
 _SIEVE_BLOCK = 1 << 19
 
-# Hard cap on the bound of one prime sieve (a bool array of that length).
+# Hard cap on the bound hi of the one prime sieve, whichever entry reaches it:
+# its table takes hi bytes.  A composite's spf is at most
+# isqrt(DEFAULT_SIEVE_BUDGET) = 14142 < 2^16, so uint16 spf cannot wrap.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
 EULER_GAMMA = 0.5772156649015329
@@ -42,18 +40,12 @@ S1_PRIME_BOUND = 10 ** 6
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain Eratosthenes).  Raises
-    ResourceBudgetError, before allocating, when n > DEFAULT_SIEVE_BUDGET."""
+    """All primes <= n as a read-only int64 array: the prime list of
+    build_factor_table(n), which raises ResourceBudgetError, before
+    allocating, when n > DEFAULT_SIEVE_BUDGET."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    if n > DEFAULT_SIEVE_BUDGET:
-        raise ResourceBudgetError(f"prime sieve to {n} exceeds budget {DEFAULT_SIEVE_BUDGET}")
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return build_factor_table(n).prime_list
 
 
 def _root(n: int, k: int) -> float:
@@ -140,15 +132,15 @@ def build_factor_table(hi: int) -> FactorTable:
     sqrt(hi), segmented (Bays and Hudson, BIT 17 (1977) 121-127): block by
     block of _SIEVE_BLOCK entries, each prime strides from where it left the
     last block, in descending order, so that the smallest factor of each x
-    writes last; the entries left unset are 1 and the odd primes.  Raises
-    ResourceBudgetError, before allocating, when hi > DEFAULT_TABLE_BUDGET.
+    writes last; the entries left unset are 1 and the odd primes.  The
+    sieving primes come from primes_up_to(isqrt(hi)), a smaller table, down
+    to hi < 4, which needs none.  Raises ResourceBudgetError, before
+    allocating, when hi > DEFAULT_SIEVE_BUDGET.
     """
     if hi < 1:
         raise DomainError(f"need hi >= 1, got {hi}")
-    if hi > DEFAULT_TABLE_BUDGET:
-        raise ResourceBudgetError(
-            f"table of {hi} entries exceeds budget of {DEFAULT_TABLE_BUDGET} entries"
-        )
+    if hi > DEFAULT_SIEVE_BUDGET:
+        raise ResourceBudgetError(f"prime sieve to {hi} exceeds budget {DEFAULT_SIEVE_BUDGET}")
     spf = np.zeros((hi + 1) // 2, dtype=np.uint16)
     ps = primes_up_to(isqrt(hi))[:0:-1].tolist()
     nxt = [p * p // 2 for p in ps]  # the next entry each prime writes

@@ -25,7 +25,6 @@ from math import gcd
 import numpy as np
 
 from .arith_core import (
-    DEFAULT_SIEVE_BUDGET,
     EULER_GAMMA,
     S1_PRIME_BOUND,
     _root,
@@ -86,15 +85,13 @@ class ExpSumEvaluator:
     MODES = ("moebius", "rosser_plus", "rosser_minus")
 
     def __init__(self, ctx: SieveContext):
-        if ctx.n > DEFAULT_SIEVE_BUDGET:
-            raise ResourceBudgetError(f"n={ctx.n} exceeds sieve budget {DEFAULT_SIEVE_BUDGET}")
         self.ctx = ctx
         ps = primes_up_to(ctx.n)
         sel = ps[ps % ctx.W == ctx.b % ctx.W]
         self.primes = sel
         self.xs = (sel - ctx.b) // ctx.W
         self.logp = np.log(sel.astype(np.float64))
-        self.small_primes = [int(p) for p in primes_up_to(max(2, math.ceil(ctx.z0) - 1)) if p < ctx.z0]
+        self.small_primes = primes_up_to(math.ceil(ctx.z0) - 1).tolist()  # the primes below z0
         self._weights: dict[str, np.ndarray] = {}
         self._q = 0
         self._residues: np.ndarray | None = None
@@ -141,7 +138,8 @@ class ExpSumEvaluator:
         if c is None:
             c = np.bincount(self._residues, weights=w, minlength=q)
             self._class_sums[mode] = c
-        # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, so a r < 2^63
+        # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, which primes_up_to(n) in
+        # __init__ enforces, so a r < 2^63
         t = (a * np.arange(q, dtype=np.int64)) % q / q
         return complex(np.dot(c, np.exp(2j * np.pi * t)))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arith_core import DEFAULT_TABLE_BUDGET, build_factor_table, chen_primes
+from .arith_core import build_factor_table, chen_primes
 from .circle_method import (
     ArcDissection,
     SieveContext,
@@ -37,7 +37,7 @@ from .errors import (
 from .goldbach_verify import find_representations, range_survey
 from .rosser_sieve import build_rosser, sandwich_check
 from .selberg_sieve import build_selberg, quadratic_form
-from .transference import pollard_check, run_transference
+from .transference import ZN_POINT_BUDGET, pollard_check, run_transference
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
@@ -204,8 +204,8 @@ def cmd_pollard(args) -> int:
     N = args.N
     if N < 1 or not all(0 < th <= 1 for th in args.densities):
         raise ConfigError(f"need N >= 1 and densities in (0, 1], got N={N}, {args.densities}")
-    if N > DEFAULT_TABLE_BUDGET:  # before drawing the sets
-        raise ResourceBudgetError(f"N={N} exceeds the budget of {DEFAULT_TABLE_BUDGET} points on Z_N")
+    if N > ZN_POINT_BUDGET:  # before drawing the sets
+        raise ResourceBudgetError(f"N={N} exceeds the budget of {ZN_POINT_BUDGET} points on Z_N")
     sizes = [max(1, int(round(th * N))) for th in args.densities]
     sets = [rng.choice(N, size=s, replace=False) for s in sizes]
     res = pollard_check(N, sets[0], sets[1], sets[2], args.target)

@@ -68,7 +68,7 @@ def build_rosser(
     if D > 2.0 ** 62:
         raise DomainError(f"D must be at most 2^62 so that top // d and the cubes fit in int64, got {D}")
     if primes is None:
-        primes = primes_up_to(max(2, math.ceil(D) - 1))
+        primes = primes_up_to(math.ceil(D) - 1)  # the primes below D
     parity = int(sign == "+")  # '+' checks odd positions, '-' checks even positions
     return RosserWeights(D, sign, *_squarefree_levels(primes, D, parity, DEFAULT_SUPPORT_CAP))
 
@@ -259,9 +259,8 @@ def sieve_main_term(
     value = math.fsum((weights.value * f).tolist())
 
     product = 1.0
-    for p in primes_up_to(max(2, math.ceil(z) - 1)):
-        p = int(p)
-        if p < z and om(p) > 0:
+    for p in primes_up_to(math.ceil(z) - 1).tolist():  # the primes below z
+        if om(p) > 0:
             product *= 1.0 - om(p) / p
     s = math.log(weights.D) / math.log(z)
     F_s, f_s = linear_sieve_F_f(s)

@@ -90,9 +90,8 @@ def build_selberg(
         om = lambda p: omega_stage2(p, W, M)
     sieve_primes, skipped = [], []
     omega_map: dict[int, int] = {}
-    for p in primes_up_to(max(2, math.ceil(hi) - 1)):
-        p = int(p)
-        if not (lo <= p < hi):
+    for p in primes_up_to(math.ceil(hi) - 1).tolist():  # the primes below hi
+        if p < lo:
             continue
         w = om(p)
         if w == 0:

@@ -32,7 +32,6 @@ from math import gcd
 import numpy as np
 
 from .arith_core import (
-    DEFAULT_TABLE_BUDGET,
     EULER_GAMMA,
     S1_PRIME_BOUND,
     _fft_convolutions,
@@ -48,6 +47,8 @@ from .arith_core import (
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from .rosser_sieve import _sifted, linear_sieve_F_f
 
+# Hard cap on the points of Z_N: every weight and indicator is a length-N array.
+ZN_POINT_BUDGET = 1 << 27
 DESK_K0_CAP = 88  # keeps s = k0/4 on the linear-sieve grid
 OVERRIDABLE = ("kappa", "delta", "epsilon", "B", "C1", "C2", "C3", "C4", "C5")
 
@@ -274,10 +275,10 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
     sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
     guarded FFT convolution of the indicators.
-    N above DEFAULT_TABLE_BUDGET is a ResourceBudgetError.
+    N above ZN_POINT_BUDGET is a ResourceBudgetError.
     """
-    if N > DEFAULT_TABLE_BUDGET:  # before the length-N indicators
-        raise ResourceBudgetError(f"N={N} exceeds the budget of {DEFAULT_TABLE_BUDGET} points on Z_N")
+    if N > ZN_POINT_BUDGET:  # before the length-N indicators
+        raise ResourceBudgetError(f"N={N} exceeds the budget of {ZN_POINT_BUDGET} points on Z_N")
     inds = [_indicator(np.mod(np.asarray(X, dtype=np.int64), N), N) for X in (X1, X2, X3)]
     sets = [np.flatnonzero(ind) for ind in inds]
     th = [X.size / N for X in sets]
@@ -421,7 +422,7 @@ def choose_parameters(
     (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]).
     overrides may set the inputs in OVERRIDABLE before anything is derived
     from them; any other key, or a value out of range, is a ConfigError.  A
-    window for N above DEFAULT_TABLE_BUDGET is a ResourceBudgetError.
+    window for N above ZN_POINT_BUDGET is a ResourceBudgetError.
     """
     if profile not in ("paper", "desk"):
         raise ConfigError(f"profile must be 'paper' or 'desk', got {profile!r}")
@@ -481,8 +482,8 @@ def choose_parameters(
     b1, b2, b3 = split_residues(n, W)
     lo = (1.0 + kf ** 2 / 20.0) * n / W
     hi = (1.0 + kf ** 2 / 10.0) * n / W
-    if lo > DEFAULT_TABLE_BUDGET:  # every weight is a length-N array
-        raise ResourceBudgetError(f"N >= {lo:.4g} exceeds the budget of {DEFAULT_TABLE_BUDGET} "
+    if lo > ZN_POINT_BUDGET:  # every weight is a length-N array
+        raise ResourceBudgetError(f"N >= {lo:.4g} exceeds the budget of {ZN_POINT_BUDGET} "
                                   f"points on Z_N (kappa={kappa})")
     N = find_prime_in(lo, hi)
     return ParameterLedger(
@@ -512,7 +513,7 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
     x <= (n - b3)/W, weight e^gamma phi2(W) log(Wx+b3) log(n) / (4 k0 S1 n).
 
     b1 = b2 for every ledger choose_parameters returns: W = 30 needs
-    log n >= 30, and then N > n/W > DEFAULT_TABLE_BUDGET, so W <= 6, where
+    log n >= 30, and then N > n/W > ZN_POINT_BUDGET, so W <= 6, where
     the one admissible residue (b = 1 mod 2, b = 5 mod 6) is every b_i.  A
     ledger with b1 != b2 is a DomainError.
     """

@@ -16,7 +16,8 @@ one pass per x, and per-item trial-division checks of a Rosser weight, its
 divisor sum, a Chen prime and a Goldbach representation.  Also the count of
 squarefree q <= x as a Moebius sum over d^2, against the sandwich check, and
 the point-mass and uniform weights on Z_N that the transference tests use,
-and the linear-sieve delay system stepped one grid point at a time."""
+and the linear-sieve delay system stepped one grid point at a time, and the
+primes from a bool Eratosthenes sieve."""
 
 import bisect
 import math
@@ -34,13 +35,25 @@ from chen3.arith_core import (
     factorize,
     is_prime_u64,
     mult_functions,
-    primes_up_to,
 )
 from chen3.errors import DomainError
 from chen3.goldbach_verify import SurveyReport, _class_pair_counts
 from chen3.rosser_sieve import LinearSieveFns
 from chen3.selberg_sieve import PairCountReport, build_selberg
 from chen3.transference import ZnWeight
+
+
+def primes_direct(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array from a bool Eratosthenes sieve,
+    sharing no code with chen3.arith_core's factor table."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
 
 
 def exp_sum_direct(ev, alpha: Fraction, mode: str) -> complex:
@@ -144,7 +157,7 @@ def survey_direct(n_lo: int, n_hi: int, variant: str = "basic", z: float | None 
     for i, p1 in enumerate(chens.tolist()):
         sums = p1 + chens[i:]
         unordered += np.bincount(sums[sums <= n_hi], minlength=n_hi + 1)
-    primes = primes_up_to(n_hi)
+    primes = primes_direct(n_hi)
     om_shift = np.array([omega_direct(p + 2) for p in primes.tolist()], dtype=np.int64)
     rows = []
     start = n_lo + (3 - n_lo) % 6
@@ -200,7 +213,7 @@ def spf_table_direct(hi: int) -> np.ndarray:
     per odd prime <= sqrt(hi) over the whole array, in descending order:
     the sieve with no blocks."""
     spf = np.zeros((hi + 1) // 2, dtype=np.uint16)
-    for p in primes_up_to(math.isqrt(hi))[:0:-1].tolist():
+    for p in primes_direct(math.isqrt(hi))[:0:-1].tolist():
         spf[p * p // 2 :: p] = p
     return spf
 
@@ -239,9 +252,9 @@ def pair_count_direct(
     lam1 = sys1.lam_float()
     lam2 = sys2.lam_float()
 
-    ps = primes_up_to(n)
+    ps = primes_direct(n)
     sel = ps[ps % W == b % W]
-    small = [int(p) for p in primes_up_to(max(2, math.ceil(z0) - 1)) if p < z0]
+    small = [int(p) for p in primes_direct(max(2, math.ceil(z0) - 1)) if p < z0]
     surv = np.ones(sel.size, dtype=bool)
     for sp in small:
         surv &= (sel + 2) % sp != 0
@@ -382,7 +395,7 @@ def rosser_support_direct(D: float, sign: str, primes=None) -> tuple[dict, dict]
     """(d -> lambda_D^sign(d), d -> prime chain of d) by depth-first search
     over descending primes, each product compared to D in Python integers."""
     if primes is None:
-        primes = primes_up_to(max(2, math.ceil(D) - 1))
+        primes = primes_direct(max(2, math.ceil(D) - 1))
     plist = sorted((int(p) for p in primes if p < D), reverse=True)
     neg = [-p for p in plist]  # ascending, for bisecting the descending list
     support, chains = {1: 1}, {1: ()}

@@ -13,7 +13,6 @@ from chen3 import arith_core
 from chen3.arith_core import (
     _SIEVE_BLOCK,
     DEFAULT_SIEVE_BUDGET,
-    DEFAULT_TABLE_BUDGET,
     _fft_convolutions,
     _fft_triple_count,
     build_factor_table,
@@ -24,8 +23,10 @@ from chen3.arith_core import (
     primes_up_to,
     singular_series_S1,
 )
+from chen3.circle_method import ExpSumEvaluator, SieveContext
 from chen3.errors import DomainError, ResourceBudgetError
-from oracles import is_chen_direct, spf_table_direct
+from chen3.goldbach_verify import range_survey, representation_count
+from oracles import is_chen_direct, primes_direct, spf_table_direct
 
 
 def omega_oracle(x: int) -> int:
@@ -122,7 +123,7 @@ class TestFactorTable:
         hi = 2**20 + 3
         t = build_factor_table(hi)
         xs = np.arange(2, hi + 1)
-        ps = primes_up_to(hi)
+        ps = primes_direct(hi)
         assert np.array_equal(xs[spf_read(t, xs) == xs], ps)
         assert np.array_equal(t.primes(hi), ps)
         # sum_{x <= hi} Omega(x) = Omega(hi!) = sum_{p^k <= hi} floor(hi / p^k)
@@ -137,11 +138,11 @@ class TestFactorTable:
     def test_primes_slice_the_list(self, table_1e5):
         for bound in (-2, 0, 1, 2, 3, 4, 100_002):  # no primes below 0, not a slice from the end
             ps = table_1e5.primes(bound)
-            assert ps.dtype == np.int64 and np.array_equal(ps, primes_up_to(bound)), bound
+            assert ps.dtype == np.int64 and np.array_equal(ps, primes_direct(bound)), bound
             assert not ps.flags.writeable  # one table serves many calls
-        assert np.array_equal(build_factor_table(100_003).primes(100_003), primes_up_to(100_003))
+        assert np.array_equal(build_factor_table(100_003).primes(100_003), primes_direct(100_003))
         for hi in range(1, 65):  # 2 stands in for the entry of 1
-            assert np.array_equal(build_factor_table(hi).primes(hi), primes_up_to(hi)), hi
+            assert np.array_equal(build_factor_table(hi).primes(hi), primes_direct(hi)), hi
         with pytest.raises(DomainError, match="does not cover"):  # not cut at hi = 100_002
             table_1e5.primes(table_1e5.hi + 1)
 
@@ -156,12 +157,26 @@ class TestFactorTable:
 
     def test_spf_fits_uint16_under_the_budget(self):
         # a composite x <= hi has spf(x) <= isqrt(hi)
-        assert math.isqrt(DEFAULT_TABLE_BUDGET) < 2**16
+        assert math.isqrt(DEFAULT_SIEVE_BUDGET) < 2**16
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
         with pytest.raises(ResourceBudgetError):
-            build_factor_table(DEFAULT_TABLE_BUDGET + 1)
+            build_factor_table(DEFAULT_SIEVE_BUDGET + 1)
+
+    @pytest.mark.parametrize("entry", [
+        lambda n: chen_primes(n),
+        lambda n: range_survey(9, n),
+        lambda n: representation_count(n),
+        lambda n: ExpSumEvaluator(SieveContext(n=n, W=2, b=1)),
+    ], ids=["chen_primes", "range_survey", "representation_count", "ExpSumEvaluator"])
+    def test_budget_covers_every_entry(self, monkeypatch, entry):
+        # one sieve, so one budget: each entry that sieves to n raises before
+        # the table allocates (n = DEFAULT_SIEVE_BUDGET + 1 is an odd
+        # multiple of 3, as representation_count needs)
+        monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail
+        with pytest.raises(ResourceBudgetError):
+            entry(DEFAULT_SIEVE_BUDGET + 1)
 
     @given(st.integers(min_value=2, max_value=100_000))
     @settings(max_examples=200, deadline=None)
@@ -176,7 +191,17 @@ class TestPrimes:
         assert primes_up_to(1).size == 0
 
     def test_count_1e5(self):
-        assert primes_up_to(100_000).size == 9592
+        assert primes_up_to(100_000).size == 9592 == primes_direct(100_000).size
+
+    def test_matches_direct(self):
+        # every small n, and n at the block seams of the table's sieve
+        for n in [*range(-1, 2001), 2**20 - 1, 2**20 + 1, 3 * 2**20 + 5]:
+            ps = primes_up_to(n)
+            assert ps.dtype == np.int64 and np.array_equal(ps, primes_direct(n)), n
+
+    def test_read_only(self):
+        # the table's own list, shared by every caller
+        assert not primes_up_to(100).flags.writeable
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(arith_core, "np", None)  # any numpy call would fail

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chen3.arith_core import mult_functions, primes_up_to
-from chen3 import circle_method
+from chen3 import arith_core, circle_method
 from chen3.circle_method import (
     ArcDissection,
     ExpSumEvaluator,
@@ -69,7 +69,7 @@ class TestExpSum:
         assert exp_sum(ctx, 0.0).real == pytest.approx(want, rel=1e-12)
 
     def test_sieve_budget(self, monkeypatch):
-        monkeypatch.setattr(circle_method, "DEFAULT_SIEVE_BUDGET", 3000)
+        monkeypatch.setattr(arith_core, "DEFAULT_SIEVE_BUDGET", 3000)  # checked by primes_up_to(n)
         assert ExpSumEvaluator(CTX).xs.size > 0  # n = 3000 is within the budget
         with pytest.raises(ResourceBudgetError):
             ExpSumEvaluator(SieveContext(n=3001, W=2, b=1, k0=4))

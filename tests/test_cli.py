@@ -147,7 +147,9 @@ class TestExitCodes:
         ["rosser", "--D", "100", "--sandwich-limit", "10000000000"],
         ["pollard", "--N", "10000000000", "--densities", "0.6", "0.6", "0.6"],
         ["arcs", "--n", "1000000", "--B", "4"],
-    ], ids=["rosser-D", "rosser-sandwich-limit", "pollard-N", "arcs-B"])
+        ["chen", "--bound", "200000000"],
+        ["goldbach", "--n", "9", "--hi", "200000000"],
+    ], ids=["rosser-D", "rosser-sandwich-limit", "pollard-N", "arcs-B", "chen-bound", "goldbach-hi"])
     def test_allocation_above_a_budget_exits_3(self, capsys, argv):
         # each raises before it allocates by its flag
         code, out, err = run(capsys, *argv)

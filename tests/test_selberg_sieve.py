@@ -187,11 +187,14 @@ class TestPairCount:
     def test_matches_direct(self, args, exact, monkeypatch):
         want = pair_count_direct(*args)
 
-        def refuse(hi):  # the survivors are sifted on the residue-class kernel
-            raise AssertionError(f"build_factor_table({hi}) called")
+        def refuse(*args, **kwargs):  # the survivors are sifted on the residue-class kernel
+            raise AssertionError("an spf entry was read")
 
-        monkeypatch.setattr(arith_core, "build_factor_table", refuse)
-        assert not hasattr(selberg_sieve, "build_factor_table")
+        # the primes come from the sieve, but no spf entry is read: neither
+        # Omega nor the Chen test
+        monkeypatch.setattr(arith_core.FactorTable, "omega", refuse)
+        monkeypatch.setattr(arith_core, "chen_primes", refuse)
+        assert not hasattr(selberg_sieve, "chen_primes")
         rep = pair_count_bound(*args)
         assert rep == want
         if exact is not None:

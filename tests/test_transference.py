@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import chen3.goldbach_verify
 import chen3.transference
-from chen3.arith_core import DEFAULT_TABLE_BUDGET, build_factor_table, chen_primes, is_prime_u64
+from chen3.arith_core import build_factor_table, chen_primes, is_prime_u64
 from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from chen3.transference import (
+    ZN_POINT_BUDGET,
     ZnWeight,
     bohr_set,
     build_weights,
@@ -338,7 +339,7 @@ class TestPollard:
     def test_N_above_the_table_budget(self, monkeypatch):
         monkeypatch.setattr(chen3.transference, "np", None)  # any numpy call would fail
         with pytest.raises(ResourceBudgetError):
-            pollard_check(DEFAULT_TABLE_BUDGET + 1, [0], [0], [0], 0)
+            pollard_check(ZN_POINT_BUDGET + 1, [0], [0], [0], 0)
 
 
 class TestPollardGuard:
@@ -494,7 +495,7 @@ class TestResidues:
 
 class TestOneChenWeight:
     """a1 and a2 are one weight: b1 = b2 for every ledger choose_parameters
-    can return, since W = 30 would put N above the table budget."""
+    can return, since W = 30 would put N above ZN_POINT_BUDGET."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(7, (8 * 10**8 - 3) // 6))
