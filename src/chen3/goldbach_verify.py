@@ -37,7 +37,9 @@ from .arith_core import (
     build_factor_table,
     chen_primes,
 )
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, ResourceBudgetError
+
+SURVEY_HI_BUDGET = 30_000_000  # grids of 31-33 bytes per unit of n_hi (300 MB at 10^7): 1 GB
 
 
 def _check_n(n: int) -> None:
@@ -198,10 +200,12 @@ def range_survey(
     with no representation at all.  Both columns come from FFT convolutions
     on grids of about n_hi/6 points (_class_pair_counts, then
     _survey_counts once per prime class), O(n_hi log n_hi) for each Omega
-    class reached.
+    class reached.  n_hi above SURVEY_HI_BUDGET is a ResourceBudgetError.
     """
     if n_hi < n_lo:
         raise DomainError(f"need n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+    if n_hi > SURVEY_HI_BUDGET:  # before the table and the grids
+        raise ResourceBudgetError(f"survey to {n_hi} exceeds budget {SURVEY_HI_BUDGET}")
     n_lo, hi = max(n_lo, 9), max(n_hi, 9)  # a range below 9 holds no n: an empty survey
     table = build_factor_table(hi + 2)
     chens = chen_primes(hi - 4, variant=variant, z=z, table=table)

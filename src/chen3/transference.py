@@ -24,7 +24,6 @@ under the desk profile, it is reported with status "diagnostic".
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -247,8 +246,7 @@ def threesum_comparison(
     raw = triple_sum(a1, a2, a3, target)
     smoothed = triple_sum(s1, s2, s3, target)
     diff = abs(raw - smoothed)
-    eps, delta = float(ledger.epsilon), float(ledger.delta)
-    C3, C4 = ledger.C3, ledger.C4
+    eps, delta, C3, C4 = ledger.epsilon, ledger.delta, ledger.C3, ledger.C4
     budget = (
         3072.0 * eps ** 2 * (C3 ** 2.4 * delta ** -2.4 + 5.0 * C4 * delta ** -4)
         + 72.0 * C3 ** (24 / 13) * C4 ** (3 / 13) * delta ** (1 / 13)
@@ -323,41 +321,32 @@ class ParameterLedger:
     C5: float = 1.0
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        mpmath = sys.modules.get("mpmath")  # an mpf exists only once mpmath is loaded
-        mpf = mpmath.mpf if mpmath is not None else ()
-        return {k: mpmath.nstr(v, 8) if isinstance(v, mpf) else v for k, v in asdict(self).items()}
 
+def paper_logs(varpi: float, C3: float, C4: float) -> tuple[float, float, float, float]:
+    """ln delta, ln epsilon, ln E and ln(lhs / varpi^6) <= 0 of the paper's
+    parameter lemma, with d = delta and eps = epsilon:
 
-def paper_kappa_delta_epsilon(varpi: float, C3: float, C4: float):
-    """The explicit (delta, epsilon, kappa) of the paper's parameter lemma,
-    evaluated in arbitrary precision (the float range cannot hold them).
+        delta = min(varpi^78 / (144^13 C3^24 C4^3), 1),
+        epsilon = min(varpi^3 d^2 / (192 sqrt(C3 d^{-12/5} + 5 C4 d^{-4})), 1),
+        kappa = min(eps^E, varpi),  E = 6 C3^{12/5} d^{-12/5} + 60 C4 d^{-4},
+        lhs = 3072 eps^2 (C3^{12/5} d^{-12/5} + 5 C4 d^{-4}) + 72 C3^{24/13} C4^{3/13} d^{1/13}.
 
-    Verifies 3072 eps^2 (C3^{12/5} d^{-12/5} + 5 C4 d^{-4})
-             + 72 C3^{24/13} C4^{3/13} d^{1/13} <= varpi^6.
-    """
-    import mpmath  # the only arbitrary-precision step: loaded on the paper path alone
-
-    with mpmath.workdps(60):
-        vp = mpmath.mpf(varpi)
-        c3, c4 = mpmath.mpf(C3), mpmath.mpf(C4)
-        delta = min(vp ** 78 / (mpmath.mpf(144) ** 13 * c3 ** 24 * c4 ** 3), mpmath.mpf(1))
-        epsilon = min(
-            vp ** 3 * delta ** 2
-            / (192 * mpmath.sqrt(c3 * delta ** mpmath.mpf("-2.4") + 5 * c4 * delta ** -4)),
-            mpmath.mpf(1),
-        )
-        exponent = 6 * c3 ** mpmath.mpf("2.4") * delta ** mpmath.mpf("-2.4") + 60 * c4 * delta ** -4
-        kappa = min(epsilon ** exponent, vp)
-        lhs = (
-            3072 * epsilon ** 2 * (c3 ** mpmath.mpf("2.4") * delta ** mpmath.mpf("-2.4") + 5 * c4 * delta ** -4)
-            + 72 * c3 ** (mpmath.mpf(24) / 13) * c4 ** (mpmath.mpf(3) / 13) * delta ** (mpmath.mpf(1) / 13)
-        )
-        if not lhs <= vp ** 6:
-            raise PaperAssertionError(
-                f"parameter inequality failed: lhs={mpmath.nstr(lhs, 6)}, varpi^6={mpmath.nstr(vp ** 6, 6)}"
-            )
-        return delta, epsilon, kappa
+    At C = 1, delta ~ 10^-340, epsilon ~ 10^-1375 and ln kappa ~ -3e1365 are
+    far outside the float range, but their logs are sums of logs, with a
+    log-sum-exp per two-term sum.  lhs > varpi^6 is a PaperAssertionError."""
+    if not (varpi > 0 and C3 > 0 and C4 > 0):
+        raise ConfigError(f"the paper profile needs C1 C2 > 0, C3 > 0 and C4 > 0, "
+                          f"got varpi={varpi}, C3={C3}, C4={C4}")
+    lv, l3, l4 = math.log(varpi), math.log(C3), math.log(C4)
+    ld = min(78 * lv - 13 * math.log(144) - 24 * l3 - 3 * l4, 0.0)
+    l5c4 = math.log(5) + l4 - 4 * ld  # ln(5 C4 d^-4)
+    le = min(3 * lv + 2 * ld - math.log(192) - np.logaddexp(l3 - 2.4 * ld, l5c4) / 2, 0.0)
+    lE = np.logaddexp(math.log(6) + 2.4 * (l3 - ld), math.log(60) + l4 - 4 * ld)
+    margin = np.logaddexp(math.log(3072) + 2 * le + np.logaddexp(2.4 * (l3 - ld), l5c4),
+                          math.log(72) + (24 * l3 + 3 * l4 + ld) / 13) - 6 * lv
+    if margin > 0:
+        raise PaperAssertionError(f"parameter inequality failed: ln(lhs / varpi^6) = {margin:.6g} > 0")
+    return ld, le, lE, margin
 
 
 def choose_k0(kappa: float) -> int | None:
@@ -418,7 +407,7 @@ def choose_parameters(
     """Resolve every pipeline constant for n, with provenance flags.
 
     Paper profile: delta/epsilon/kappa from the explicit formulas (evaluated
-    in arbitrary precision), B = 6^9.  Desk profile: finite stand-ins
+    in log space, paper_logs), B = 6^9.  Desk profile: finite stand-ins
     (kappa=0.5, delta=epsilon=0.05, B giving Q = (log n)^B in [10, 1000]).
     overrides may set the inputs in OVERRIDABLE before anything is derived
     from them; any other key, or a value out of range, is a ConfigError.  A
@@ -437,7 +426,7 @@ def choose_parameters(
               "delta": lambda v: 0 < v < math.inf, "epsilon": lambda v: 0 < v <= 0.5}
 
     def check(values: dict) -> None:
-        bad = [f"{key}={float(v)}" for key, v in values.items() if not ranges.get(key, math.isfinite)(float(v))]
+        bad = [f"{key}={v}" for key, v in values.items() if not ranges.get(key, math.isfinite)(v)]
         if bad:
             raise ConfigError(f"need finite values, kappa > 0 with kappa^2 finite, delta > 0 "
                               f"and 0 < epsilon <= 1/2: {', '.join(bad)}")
@@ -447,7 +436,14 @@ def choose_parameters(
     prov: dict[str, str] = {"varpi": "paper-formula"}
 
     if profile == "paper":
-        delta, epsilon, kappa = paper_kappa_delta_epsilon(varpi, C3, C4)
+        log_delta, log_eps, log_E, _ = paper_logs(varpi, C3, C4)
+        log_neg_log = log_E + math.log(-log_eps) if log_eps < 0 else -math.inf  # ln(-ln eps^E)
+        delta, epsilon = math.exp(log_delta), math.exp(log_eps)
+        kappa = min(math.exp(-math.exp(min(log_neg_log, 7.0))), varpi)  # e^-e^7 = 0.0: no OverflowError
+        ln10 = math.log(10)
+        log10s = {"kappa": f"log10(-log10 kappa) = {(log_neg_log - math.log(ln10)) / ln10:.6f}",
+                  "delta": f"log10 delta = {log_delta / ln10:.6f}",
+                  "epsilon": f"log10 epsilon = {log_eps / ln10:.6f}"}
         B = 6.0 ** 9
         prov.update(dict.fromkeys(("delta", "epsilon", "kappa"), "paper-formula"), B="paper-default")
     else:
@@ -460,13 +456,13 @@ def choose_parameters(
     if profile == "paper":
         # a run at 0.0 fails late, or spends O(N^2) on a spectrum of every frequency
         underflow = [key for key, value in (("kappa", kappa), ("delta", delta), ("epsilon", epsilon))
-                     if key not in overrides and float(value) == 0.0]
+                     if key not in overrides and value == 0.0]
         if underflow:
             raise ConfigError(f"paper-profile values underflow to 0.0 as floats: "
-                              f"{', '.join(underflow)}; override each with KEY=VALUE")
+                              f"{', '.join(underflow)}; override each with KEY=VALUE "
+                              f"({', '.join(log10s[key] for key in underflow)})")
     check({"kappa": kappa, "delta": delta, "epsilon": epsilon})  # and the values it gave
-    kf = float(kappa)
-    k0 = choose_k0(kf)
+    k0 = choose_k0(kappa)
     if profile == "paper":
         # the F-f rule at the true (astronomically small) kappa is far below
         # the integrator's resolution: the grid cap is used, and flagged
@@ -480,8 +476,8 @@ def choose_parameters(
     W, w = select_W(n)
     prov["W"] = prov["w"] = "derived"
     b1, b2, b3 = split_residues(n, W)
-    lo = (1.0 + kf ** 2 / 20.0) * n / W
-    hi = (1.0 + kf ** 2 / 10.0) * n / W
+    lo = (1.0 + kappa ** 2 / 20.0) * n / W
+    hi = (1.0 + kappa ** 2 / 10.0) * n / W
     if lo > ZN_POINT_BUDGET:  # every weight is a length-N array
         raise ResourceBudgetError(f"N >= {lo:.4g} exceeds the budget of {ZN_POINT_BUDGET} "
                                   f"points on Z_N (kappa={kappa})")
@@ -538,7 +534,7 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         return ZnWeight(N, v)
 
     x1 = support(chen_primes(W * ((n - b1) // (2 * W)) + b1, "strict", z=z1, table=table), b1)
-    a1 = weight(x1, float(ledger.C2) / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
+    a1 = weight(x1, ledger.C2 / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
     m3 = (n - b3) // W
     x3 = support(table.primes(W * m3 + b3), b3)
     x3 = x3[_sifted(W, b3 + 2, z0, m3 + 1)[x3]]
@@ -586,14 +582,14 @@ def run_transference(
     report: dict = {
         "schema_version": 1,
         "profile": profile,
-        "ledger": ledger.to_dict(),
+        "ledger": asdict(ledger),
         "n_prime": n_prime,
         "stages": [],
     }
 
     table = build_factor_table(n + 2)
     built = build_weights(ledger, table)
-    kappa = float(ledger.kappa)
+    kappa = ledger.kappa
     band = [1 - kappa ** 2, 1 + kappa ** 2]
     a3_sum_status = claim(band[0] <= built.sums[2] <= band[1],
                           f"sum a3 = {built.sums[2]} outside [1 - kappa^2, 1 + kappa^2]")
@@ -612,7 +608,7 @@ def run_transference(
     # every stage runs once per distinct weight, (a1, a3); the report lists
     # a1, a2, a3, with a2 = a1
     weights, a123 = (built.a1, built.a3), (0, 0, 1)
-    delta, eps = float(ledger.delta), float(ledger.epsilon)
+    delta, eps = ledger.delta, ledger.epsilon
     specs = [spectrum(wt, delta) for wt in weights]
     report["stages"].append({
         "stage": "spectra",
@@ -650,9 +646,8 @@ def run_transference(
         })
     report["stages"].append({"stage": "smoothing", "per_weight": [sup_flags[i] for i in a123]})
 
-    varpi = float(ledger.varpi)
-    level = [np.nonzero(r.weight.values >= varpi / N)[0] for r in smooth]
-    a3_lower = (1.0 - 3.0 * varpi) * N
+    level = [np.nonzero(r.weight.values >= ledger.varpi / N)[0] for r in smooth]
+    a3_lower = (1.0 - 3.0 * ledger.varpi) * N
     a3_lower_ok = bool(level[1].size >= a3_lower)
     report["stages"].append({
         "stage": "level_sets",

@@ -16,10 +16,12 @@ one pass per x, and per-item trial-division checks of a Rosser weight, its
 divisor sum, a Chen prime and a Goldbach representation.  Also the count of
 squarefree q <= x as a Moebius sum over d^2, against the sandwich check, and
 the point-mass and uniform weights on Z_N that the transference tests use,
-and the linear-sieve delay system stepped one grid point at a time, and the
-primes from a bool Eratosthenes sieve."""
+and the linear-sieve delay system stepped one grid point at a time, the
+primes from a bool Eratosthenes sieve, and the paper's parameter lemma
+evaluated value by value in 60-digit decimal arithmetic."""
 
 import bisect
+import decimal
 import math
 from fractions import Fraction
 from math import gcd
@@ -452,3 +454,22 @@ def linear_sieve_grids_direct(steps_per_unit: int) -> tuple[np.ndarray, np.ndarr
         if s[i] > 4.0:
             f[i] = (s[i - 1] * f[i - 1] + 0.5 * h * (F[i - lag] + F[i - 1 - lag])) / s[i]
     return s, F, f
+
+
+def paper_logs_direct(varpi: float, C3: float, C4: float) -> tuple[float, float, float, float]:
+    """chen3.transference.paper_logs from the formulas themselves: delta,
+    epsilon, the exponent E of kappa = min(epsilon^E, varpi) and lhs / varpi^6
+    as 60-digit decimals over the widest exponent range (delta ~ 10^-340 and
+    E ~ 10^1362 at C = 1), with no log taken before the last step.
+    Returns ln delta, ln epsilon, ln E and ln(lhs / varpi^6)."""
+    context = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        D = decimal.Decimal
+        vp, c3, c4 = D(varpi), D(C3), D(C4)
+        delta = min(vp ** 78 / (D(144) ** 13 * c3 ** 24 * c4 ** 3), D(1))
+        d24, d4 = delta ** D("-2.4"), delta ** -4
+        epsilon = min(vp ** 3 * delta ** 2 / (192 * (c3 * d24 + 5 * c4 * d4).sqrt()), D(1))
+        exponent = 6 * c3 ** D("2.4") * d24 + 60 * c4 * d4
+        lhs = (3072 * epsilon ** 2 * (c3 ** D("2.4") * d24 + 5 * c4 * d4)
+               + 72 * c3 ** (D(24) / 13) * c4 ** (D(3) / 13) * delta ** (D(1) / 13))
+        return tuple(float(x.ln()) for x in (delta, epsilon, exponent, lhs / vp ** 6))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chen3 import rosser_sieve
+from chen3 import goldbach_verify, rosser_sieve
 from chen3.arith_core import factorize
 from chen3.cli import main
 
@@ -154,6 +154,16 @@ class TestExitCodes:
         # each raises before it allocates by its flag
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out and err.startswith("resource limit: ")
+
+    def test_survey_above_its_budget_exits_3(self, capsys, monkeypatch):
+        # within the sieve budget, but the survey's grids would take about 6 GB
+        def no_table(hi):
+            raise AssertionError("build_factor_table reached")
+
+        monkeypatch.setattr(goldbach_verify, "build_factor_table", no_table)
+        code, out, err = run(capsys, "goldbach", "--n", "9", "--hi", "199999999")
+        assert code == 3 and not out
+        assert err.startswith("resource limit: survey to 199999999 exceeds budget")
 
     def test_resource_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)

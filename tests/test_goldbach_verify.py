@@ -9,7 +9,7 @@ from chen3.arith_core import (
     _least_smooth,
     build_factor_table,
 )
-from chen3.errors import DomainError, InvariantError
+from chen3.errors import DomainError, InvariantError, ResourceBudgetError
 from chen3.goldbach_verify import (
     _survey_counts,
     find_representations,
@@ -245,6 +245,16 @@ class TestSurvey:
     def test_domain(self):
         with pytest.raises(DomainError):
             range_survey(100, 50)
+
+    def test_survey_budget_is_checked_before_the_table(self, monkeypatch):
+        def no_table(hi):
+            raise AssertionError("build_factor_table reached")
+
+        monkeypatch.setattr(goldbach_verify, "build_factor_table", no_table)
+        cap = goldbach_verify.SURVEY_HI_BUDGET
+        assert cap >= 10**7  # every survey the README and the tests run
+        with pytest.raises(ResourceBudgetError, match=f"^survey to {cap + 1} exceeds budget {cap}$"):
+            range_survey(9, cap + 1)
 
     @pytest.mark.parametrize("n_lo, n_hi", [(-7, -3), (1, 1), (3, 5), (3, 8), (8, 8), (10, 14)])
     def test_ranges_without_an_n_are_empty(self, n_lo, n_hi):

@@ -1,13 +1,8 @@
 import math
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +19,7 @@ from chen3.transference import (
     build_weights,
     choose_parameters,
     convolve,
-    paper_kappa_delta_epsilon,
+    paper_logs,
     pollard_check,
     run_transference,
     select_W,
@@ -33,8 +28,8 @@ from chen3.transference import (
     split_residues,
     triple_sum,
 )
-from oracles import (bohr_set_direct, convolve_direct, dft_direct, point_mass, pollard_direct,
-                     triple_sum_direct, uniform)
+from oracles import (bohr_set_direct, convolve_direct, dft_direct, paper_logs_direct, point_mass,
+                     pollard_direct, triple_sum_direct, uniform)
 
 
 class TestZnWeight:
@@ -393,29 +388,43 @@ class TestParameters:
         assert led.k0 == 8 or 20 * (Fp - fp) > led.kappa**2
 
     def test_paper_profile_inequality(self):
-        # the arbitrary-precision parameter chain must satisfy its budget
-        delta, epsilon, kappa = paper_kappa_delta_epsilon(1e-4, 1.0, 1.0)
-        assert delta < mpmath.mpf(10) ** -100  # far below float range
-        assert epsilon <= delta and kappa <= 1e-4
+        # the parameter chain at C = 1 satisfies its budget, far outside the
+        # float range: log10 delta, log10 epsilon and log10(-log10 kappa)
+        log_delta, log_eps, log_E, margin = paper_logs(1e-4, 1.0, 1.0)
+        ln10 = math.log(10)
+        assert log_delta / ln10 == pytest.approx(-340.058712397238, rel=1e-12)
+        assert log_eps / ln10 == pytest.approx(-1374.86763581982, rel=1e-12)
+        log_neg_log10_kappa = (log_E + math.log(-log_eps) - math.log(ln10)) / ln10
+        assert log_neg_log10_kappa == pytest.approx(1365.15126172819, rel=1e-12)
+        assert margin == pytest.approx(-math.log(2), rel=1e-12)  # lhs = varpi^6 / 2
         # as floats all three underflow to 0.0: an honest configuration
-        # failure before any stage runs, not a silent fallback
-        with pytest.raises(ConfigError, match="kappa, delta, epsilon"):
+        # failure before any stage runs, not a silent fallback, naming the logs
+        with pytest.raises(ConfigError, match=re.escape(
+                "kappa, delta, epsilon; override each with KEY=VALUE (log10(-log10 kappa) = "
+                "1365.151262, log10 delta = -340.058712, log10 epsilon = -1374.867636)")):
             choose_parameters(99_999, profile="paper")
 
-    def test_desk_run_does_not_load_mpmath(self):
-        code = ("import sys, chen3; chen3.transference.run_transference(30003); "
-                "print('mpmath' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+    def test_paper_logs_match_decimal_oracle(self):
+        # C3, C4 in {1e-30, 1e-27, ..., 1e3} at two varpi, where the inequality
+        # holds, and two points where it fails: the same verdict, and logs
+        # equal to 1e-12
+        grid = [10.0 ** i for i in range(-30, 4, 3)]
+        points = [(v, c3, c4) for v in (1e-4, 5e-5) for c3 in grid for c4 in grid]
+        held = 0
+        for point in points + [(1e-4, 10.0, 1e-200), (1e-4, 1e4, 1e-200)]:
+            want = paper_logs_direct(*point)
+            if want[3] > 0:
+                with pytest.raises(PaperAssertionError, match=r"^parameter inequality failed"):
+                    paper_logs(*point)
+            else:
+                assert paper_logs(*point) == pytest.approx(want, rel=1e-12, abs=1e-12), point
+                held += 1
+        assert held == len(points) == 288
 
-    def test_ledger_formats_mpf(self):
-        led = replace(choose_parameters(99_999), delta=mpmath.mpf(10) ** -400)
-        out = led.to_dict()
-        assert out["delta"] == mpmath.nstr(mpmath.mpf(10) ** -400, 8)
-        assert out["epsilon"] == 0.05 and out["N"] == led.N
+    @pytest.mark.parametrize("key, value", [("C1", 0.0), ("C1", -1.0), ("C3", 0.0), ("C4", -1.0)])
+    def test_paper_formula_needs_positive_constants(self, key, value):
+        with pytest.raises(ConfigError, match=r"^the paper profile needs C1 C2 > 0, C3 > 0 and C4 > 0"):
+            choose_parameters(99_999, profile="paper", overrides={**PASSING, key: value})
 
     def test_overrides(self):
         led = choose_parameters(99_999, overrides={"kappa": 0.3})
