@@ -250,9 +250,9 @@ def _indicator(idx: np.ndarray, top: int) -> np.ndarray:
     return ind
 
 
-def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0):
-    """Yield, for each g in the iterable gs in turn, the linear convolution
-    (f * g)[s] = sum_{x + y = s} f[x] g[y] for 0 <= s < length.
+def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0) -> list[np.ndarray]:
+    """The linear convolutions (f * g)[s] = sum_{x + y = s} f[x] g[y] for
+    0 <= s < length, one per g in gs, in order.
 
     f and g are 1-d arrays, no g longer than f; an index set enters as its
     _indicator.  One zero-padded real FFT of size _fft_size(f.size, length):
@@ -266,6 +266,7 @@ def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0):
     """
     size = _fft_size(f.size, length)
     ft = np.fft.rfft(f, size)
+    out = []
     for g in gs:
         prod = ft if g is f else np.fft.rfft(g, size)
         np.multiply(ft, prod, out=prod)
@@ -282,7 +283,8 @@ def _fft_convolutions(f: np.ndarray, gs, length: int, fold: int = 0):
         if fold:
             conv[: length - fold] += conv[fold:length]
             conv = conv[:fold]
-        yield conv
+        out.append(conv)
+    return out
 
 
 def _fft_triple_count(xs: np.ndarray, t: int) -> int:

@@ -20,7 +20,7 @@ only when reached, until no n can lower its best k so far.  p3 = 3 reads
 the (1, 5) cross count and p3 = 2 the pair (2, n - 4); these seed the best
 k, then class 5 runs, then class 1, whose Omega(p + 2) is at least 2.  All
 its products come from arith_core's kernel of linear products,
-_fft_convolutions.
+_fft_convolutions, one call for the counts and one per class formed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .arith_core import (
 from .errors import DomainError, InvariantError, ResourceBudgetError
 
 SURVEY_HI_BUDGET = 30_000_000  # grids of 31-33 bytes per unit of n_hi (300 MB at 10^7): 1 GB
+REPRESENTATION_ROW_BUDGET = 10_000_000  # rows of about 90 bytes at the peak: 0.9 GB, as the grids
 
 
 def _check_n(n: int) -> None:
@@ -64,6 +65,23 @@ def _class_pair_counts(xs: np.ndarray, length: int, ys: np.ndarray | None = None
     return (*cross, u)
 
 
+def _pair_witnesses(t: int, xs: np.ndarray, in_z: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """The rows (x, y, t - x - y) of an (m, 3) int64 array for the pairs
+    x <= y in xs (sorted int64) with in_z[t - x - y], in_z a bool indicator
+    covering [0, t], ordered by (x, y) and stopped after the first limit >= 0
+    rows.  One gather of in_z per x, over the y in [x, t - x]."""
+    blocks = [np.empty((0, 3), dtype=np.int64)]
+    found = 0
+    for i, x in enumerate(xs.tolist()):
+        if 2 * x > t or (limit is not None and found >= limit):
+            break
+        ys = xs[i : np.searchsorted(xs, t - x, side="right")]
+        ys = ys[in_z[t - x - ys]]
+        blocks.append(np.column_stack((np.full(ys.size, x), ys, t - x - ys)))
+        found += ys.size
+    return np.concatenate(blocks)[:limit]
+
+
 def find_representations(
     n: int,
     variant: str = "basic",
@@ -74,28 +92,24 @@ def find_representations(
     """All representations n = p1 + p2 + p3 (p1 <= p2 Chen, p3 prime with
     Omega(p3 + 2) <= 2) as the rows (p1, p2, p3, Omega(p3 + 2)) of an
     (m, 4) int64 array, ordered by (p1, p2), optionally truncated to the
-    first limit >= 0 rows.  For each p1 the basic Chen indicator, read at
-    the p3 = n - p1 - p2 for the Chen primes p2 in [p1, n - p1 - 2], picks
-    the p3 that qualify."""
+    first limit >= 0 rows: the pair witnesses of n in the Chen primes
+    against the basic Chen indicator, which picks the p3 that qualify.  More
+    than REPRESENTATION_ROW_BUDGET rows is a ResourceBudgetError, raised
+    before any row is built."""
     _check_n(n)
     if limit is not None and limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     if table is None:
         table = build_factor_table(n + 2)
+    # the basic count bounds the rows of every variant
+    cap = REPRESENTATION_ROW_BUDGET
+    if (limit is None or limit > cap) and (count := representation_count(n, table=table)) > cap:
+        raise ResourceBudgetError(f"{count} representations of {n} exceed the budget of {cap} "
+                                  f"rows: ask for at most {cap} with --limit")
     chens = chen_primes(n - 4, variant=variant, z=z, table=table)
     # p3 <= n - 4 qualifies exactly when it is a basic Chen prime
     basic = chens if variant == "basic" else chen_primes(n - 4, table=table)
-    is_chen = _indicator(basic, n - 3)
-    blocks = [np.empty((0, 3), dtype=np.int64)]
-    found = 0
-    for i, p1 in enumerate(chens.tolist()):
-        if 2 * p1 > n - 2 or (limit is not None and found >= limit):
-            break
-        p2 = chens[i : np.searchsorted(chens, n - p1 - 2, side="right")]
-        p3 = n - p1 - p2
-        blocks.append(np.column_stack((np.full(p2.size, p1), p2, p3))[is_chen[p3]])
-        found += blocks[-1].shape[0]
-    rows = np.concatenate(blocks)[:limit]
+    rows = _pair_witnesses(n, chens, _indicator(basic, n + 1), limit)
     return np.column_stack((rows, table.omega(rows[:, 2] + 2)))
 
 
@@ -133,38 +147,26 @@ def _survey_counts(
     primes), folded into best (the running minimum per n, lowered in place).
 
     The counts are u * 1_P, and the minimum takes one more product
-    u * 1_{P_k} per nonempty class P_k, for k = 1, 2, ..., all from one
-    transform of u.  A class is formed only when its k is reached, and the
-    classes stop at the first k where no n with a positive count and best
-    above k is left open.  u >= 0, so a class count at n is positive
-    exactly when some p in the class is.
+    u * 1_{P_k} per nonempty class P_k, for k = 1, 2, ..., each one more
+    kernel call, which transforms u again.  A class is formed only when its
+    k is reached, and the classes stop at the first k where no n with a
+    positive count and best above k is left open.  u >= 0, so a class count
+    at n is positive exactly when some p in the class is.
     """
     top = u.size
-    open_ = np.ones(ns.size, dtype=bool)  # every n until the counts are in: a kernel
-    # that read ahead would form classes early, never too few
-    formed = []  # the k of each class formed whose product is not yet read
-
-    def indicators():
-        """1_P, then 1_{P_k} for each nonempty class in increasing k, each
-        formed only while some open n has best above k."""
-        yield _indicator(primes, top)
-        for k in range(1, 64):  # Omega(x) <= log2(x) < 64
-            if not (open_ & (best > k)).any():
-                return
-            members = primes[in_class(k)]
-            if members.size:
-                formed.append(k)
-                yield _indicator(members, top)
-
-    counts = _fft_convolutions(u, indicators(), top)
-    rep = next(counts)[ns]
+    (counts,) = _fft_convolutions(u, (_indicator(primes, top),), top)
+    rep = counts[ns]
     open_ = rep > 0
-    for conv in counts:
-        k = formed.pop(0)
+    for k in range(1, 64):  # Omega(x) <= log2(x) < 64
         open_ &= best > k
-        hit = open_ & (conv[ns] > 0)
-        best[hit] = k
-        open_ &= ~hit
+        if not open_.any():
+            break
+        members = primes[in_class(k)]
+        if members.size:
+            (conv,) = _fft_convolutions(u, (_indicator(members, top),), top)
+            hit = open_ & (conv[ns] > 0)
+            best[hit] = k
+            open_ &= ~hit
     return rep
 
 

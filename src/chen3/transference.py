@@ -44,6 +44,7 @@ from .arith_core import (
     singular_series_S1,
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
+from .goldbach_verify import _pair_witnesses, representation_count
 from .rosser_sieve import _sifted, linear_sieve_F_f
 
 # Hard cap on the points of Z_N: every weight and indicator is a length-N array.
@@ -132,9 +133,7 @@ def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
         xs = xs[np.minimum(t, N - t) <= T]
     bohr = BohrSet(frequencies=freqs, epsilon=epsilon, N=N, members=xs)
     if bohr.size < bohr.pigeonhole_lower:
-        raise InvariantError(
-            f"Bohr set of size {bohr.size} below pigeonhole bound {bohr.pigeonhole_lower}"
-        )
+        raise InvariantError(f"Bohr set of size {bohr.size} below pigeonhole bound {bohr.pigeonhole_lower}")
     return bohr
 
 
@@ -177,9 +176,7 @@ def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
     scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)
     if abs(linear - fourier) / scale > 1e-8:
-        raise InvariantError(
-            f"triple_sum mismatch: linear={linear}, fourier={fourier}"
-        )
+        raise InvariantError(f"triple_sum mismatch: linear={linear}, fourier={fourier}")
     return linear
 
 
@@ -241,19 +238,15 @@ def threesum_comparison(
     """|triple_sum(smoothed) - triple_sum(raw)| against the epsilon/delta
     budget (3072 eps^2 (C3^{12/5} d^{-12/5} + 5 C4 d^{-4}) + 72 C3^{24/13}
     C4^{3/13} d^{1/13}) / N."""
-    a1, a2, a3 = raw_weights
-    s1, s2, s3 = smooth_weights
-    raw = triple_sum(a1, a2, a3, target)
-    smoothed = triple_sum(s1, s2, s3, target)
+    raw = triple_sum(*raw_weights, target)
+    smoothed = triple_sum(*smooth_weights, target)
     diff = abs(raw - smoothed)
     eps, delta, C3, C4 = ledger.epsilon, ledger.delta, ledger.C3, ledger.C4
     budget = (
         3072.0 * eps ** 2 * (C3 ** 2.4 * delta ** -2.4 + 5.0 * C4 * delta ** -4)
         + 72.0 * C3 ** (24 / 13) * C4 ** (3 / 13) * delta ** (1 / 13)
-    ) / a1.N
-    return ThreeSumComparison(
-        raw=raw, smoothed=smoothed, diff=diff, budget=budget, ok=diff <= budget
-    )
+    ) / raw_weights[0].N
+    return ThreeSumComparison(raw=raw, smoothed=smoothed, diff=diff, budget=budget, ok=diff <= budget)
 
 
 @dataclass(frozen=True)
@@ -377,12 +370,11 @@ def select_W(n: int) -> tuple[int, int]:
     return W, w
 
 
-def find_prime_in(lo: float, hi: float) -> int:
-    start = math.ceil(lo)
-    for cand in range(start, math.floor(hi) + 1):
+def find_prime_in(lo: float, hi: float) -> int | None:
+    for cand in range(math.ceil(lo), math.floor(hi) + 1):
         if is_prime_u64(cand):
             return cand
-    raise ConfigError(f"no prime in [{lo:.2f}, {hi:.2f}]")
+    return None
 
 
 def split_residues(n: int, W: int) -> tuple[int, int, int]:
@@ -450,6 +442,8 @@ def choose_parameters(
         kappa, delta, epsilon = 0.5, 0.05, 0.05
         B = max(1.0, round(math.log(100.0) / math.log(math.log(n))))
         prov.update(dict.fromkeys(("delta", "epsilon", "kappa", "B"), "desk-default"))
+    if C3 < 0 or C4 < 0:  # the three-sum budget raises them to fractional powers
+        raise ConfigError(f"need C3 >= 0 and C4 >= 0, got C3={C3}, C4={C4}")
     prov.update(dict.fromkeys(overrides, "override"))
     kappa, delta, epsilon, B = (overrides.get(key, value) for key, value in
                                 zip(("kappa", "delta", "epsilon", "B"), (kappa, delta, epsilon, B)))
@@ -482,6 +476,9 @@ def choose_parameters(
         raise ResourceBudgetError(f"N >= {lo:.4g} exceeds the budget of {ZN_POINT_BUDGET} "
                                   f"points on Z_N (kappa={kappa})")
     N = find_prime_in(lo, hi)
+    if N is None:
+        raise ConfigError(f"no prime in [{lo:.2f}, {hi:.2f}]: kappa = {kappa:.6g} ({prov['kappa']}) "
+                          f"makes the window (1 + kappa^2/20, 1 + kappa^2/10) n/W {hi - lo:.3g} wide")
     return ParameterLedger(
         n=n, profile=profile, W=W, w=w, b1=b1, b2=b2, b3=b3, N=N,
         k0=int(k0), B=float(B), kappa=kappa, delta=delta, epsilon=epsilon,
@@ -682,20 +679,17 @@ def run_transference(
     report["raw_triple_sum_positive"] = cmp_res.raw > 0.0
 
     # lift check: the lexicographically least (x1, x2) with n' - x1 - x2 in
-    # the a3 support; no wrap, so it is the least Z_N solution too
+    # the a3 support; no wrap, so it is the least Z_N solution too.  s1 = s2,
+    # so a least solution has x1 <= x2: with x2 < x1, (x2, x1) would be less
     lift = None
-    s1, s2, s3 = built.support_x
-    for x1 in s1:
-        hit = np.isin(n_prime - x1 - s2, s3)
-        if hit.any():
-            x2 = s2[np.argmax(hit)]
-            found = [int(x1), int(x2), int(n_prime - x1 - x2)]
-            primes = [W * x + b for x, b in zip(found, (ledger.b1, ledger.b2, ledger.b3))]
-            lift = {"x": found, "primes": primes, "lifts_to_integers": sum(primes) == n}
-            break
+    s1, _, s3 = built.support_x
+    witness = _pair_witnesses(n_prime, s1, _indicator(s3[s3 <= n_prime], n_prime + 1), 1)
+    if witness.size:
+        found = witness[0].tolist()
+        primes = [W * x + b for x, b in zip(found, (ledger.b1, ledger.b2, ledger.b3))]
+        lift = {"x": found, "primes": primes, "lifts_to_integers": sum(primes) == n}
     report["lift_check"] = lift
 
     if ground_truth:
-        from .goldbach_verify import representation_count
         report["ground_truth_representations"] = representation_count(n, table=table)
     return report

@@ -105,6 +105,13 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error: ") and item.split("=")[0] in err
 
+    @pytest.mark.parametrize("item", ["C3=-1", "C4=-1"])
+    def test_negative_C3_or_C4_is_a_config_error(self, capsys, item):
+        # the three-sum budget raises both to fractional powers
+        code, out, err = run(capsys, "transfer", "--n", "30003", "--override", item)
+        assert code == 2 and not out
+        assert err.startswith("error: need C3 >= 0 and C4 >= 0, got ")
+
     @pytest.mark.parametrize("kappa", ["1e4", "1e150"])
     def test_N_above_the_table_budget_exits_3(self, capsys, kappa):
         code, out, err = run(capsys, "transfer", "--n", "99999", "--override", f"kappa={kappa}")
@@ -164,6 +171,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "goldbach", "--n", "9", "--hi", "199999999")
         assert code == 3 and not out
         assert err.startswith("resource limit: survey to 199999999 exceeds budget")
+
+    def test_representations_above_their_budget_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(goldbach_verify, "REPRESENTATION_ROW_BUDGET", 10)
+        code, out, err = run(capsys, "goldbach", "--n", "99")
+        assert code == 3 and not out
+        assert err.startswith("resource limit: ") and "--limit" in err
 
     def test_resource_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(rosser_sieve, "DEFAULT_SUPPORT_CAP", 3)

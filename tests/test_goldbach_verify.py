@@ -11,6 +11,7 @@ from chen3.arith_core import (
 )
 from chen3.errors import DomainError, InvariantError, ResourceBudgetError
 from chen3.goldbach_verify import (
+    _pair_witnesses,
     _survey_counts,
     find_representations,
     range_survey,
@@ -42,16 +43,16 @@ def shift_cubes(monkeypatch, by: float) -> None:
     monkeypatch.setattr(np.fft, "rfft", shifted)
 
 
-def count_irfft(monkeypatch) -> list[int]:
-    """Wrap np.fft.irfft; the returned list gets one size per call."""
-    irfft = np.fft.irfft
+def count_fft(monkeypatch, name: str = "irfft") -> list[int]:
+    """Wrap np.fft.<name>; the returned list gets one size per call."""
+    transform = getattr(np.fft, name)
     sizes: list[int] = []
 
-    def counted(a, n):
+    def counted(a, n=None):
         sizes.append(n)
-        return irfft(a, n)
+        return transform(a, n)
 
-    monkeypatch.setattr(np.fft, "irfft", counted)
+    monkeypatch.setattr(np.fft, name, counted)
     return sizes
 
 
@@ -127,6 +128,57 @@ class TestFind:
             assert representation_count(n, table=table_1e5) == len(
                 find_representations(n, table=table_1e5)
             )
+
+
+class TestRowBudget:
+    def test_checked_before_any_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("_pair_witnesses reached")
+
+        monkeypatch.setattr(goldbach_verify, "REPRESENTATION_ROW_BUDGET", 10)
+        monkeypatch.setattr(goldbach_verify, "_pair_witnesses", no_rows)
+        for limit in (None, 11):
+            with pytest.raises(ResourceBudgetError, match="exceed the budget of 10 rows.*--limit"):
+                find_representations(99, limit=limit)
+
+    def test_a_limit_within_the_budget_passes(self, monkeypatch):
+        monkeypatch.setattr(goldbach_verify, "REPRESENTATION_ROW_BUDGET", 10)
+        assert np.array_equal(find_representations(99, limit=5), representations_direct(99, limit=5))
+
+
+class TestPairWitnesses:
+    @staticmethod
+    def double_loop(t, xs, zs):
+        return [[x, y, t - x - y] for x in xs for y in xs if x <= y and t - x - y in zs]
+
+    @staticmethod
+    def indicator(zs, t):
+        in_z = np.zeros(t + 1, dtype=bool)
+        in_z[sorted(zs)] = True
+        return in_z
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(0, 300))
+        xs = np.unique(rng.integers(0, t + 10, size=int(rng.integers(0, 60))))
+        zs = set(rng.integers(0, t + 1, size=int(rng.integers(0, 60))).tolist())
+        want = self.double_loop(t, xs.tolist(), zs)
+        for limit in (None, 0, 1, 5):
+            got = _pair_witnesses(t, xs, self.indicator(zs, t), limit)
+            assert got.dtype == np.int64 and got.shape == (len(want[:limit]), 3)
+            assert got.tolist() == want[:limit], (seed, limit)
+
+    def test_least_x_without_a_partner(self):
+        # x = 1 and x = 3 meet no z; x = 4 meets z = 2 and z = 0
+        xs, zs = np.array([1, 3, 4, 6]), {0, 2}
+        assert _pair_witnesses(10, xs, self.indicator(zs, 10)).tolist() == [[4, 4, 2], [4, 6, 0]]
+        assert _pair_witnesses(10, xs, self.indicator(zs, 10), 1).tolist() == [[4, 4, 2]]
+
+    def test_empty(self):
+        for xs, zs in ((np.empty(0, dtype=np.int64), {3}), (np.array([5, 7]), {1})):
+            got = _pair_witnesses(10, xs, self.indicator(zs, 10))
+            assert got.shape == (0, 3) and got.dtype == np.int64
 
 
 def test_count_matches_class_pair_counts(table_1e5):
@@ -306,15 +358,29 @@ class TestSurvey:
         # the (5, 5) pair counts, then for each prime class its counts; p3 =
         # 3 (Omega(5) = 1) already gives every n its least k, so no
         # Omega(p + 2) class is formed, let alone convolved
-        sizes = count_irfft(monkeypatch)
+        sizes = count_fft(monkeypatch)
+        forward = count_fft(monkeypatch, "rfft")
         read = []
         omega = FactorTable.omega
         monkeypatch.setattr(FactorTable, "omega",
                             lambda self, xs: read.append(len(xs)) or omega(self, xs))
         range_survey(9, 20001)
-        assert len(sizes) == 5
+        # forward: the Chen indicator of class 1, that of class 5 for the
+        # cross count and again for its square, then per prime class its
+        # pair grid u and its prime indicator
+        assert len(sizes) == 5 and len(forward) == 7
         assert max(sizes) <= _fft_size(20001 // 6 + 1, 0)
         assert read == [2]  # Omega(5) and Omega(4), for p3 = 3 and p3 = 2
+
+    def test_strict_survey_forms_class_one(self, monkeypatch):
+        # at z = 5 every strict Chen prime is 5 mod 6 and 2 is none, so p3 =
+        # 3 and p3 = 2 seed no best k, and class 5 forms its Omega = 1
+        # class: one more product, and one more transform of its grid, the
+        # price of one kernel call per class formed
+        sizes = count_fft(monkeypatch)
+        forward = count_fft(monkeypatch, "rfft")
+        range_survey(9, 10**5, "strict", 5)
+        assert len(sizes) == 6 and len(forward) == 9
 
     def test_later_classes_and_stop(self, monkeypatch):
         """_survey_counts on a synthetic Omega(p + 2), where classes k >= 2
@@ -335,7 +401,7 @@ class TestSurvey:
             want_rep.append(int(cnts.sum()))
             want_k.append(int(om_shift[ps][cnts > 0].min()) if cnts.any() else -1)
 
-        sizes = count_irfft(monkeypatch)
+        sizes = count_fft(monkeypatch)
         none = np.iinfo(np.int64).max
         best = np.full(ns.size, none)
         asked = []
@@ -356,7 +422,7 @@ class TestSurvey:
         ns = np.array([3, 5, 7])
         # n = 3: u[3], u[1] > 0 (p = 0, 2; k = 1, 2); n = 5: u[3] > 0 only
         # (p = 2, k = 2); n = 7: u[7], u[4] > 0 (p = 0, 3; k = 1, 3)
-        sizes = count_irfft(monkeypatch)
+        sizes = count_fft(monkeypatch)
         best = np.array([2, 2, 0])
         asked = []
         rep = _survey_counts(u, primes, lambda k: asked.append(k) or om_shift == k, ns, best)
@@ -372,7 +438,7 @@ class TestSurvey:
         primes = np.array([0, 2, 3])
         om_shift = np.array([2, 2, 3])  # class 1 is empty
         ns = np.array([3, 5, 7])
-        sizes = count_irfft(monkeypatch)
+        sizes = count_fft(monkeypatch)
         best = np.full(ns.size, np.iinfo(np.int64).max)
         asked = []
         rep = _survey_counts(u, primes, lambda k: asked.append(k) or om_shift == k, ns, best)
@@ -393,16 +459,9 @@ class TestSurveyProductsExact:
         products = []
 
         def recording(f, gs, length, fold=0):
-            fed = []  # each g as the kernel takes it, until its product is recorded
-
-            def feed():
-                for g in gs:
-                    fed.append(g.copy())
-                    yield g
-
-            for c in kernel(f, feed(), length, fold):
-                products.append((f.copy(), fed.pop(0), c.copy()))
-                yield c
+            out = kernel(f, gs, length, fold)
+            products.extend((f.copy(), g.copy(), c.copy()) for g, c in zip(gs, out))
+            return out
 
         assert poly_mod(np.arange(3000), 5) == sum(s * pow(5, s, MOD) for s in range(3000)) % MOD
         monkeypatch.setattr(goldbach_verify, "_fft_convolutions", recording)

@@ -465,6 +465,14 @@ class TestParameters:
         with pytest.raises(ResourceBudgetError, match=re.escape(f"kappa={kappa})")):
             choose_parameters(99_999, overrides={"kappa": kappa})
 
+    def test_empty_N_window_names_kappa(self):
+        # kappa = varpi = 1e-4 leaves a window 8.3e-6 wide around n/W
+        with pytest.raises(ConfigError, match=re.escape(
+                "no prime in [16666.50, 16666.50]: kappa = 0.0001 (paper-formula) makes the "
+                "window (1 + kappa^2/20, 1 + kappa^2/10) n/W 8.33e-06 wide")):
+            choose_parameters(99_999, profile="paper", overrides={
+                "C3": 1e-30, "C4": 1e-30, "delta": 0.2, "epsilon": 0.05})
+
     def test_override_range_names_each_bad_key(self):
         with pytest.raises(ConfigError, match="kappa=0.0, delta=-1.0$"):
             choose_parameters(30_003, overrides={"kappa": 0.0, "delta": -1.0})
