@@ -55,6 +55,8 @@ class SieveContext:
             raise DomainError(f"gcd(b(b+2), W) != 1 for b={self.b}, W={self.W}")
         if self.k0 < 1:
             raise DomainError(f"k0 must be >= 1, got {self.k0}")
+        if self.n < 0:  # n^{1/k0} would be complex
+            raise DomainError(f"n must be >= 0, got {self.n}")
 
     @property
     def z0(self) -> float:
@@ -290,9 +292,15 @@ class ArcDissection:
     def __init__(self, n: int, B_exponent: float):
         if n < 3:
             raise DomainError(f"n must be >= 3, got {n}")
+        try:
+            Q = math.log(n) ** B_exponent
+        except OverflowError:
+            Q = math.inf
+        if not math.isfinite(Q):  # int(Q) and the arcs need a finite Q
+            raise DomainError(f"Q = (log n)^B must be a finite float, got B={B_exponent} at n={n}")
         self.n = n
         self.B_exponent = B_exponent
-        self.Q = math.log(n) ** B_exponent
+        self.Q = Q
         self.radius = self.Q / n
 
     @cached_property

@@ -61,7 +61,7 @@ def build_rosser(
     """Enumerate the full support of lambda_D^sign one chain length at a time
     (_squarefree_levels), checking the count against DEFAULT_SUPPORT_CAP
     before each level is allocated."""
-    if D <= 1:
+    if not D > 1:  # nan too
         raise DomainError(f"D must be > 1, got {D}")
     if sign not in ("+", "-"):
         raise DomainError(f"sign must be '+' or '-', got {sign!r}")

@@ -24,7 +24,11 @@ from .arith_core import _fft_convolutions, _root, primes_up_to
 from .errors import DomainError
 from .rosser_sieve import _class_sums, _sifted, _squarefree_levels
 
-DEFAULT_L_CAP = 500_000
+# Caps the support of lambda: lambda, G1 and the quadratic form are exact
+# Fractions whose denominators grow with it.  Stage 1 at M = 5, W = 2,
+# n = 10^6 takes 4.4 s in quadratic_form at support 5,000 (z0 = 16451, a
+# 2,178-digit G1 denominator) and 7.4 s at 6,077, on a 2-core VM.
+DEFAULT_L_CAP = 5_000
 
 
 def omega_stage1(p: int, W: int, M: int) -> int:
@@ -78,6 +82,8 @@ def build_selberg(
         raise DomainError(f"stage must be 1 or 2, got {stage}")
     if M < 1 or k0 < 1:
         raise DomainError(f"M and k0 must be >= 1, got M={M}, k0={k0}")
+    if n < 0:  # n^{1/k0} would be complex
+        raise DomainError(f"n must be >= 0, got {n}")
     if z0 is None:
         z0 = _root(n, k0)
     if z1 is None:

@@ -6,8 +6,10 @@ and the parameter ledger tying everything together.  a2 is a1: the table
 budget on N keeps W <= 6, where one residue is admissible, so b1 = b2 and
 the weights are a1 and a3.  The DFTs on Z_N cost O(N log N): one per
 distinct weight and Bohr indicator, one inverse per smoothing, from the
-product of its factors' spectra; four forward and two inverse in all.  A
-Bohr set filters Z_N by one frequency at a time, O(sum_k |B_k|) with B_k
+product of its factors' spectra; four forward and two inverse in all.  An
+index set on Z_N (spectrum, Bohr frequencies and members, level and Pollard
+sets) is a sorted int64 array.  A Bohr set filters Z_N by one frequency at
+a time, O(sum_k |B_k|) over the passes that can change the set, with B_k
 the Bohr set of the first k frequencies.  The linear convolutions behind
 triple_sum and the Pollard count are arith_core's FFT kernel of linear
 products, _fft_convolutions, folded mod N.
@@ -79,10 +81,17 @@ class ZnWeight:
         return float(np.sum(self.values))
 
 
+def _residue_indicator(X, N: int) -> np.ndarray:
+    """The bool indicator on Z_N of the integers X, an array or any iterable,
+    reduced mod N."""
+    X = np.asarray(X, dtype=np.int64) if isinstance(X, np.ndarray) else np.fromiter(X, dtype=np.int64)
+    return _indicator(np.mod(X, N), N)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     delta: float
-    members: tuple[int, ...]
+    members: np.ndarray
     chebyshev_bound: float
 
 
@@ -90,16 +99,16 @@ def spectrum(f: ZnWeight, delta: float) -> Spectrum:
     """Large spectrum {r : |f~(r)| > delta} with the exact Chebyshev-type
     certificate |R| <= delta^-4 sum_r |f~(r)|^4."""
     mags = np.abs(f.dft)
-    members = tuple(int(r) for r in np.nonzero(mags > delta)[0])
+    members = np.flatnonzero(mags > delta)
     bound = float(np.sum(mags ** 4)) / delta ** 4 if delta > 0 else math.inf
-    if len(members) > bound:
+    if members.size > bound:
         raise InvariantError("Chebyshev spectrum bound violated")
     return Spectrum(delta=delta, members=members, chebyshev_bound=bound)
 
 
 @dataclass(frozen=True)
 class BohrSet:
-    frequencies: frozenset
+    frequencies: np.ndarray  # the distinct residues mod N, 0 kept when given
     epsilon: float
     N: int
     members: np.ndarray
@@ -112,7 +121,7 @@ class BohrSet:
     def pigeonhole_lower(self) -> int:
         """ceil(eps^|R| N) - 1 over the nonzero frequencies R: a lower bound
         on the size."""
-        return math.ceil(self.epsilon ** len(self.frequencies - {0}) * self.N) - 1
+        return math.ceil(self.epsilon ** np.count_nonzero(self.frequencies) * self.N) - 1
 
 
 def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
@@ -123,14 +132,19 @@ def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
     the floor taken of the exact rational value of epsilon.  The pigeonhole
     size bound |B| >= ceil(eps^{|R|} N) - 1 is checked on construction.
     """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
     if not (0 < epsilon <= 0.5):
         raise DomainError(f"epsilon must be in (0, 1/2], got {epsilon}")
-    freqs = frozenset(int(r) % N for r in frequencies)
+    freqs = np.flatnonzero(_residue_indicator(frequencies, N))
     T = math.floor(Fraction(epsilon) * N)
     xs = np.arange(N, dtype=np.int64)
-    for r in freqs - {0}:
-        t = (xs * r) % N
-        xs = xs[np.minimum(t, N - t) <= T]
+    if T < N // 2:  # min(t, N - t) <= N // 2 for every t: at T >= N // 2 no pass removes a point
+        for r in freqs[freqs > 0]:
+            if xs.size == 1:  # only 0 is left, and 0 survives every pass
+                break
+            t = (xs * r) % N
+            xs = xs[np.minimum(t, N - t) <= T]
     bohr = BohrSet(frequencies=freqs, epsilon=epsilon, N=N, members=xs)
     if bohr.size < bohr.pigeonhole_lower:
         raise InvariantError(f"Bohr set of size {bohr.size} below pigeonhole bound {bohr.pigeonhole_lower}")
@@ -205,7 +219,7 @@ def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float) -> SmoothResult:
     mass_in, mass_out = a.total(), sm.total()
     if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
         raise InvariantError("smoothing did not preserve mass")
-    closeness = float(np.max(np.abs(1.0 - b.dft[list(bohr.frequencies)]), initial=0.0))
+    closeness = float(np.max(np.abs(1.0 - b.dft[bohr.frequencies]), initial=0.0))
     if not closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12:
         raise InvariantError(
             f"|1 - b~(r)| = {closeness} exceeds 16 eps^2 = {16 * bohr.epsilon ** 2}"
@@ -266,11 +280,13 @@ def pollard_check(N: int, X1, X2, X3, y: int) -> PollardResult:
     theta = min(theta_1, theta_2, theta_3, (sum - 1)/4).  The count is
     sum over x1 in X1 of c(y - x1), with c = 1_{X2} * 1_{X3} on Z_N from one
     guarded FFT convolution of the indicators.
-    N above ZN_POINT_BUDGET is a ResourceBudgetError.
+    N below 1 is a DomainError, N above ZN_POINT_BUDGET a ResourceBudgetError.
     """
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
     if N > ZN_POINT_BUDGET:  # before the length-N indicators
         raise ResourceBudgetError(f"N={N} exceeds the budget of {ZN_POINT_BUDGET} points on Z_N")
-    inds = [_indicator(np.mod(np.asarray(X, dtype=np.int64), N), N) for X in (X1, X2, X3)]
+    inds = [_residue_indicator(X, N) for X in (X1, X2, X3)]
     sets = [np.flatnonzero(ind) for ind in inds]
     th = [X.size / N for X in sets]
     theta = min(th[0], th[1], th[2], (sum(th) - 1.0) / 4.0)
@@ -442,6 +458,8 @@ def choose_parameters(
         kappa, delta, epsilon = 0.5, 0.05, 0.05
         B = max(1.0, round(math.log(100.0) / math.log(math.log(n))))
         prov.update(dict.fromkeys(("delta", "epsilon", "kappa", "B"), "desk-default"))
+    if not varpi > 0:  # the level sets {a' >= varpi/N} would be all of Z_N
+        raise ConfigError(f"need C1 C2 > 0, got C1={C1}, C2={C2}")
     if C3 < 0 or C4 < 0:  # the three-sum budget raises them to fractional powers
         raise ConfigError(f"need C3 >= 0 and C4 >= 0, got C3={C3}, C4={C4}")
     prov.update(dict.fromkeys(overrides, "override"))
@@ -560,8 +578,8 @@ def run_transference(
     the three-sum budget) each get their status from `claim`, and never fail
     a desk run.
     """
-    if n % 2 == 0 or n % 3 != 0:
-        raise DomainError(f"n must be odd with 3 | n, got {n}")
+    if n < 1 or n % 2 == 0 or n % 3 != 0:
+        raise DomainError(f"n must be positive and odd with 3 | n, got {n}")
 
     def claim(ok: bool, message: str, precondition: bool = True) -> str:
         """The status of one inequality: "asserted" under the paper profile

@@ -164,7 +164,7 @@ def test_criterion_6_bohr_size():
             R = set(int(r) for r in rng.integers(0, N, size=k))
             eps = float(rng.choice([0.05, 0.1, 0.25]))
             b = bohr_set(R, eps, N)  # raises InvariantError if bound fails
-            nontrivial = len(b.frequencies - {0})
+            nontrivial = len({r % N for r in R} - {0})
             assert b.size >= math.ceil(eps**nontrivial * N) - 1
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from chen3 import goldbach_verify, rosser_sieve
 from chen3.arith_core import factorize
-from chen3.cli import main
+from chen3.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -112,6 +112,13 @@ class TestExitCodes:
         assert code == 2 and not out
         assert err.startswith("error: need C3 >= 0 and C4 >= 0, got ")
 
+    @pytest.mark.parametrize("item", ["C1=-1", "C1=0"])
+    def test_nonpositive_varpi_is_a_config_error(self, capsys, item):
+        # varpi = min(C1 C2, 1)/10^4 <= 0 would make every level set all of Z_N
+        code, out, err = run(capsys, "transfer", "--n", "99999", "--override", item)
+        assert code == 2 and not out
+        assert err.startswith("error: need C1 C2 > 0, got ")
+
     @pytest.mark.parametrize("kappa", ["1e4", "1e150"])
     def test_N_above_the_table_budget_exits_3(self, capsys, kappa):
         code, out, err = run(capsys, "transfer", "--n", "99999", "--override", f"kappa={kappa}")
@@ -127,8 +134,18 @@ class TestExitCodes:
         ["selberg", "--stage", "1", "--M", "5", "--W", "2", "--n", "100000", "--k0", "0"],
         ["goldbach", "--n", "9", "--hi", "27", "--variant", "strict", "--z", "1.5"],
         ["chen", "--bound", "100", "--variant", "strict", "--z", "nan"],
+        ["rosser", "--D", "nan"],
+        ["arcs", "--n", "1000000", "--B", "nan"],
+        ["arcs", "--n", "1000000", "--B", "inf"],
+        ["arcs", "--n", "1000000", "--B", "1000"],  # Q = (log n)^B overflows
+        ["contrast", "--n", "1000000", "--B", "nan"],
+        ["ssum", "--n", "-5", "--alpha", "1/3"],
+        ["selberg", "--stage", "1", "--M", "5", "--W", "2", "--n", "-5"],
+        ["transfer", "--n", "-3"],
     ], ids=["pollard-density", "pollard-N", "contrast-samples", "ssum-k0", "ssum-k0-negative",
-            "selberg-k0", "goldbach-z-below-2", "chen-z-nan"])
+            "selberg-k0", "goldbach-z-below-2", "chen-z-nan", "rosser-D-nan", "arcs-B-nan",
+            "arcs-B-inf", "arcs-B-overflow", "contrast-B-nan", "ssum-n-negative",
+            "selberg-n-negative", "transfer-n-negative"])
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("error: ")
@@ -156,7 +173,9 @@ class TestExitCodes:
         ["arcs", "--n", "1000000", "--B", "4"],
         ["chen", "--bound", "200000000"],
         ["goldbach", "--n", "9", "--hi", "200000000"],
-    ], ids=["rosser-D", "rosser-sandwich-limit", "pollard-N", "arcs-B", "chen-bound", "goldbach-hi"])
+        ["selberg", "--stage", "1", "--M", "5", "--W", "2", "--n", "1000000", "--k0", "1"],
+    ], ids=["rosser-D", "rosser-sandwich-limit", "pollard-N", "arcs-B", "chen-bound", "goldbach-hi",
+            "selberg-support"])
     def test_allocation_above_a_budget_exits_3(self, capsys, argv):
         # each raises before it allocates by its flag
         code, out, err = run(capsys, *argv)
@@ -313,3 +332,32 @@ class TestSubcommands:
         assert code == 0
         rep = json.loads(out)["payload"]["result"]
         assert rep["raw_triple_sum_positive"]
+
+
+# the smallest valid arguments of each subcommand, beside which one float
+# option is set to a value out of every domain
+_BASE_ARGV = {
+    "chen": ["--bound", "100", "--variant", "strict"],
+    "rosser": ["--D", "100"],
+    "arcs": ["--n", "10000", "--samples", "2"],
+    "ssum": ["--n", "3000", "--alpha", "1/7"],
+    "selberg": ["--stage", "1", "--M", "5", "--W", "2", "--n", "1000"],
+    "transfer": ["--n", "9999"],
+    "goldbach": ["--n", "99", "--variant", "strict"],
+    "contrast": ["--n", "10000", "--samples", "2"],
+    "pollard": ["--N", "101", "--densities", "0.6", "0.6", "0.6"],
+}
+_FLOAT_OPTIONS = [
+    (command, action.option_strings[0], action.nargs if isinstance(action.nargs, int) else 1)
+    for subparsers in build_parser()._subparsers._group_actions
+    for command, parser in subparsers.choices.items()
+    for action in parser._actions if action.type is float
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+@pytest.mark.parametrize("command, option, nargs", _FLOAT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in _FLOAT_OPTIONS])
+def test_float_option_out_of_range_returns_an_exit_code(capsys, command, option, nargs, value):
+    code, _, _ = run(capsys, command, *_BASE_ARGV[command], option, *[value] * nargs)
+    assert isinstance(code, int)

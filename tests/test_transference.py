@@ -87,11 +87,17 @@ class TestSpectrum:
     def test_point_mass_full(self):
         w = point_mass(11)
         sp = spectrum(w, 0.5)
-        assert sp.members == tuple(range(11))
+        assert sp.members.tolist() == list(range(11))
 
     def test_uniform_only_zero(self):
         sp = spectrum(uniform(101), 0.5)
-        assert sp.members == (0,)
+        assert sp.members.tolist() == [0]
+
+    def test_members_are_a_sorted_int64_array(self):
+        rng = np.random.default_rng(13)
+        members = spectrum(ZnWeight(101, rng.random(101)), 1.0).members
+        assert members.dtype == np.int64 and 1 < members.size < 101
+        assert np.all(np.diff(members) > 0) and 0 <= members[0] and members[-1] < 101
 
     def test_chebyshev_bound_holds(self):
         rng = np.random.default_rng(6)
@@ -129,6 +135,35 @@ class TestBohr:
             bohr_set({1}, 0.7, 101)
         with pytest.raises(DomainError):
             bohr_set({1}, 0.0, 101)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_N_below_1(self, N):
+        with pytest.raises(DomainError, match=f"N must be >= 1, got {N}"):
+            bohr_set({1}, 0.1, N)
+
+    def test_frequencies_are_distinct_residues(self):
+        b = bohr_set([3, 104, -1, 0, 3, 3 + 5 * 101], 0.1, 101)
+        assert b.frequencies.dtype == np.int64
+        assert b.frequencies.tolist() == [0, 3, 100]
+        assert b.pigeonhole_lower == math.ceil(0.1 ** 2 * 101) - 1
+
+    @pytest.mark.parametrize("eps, passes, size", [
+        (0.01, 169, 1),  # floor(eps N) + 1: x = 1 leaves at r = 169, and only 0 is left
+        (0.5, 0, 16879),  # eps N >= N // 2: no pass can remove a point
+    ])
+    def test_filter_passes_over_every_frequency(self, monkeypatch, eps, passes, size):
+        N = 16879
+        calls = []
+        minimum = np.minimum
+
+        def counting(*args):
+            calls.append(None)
+            return minimum(*args)
+
+        monkeypatch.setattr(chen3.transference.np, "minimum", counting)
+        b = bohr_set(np.arange(N), eps, N)
+        assert len(calls) == passes
+        assert b.size == size
 
     @given(
         st.integers(min_value=1, max_value=100),
@@ -330,6 +365,11 @@ class TestPollard:
     def test_empty_set_fails_hypotheses(self):
         with pytest.raises(DomainError):
             pollard_check(11, [], range(11), range(11), 0)
+
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_N_below_1(self, N):
+        with pytest.raises(DomainError, match=f"N must be >= 1, got {N}"):
+            pollard_check(N, [1], [1], [1], 0)
 
     def test_N_above_the_table_budget(self, monkeypatch):
         monkeypatch.setattr(chen3.transference, "np", None)  # any numpy call would fail
@@ -654,6 +694,25 @@ class TestPipeline:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             run_transference(100)
+
+    @given(
+        st.sampled_from([30003, 99999]),
+        st.floats(min_value=-12.0, max_value=1.0).map(lambda e: 10.0 ** e),
+        st.one_of(st.just(0.5),  # 10^-0.3 is above 1/2
+                  st.floats(min_value=-12.0, max_value=-0.3).map(lambda e: min(10.0 ** e, 0.5))),
+    )
+    @example(n=99999, delta=1e-12, eps=0.5)  # every frequency, and no pass
+    @example(n=99999, delta=1e-12, eps=1e-12)
+    @settings(max_examples=25, deadline=None)
+    def test_tiny_delta_and_epsilon(self, n, delta, eps):
+        # each stage raises InvariantError on a broken identity
+        rep = run_transference(n, overrides={"delta": delta, "epsilon": eps}, ground_truth=False)
+        stages = {s["stage"]: s for s in rep["stages"]}
+        spectra, bohrs = stages["spectra"], stages["bohr_sets"]
+        for size, bound in zip(spectra["sizes"], spectra["chebyshev_bounds"]):
+            assert size <= bound
+        for size, lower in zip(bohrs["sizes"], bohrs["pigeonhole_lower"]):
+            assert size >= lower
 
     def test_transform_count(self, monkeypatch):
         # one length-N DFT per distinct weight (a1 = a2, a3) and per Bohr
