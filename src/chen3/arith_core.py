@@ -1,10 +1,12 @@
 """The one prime sieve, a factor table whose prime list primes_up_to
-returns, prime-type predicates and the two FFT count kernels.
+returns, prime-type predicates, the two FFT count kernels and the length-N
+DFT pair.
 
 Everything downstream (sieve weights, exponential sums, the transference
-pipeline) consumes the objects built here; every real FFT of the package is
-in one of two kernels: `_fft_convolutions`, zero-padded linear products,
-and `_fft_triple_count`, one coefficient of a cube on a cyclic group.  All
+pipeline) consumes the objects built here; every FFT of the package is in
+one of three kernels: `_fft_convolutions`, zero-padded linear products,
+`_fft_triple_count`, one coefficient of a cube on a cyclic group, and
+`_zn_dft` with its inverse `_zn_idft`, two real signals per length-N DFT.  All
 counts of prime factors are with multiplicity (big Omega), so the
 almost-prime classes include prime powers: 49 = 7^2 is a 2-almost-prime
 and hence 7 is a Chen prime.
@@ -313,6 +315,37 @@ def _fft_triple_count(xs: np.ndarray, t: int) -> int:
     if not abs(value - count) < 0.25:
         raise InvariantError(f"FFT count {value!r} is {abs(value - count):.3g} from an integer")
     return count
+
+
+def _zn_dft(*xs: np.ndarray) -> list[np.ndarray]:
+    """The DFTs x~(r) = sum_t x(t) e(-tr/N) of one or two real arrays x, y
+    of one length N, from one complex FFT Z of x + i y, in place:
+    x~(r) = (Z(r) + conj Z(-r))/2 and y~(r) = (Z(r) - conj Z(-r))/2i, each
+    rounded relative to the larger of the two.  The entries at r and -r come
+    from the same two numbers, so each spectrum is exactly Hermitian,
+    d(-r) = conj d(r) bit for bit, and so are products of them; np.fft.fft
+    of a real array is not."""
+    z = np.empty(xs[0].size, dtype=np.complex128)
+    z.real, z.imag = xs[0], xs[1] if len(xs) > 1 else 0.0
+    np.fft.fft(z, out=z)
+    zc = np.conj(np.roll(z[::-1], 1))  # conj Z(-r)
+    out = [z, (z - zc) * -0.5j] if len(xs) > 1 else [z]
+    z += zc
+    z *= 0.5
+    return out
+
+
+def _zn_idft(*specs: np.ndarray) -> list[np.ndarray]:
+    """The real inverses s(t) = (1/N) sum_r S(r) e(tr/N) of one or two
+    spectra S, T of one length N: the real and imaginary parts of one
+    complex inverse FFT of S + i T.  A spectrum that is not exactly
+    Hermitian is an InvariantError: its inverse is not real, and its
+    imaginary part would land in the other output."""
+    for S in specs:
+        if S[:1].imag.any() or not np.array_equal(S[1:], np.conj(S[:0:-1])):
+            raise InvariantError("inverse DFT of a spectrum that is not exactly Hermitian")
+    w = np.fft.ifft(specs[0] + 1j * specs[1] if len(specs) > 1 else specs[0])
+    return [w.real, w.imag][: len(specs)]
 
 
 @dataclass(frozen=True)

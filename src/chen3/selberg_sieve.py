@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import _fft_convolutions, _root, primes_up_to
+from .arith_core import _fft_convolutions, _root, _zn_dft, primes_up_to
 from .errors import DomainError
 from .rosser_sieve import _class_sums, _sifted, _squarefree_levels
 
@@ -282,7 +282,7 @@ def additive_energy(weights) -> EnergyReport:
     N = values.size
     (folded,) = _fft_convolutions(values, (values,), 2 * N - 1, N)
     energy = float(np.sum(folded ** 2))
-    ft = np.fft.fft(values)
+    (ft,) = _zn_dft(values)
     moment4 = float(np.sum(np.abs(ft) ** 4))
     denom = max(abs(moment4), 1e-300)
     rel = abs(moment4 - N * energy) / denom

@@ -4,9 +4,11 @@ Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
 and the parameter ledger tying everything together.  a2 is a1: the table
 budget on N keeps W <= 6, where one residue is admissible, so b1 = b2 and
-the weights are a1 and a3.  The DFTs on Z_N cost O(N log N): one per
-distinct weight and Bohr indicator, one inverse per smoothing, from the
-product of its factors' spectra; four forward and two inverse in all.  An
+the weights are a1 and a3.  The DFTs on Z_N cost O(N log N) and carry two
+real signals each (arith_core's _zn_dft and _zn_idft): one forward for the
+distinct weights, one for their Bohr indicators, and one inverse for both
+smoothings, from the products of their factors' spectra; two forward and
+one inverse in all.  An
 index set on Z_N (spectrum, Bohr frequencies and members, level and Pollard
 sets) is a sorted int64 array.  A Bohr set filters Z_N by one frequency at
 a time, O(sum_k |B_k|) over the passes that can change the set, with B_k
@@ -38,6 +40,8 @@ from .arith_core import (
     _fft_convolutions,
     _indicator,
     _root,
+    _zn_dft,
+    _zn_idft,
     build_factor_table,
     chen_primes,
     is_prime_u64,
@@ -67,14 +71,15 @@ class ZnWeight:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (self.N,):
             raise DomainError(f"values must have length N={self.N}")
-        if np.any(self.values < 0):
-            raise DomainError("weights must be nonnegative")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise DomainError("weights must be finite and nonnegative")
 
     @property
     def dft(self) -> np.ndarray:
-        """f~(r) = sum_x f(x) e(-xr/N) on the full frequency grid."""
+        """f~(r) = sum_x f(x) e(-xr/N) on the full frequency grid, exactly
+        Hermitian."""
         if self._dft is None:
-            self._dft = np.fft.fft(self.values)
+            (self._dft,) = _zn_dft(self.values)
         return self._dft
 
     def total(self) -> float:
@@ -151,25 +156,31 @@ def bohr_set(frequencies, epsilon: float, N: int) -> BohrSet:
     return bohr
 
 
-def bohr_indicator(bohr: BohrSet) -> ZnWeight:
-    """Normalized indicator 1_B / |B|."""
-    if bohr.size == 0:
-        raise DomainError("cannot normalize an empty Bohr set")
-    v = np.zeros(bohr.N)
-    v[bohr.members] = 1.0 / bohr.size
-    return ZnWeight(bohr.N, v)
+def _from_spectra(*specs: np.ndarray) -> list[ZnWeight]:
+    """The nonnegative weights with the exactly Hermitian spectra specs, one
+    or two from one inverse DFT, each carrying its spectrum.  The clip at 0
+    moves the values off it only by rounding: before it, the desk pipeline's
+    smoothings dip to -1.3e-15 of their maximum at most (n = 30003, 99999,
+    999999), so a dip below -1e-9 of it is a fault, such as a wrong spectrum
+    or a leak between the paired outputs, and an InvariantError."""
+    out = []
+    for v, spec in zip(_zn_idft(*specs), specs):
+        if np.min(v, initial=0.0) < -1e-9 * np.max(v, initial=0.0):
+            raise InvariantError(f"inverse DFT dips to {np.min(v)}, below -1e-9 of its maximum")
+        out.append(ZnWeight(v.size, np.maximum(v, 0.0), _dft=spec))
+    return out
 
 
 def convolve(f: ZnWeight, *gs: ZnWeight) -> ZnWeight:
     """Cyclic convolution f*g_1*...*g_k, (f*g)(x) = sum_y f(y) g(x-y), from
     one inverse DFT of the product spectrum f~ g_1~ ... g_k~, which it
-    carries; the clip at 0 moves the values off it only by rounding."""
+    carries."""
     spec = f.dft
     for g in gs:
         if f.N != g.N:
             raise DomainError(f"mismatched N: {f.N} vs {g.N}")
         spec = spec * g.dft
-    return ZnWeight(f.N, np.maximum(np.fft.ifft(spec).real, 0.0), _dft=spec)
+    return _from_spectra(spec)[0]
 
 
 def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
@@ -205,8 +216,25 @@ class SmoothResult:
     sup_ok: bool
 
 
-def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float) -> SmoothResult:
-    """Smooth a by the normalized Bohr indicator twice: a' = a * b * b.
+def _bohr_smoothings(weights, bohrs) -> list[tuple[ZnWeight, float]]:
+    """a' = a * b * b for one or two weights a, with b = 1_B / |B| the
+    normalized indicator of a's Bohr set B, each with max |1 - b~(r)| over
+    the frequencies of B.  The b are transformed together and the a' come
+    from one inverse DFT; each b~ becomes the spectrum b~^2 a~ in place."""
+    specs = _zn_dft(*(_indicator(bo.members, bo.N) / bo.size for bo in bohrs))
+    closeness = [float(np.max(np.abs(1.0 - d[bo.frequencies]), initial=0.0)) for d, bo in zip(specs, bohrs)]
+    for a, bo, d in zip(weights, bohrs, specs):
+        if a.N != bo.N:
+            raise DomainError(f"mismatched N: {a.N} vs {bo.N}")
+        d *= d
+        d *= a.dft
+    return list(zip(_from_spectra(*specs), closeness))
+
+
+def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float, smoothing=None) -> SmoothResult:
+    """Smooth a by the normalized Bohr indicator twice: a' = a * b * b,
+    with smoothing = (a', closeness) from _bohr_smoothings([a], [bohr])
+    unless the caller passes it.
 
     Checks mass preservation exactly (b~(0) = 1) and the Fourier closeness
     |1 - b~(r)| <= 16 eps^2 on the Bohr set's frequencies, raising
@@ -214,12 +242,10 @@ def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float) -> SmoothResult:
     is computed and returned as sup_ok; whether it is asserted is the
     caller's decision.
     """
-    b = bohr_indicator(bohr)
-    sm = convolve(a, b, b)
+    sm, closeness = smoothing or _bohr_smoothings([a], [bohr])[0]
     mass_in, mass_out = a.total(), sm.total()
     if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
         raise InvariantError("smoothing did not preserve mass")
-    closeness = float(np.max(np.abs(1.0 - b.dft[bohr.frequencies]), initial=0.0))
     if not closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12:
         raise InvariantError(
             f"|1 - b~(r)| = {closeness} exceeds 16 eps^2 = {16 * bohr.epsilon ** 2}"
@@ -623,6 +649,8 @@ def run_transference(
     # every stage runs once per distinct weight, (a1, a3); the report lists
     # a1, a2, a3, with a2 = a1
     weights, a123 = (built.a1, built.a3), (0, 0, 1)
+    for wt, d in zip(weights, _zn_dft(*(wt.values for wt in weights))):  # one DFT for both
+        wt._dft = d
     delta, eps = ledger.delta, ledger.epsilon
     specs = [spectrum(wt, delta) for wt in weights]
     report["stages"].append({
@@ -647,8 +675,8 @@ def run_transference(
     )
     smooth = []
     sup_flags = []
-    for wt, bo, precond in zip(weights, bohrs, preconds):
-        res = smooth_and_bound(wt, bo, kappa)
+    for wt, bo, sm, precond in zip(weights, bohrs, _bohr_smoothings(weights, bohrs), preconds):
+        res = smooth_and_bound(wt, bo, kappa, sm)
         smooth.append(res)
         sup_flags.append({
             "sup_value": res.sup_value,

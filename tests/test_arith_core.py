@@ -15,6 +15,8 @@ from chen3.arith_core import (
     DEFAULT_SIEVE_BUDGET,
     _fft_convolutions,
     _fft_triple_count,
+    _zn_dft,
+    _zn_idft,
     build_factor_table,
     chen_primes,
     factorize,
@@ -24,7 +26,7 @@ from chen3.arith_core import (
     singular_series_S1,
 )
 from chen3.circle_method import ExpSumEvaluator, SieveContext
-from chen3.errors import DomainError, ResourceBudgetError
+from chen3.errors import DomainError, InvariantError, ResourceBudgetError
 from chen3.goldbach_verify import range_survey, representation_count
 from oracles import is_chen_direct, primes_direct, spf_table_direct
 
@@ -394,6 +396,56 @@ class TestFFTTripleCount:
         assert _fft_triple_count(np.array([0], dtype=np.int64), 0) == 1
 
 
+def _hermitian(d: np.ndarray) -> bool:
+    """d(-r) = conj d(r) bit for bit, r = 0 included."""
+    return not d[:1].imag.any() and np.array_equal(d[1:], np.conj(d[:0:-1]))
+
+
+class TestZnDft:
+    @pytest.mark.parametrize("N", [1, 2, 3, 101, 5077])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_matches_fft_and_is_hermitian(self, N, count):
+        rng = np.random.default_rng(N)
+        xs = [rng.random(N), rng.random(N) ** 4][:count]
+        ds = _zn_dft(*xs)
+        assert len(ds) == count
+        for x, d in zip(xs, ds):
+            assert np.max(np.abs(d - np.fft.fft(x))) <= 1e-12 * np.sum(np.abs(x))
+            assert _hermitian(d)
+
+    def test_products_stay_hermitian(self):
+        # np.fft.fft of a real array is not exactly Hermitian at N = 16879
+        rng = np.random.default_rng(16879)
+        x, y = rng.random(16879), rng.random(16879)
+        assert not _hermitian(np.fft.fft(x))
+        d, e = _zn_dft(x, y)
+        assert _hermitian(d * e * e) and _hermitian(d * d)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 101, 5077])
+    def test_inverse_of_two_matches_ifft(self, N):
+        rng = np.random.default_rng(N + 1)
+        d, e = _zn_dft(rng.random(N), rng.random(N))
+        S, T = d * e, e * e
+        s, t = _zn_idft(S, T)
+        scale = (np.sum(np.abs(S)) + np.sum(np.abs(T))) / N
+        assert np.max(np.abs(s - np.fft.ifft(S).real)) <= 1e-12 * scale
+        assert np.max(np.abs(t - np.fft.ifft(T).real)) <= 1e-12 * scale
+        (s1,) = _zn_idft(S)
+        assert np.array_equal(s1, np.fft.ifft(S).real)
+
+    @pytest.mark.parametrize("where", ["r", "zero"])
+    def test_inverse_refuses_a_spectrum_not_exactly_hermitian(self, where):
+        (S,) = _zn_dft(np.random.default_rng(7).random(101))
+        bad = S.copy()
+        if where == "r":
+            bad[5] += 1e-15 * abs(bad[5])
+        else:
+            bad[0] += 1e-300j
+        for specs in ((bad,), (S, bad), (bad, S)):
+            with pytest.raises(InvariantError, match="not exactly Hermitian"):
+                _zn_idft(*specs)
+
+
 def np_fft_sites() -> tuple[list, int]:
     """([(function, module.qualname)] for each np.fft.<function> in
     src/chen3, the number of np.fft references) from each module's syntax
@@ -428,17 +480,16 @@ def np_fft_sites() -> tuple[list, int]:
 
 def test_np_fft_call_sites():
     # two real FFT kernels, the linear products and one coefficient of a
-    # cube; length-N DFTs for the cached weight transforms and the energy's
-    # independent route; one inverse DFT, per smoothing
+    # cube; the length-N DFT pair, forward and inverse, two real signals
+    # per transform
     sites, refs = np_fft_sites()
     assert len(sites) == refs
     assert set(sites) == {
         ("rfft", "arith_core._fft_convolutions"),
         ("irfft", "arith_core._fft_convolutions"),
         ("rfft", "arith_core._fft_triple_count"),
-        ("fft", "transference.ZnWeight.dft"),
-        ("fft", "selberg_sieve.additive_energy"),
-        ("ifft", "transference.convolve"),
+        ("fft", "arith_core._zn_dft"),
+        ("ifft", "arith_core._zn_idft"),
     }
 
 

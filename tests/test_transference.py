@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import chen3.goldbach_verify
 import chen3.transference
-from chen3.arith_core import build_factor_table, chen_primes, is_prime_u64
+from chen3.arith_core import _zn_dft, build_factor_table, chen_primes, is_prime_u64
 from chen3.errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from chen3.transference import (
     ZN_POINT_BUDGET,
@@ -36,6 +36,12 @@ class TestZnWeight:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             ZnWeight(4, np.array([1.0, -0.1, 0, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # a NaN would pass the spectrum's Chebyshev check, a comparison
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ZnWeight(5, np.array([bad, 1.0, 1.0, 1.0, 1.0]))
 
     def test_dft_against_direct(self):
         rng = np.random.default_rng(3)
@@ -77,6 +83,18 @@ class TestConvolve:
         assert fg._dft is not None  # f~ g~, not recomputed from the values
         mass = f.total() * g.total()
         assert np.max(np.abs(fg.dft - np.fft.fft(fg.values))) <= 1e-9 * mass
+
+    @pytest.mark.parametrize("dip, raises", [(-0.5, True), (-2e-9, True), (-5e-10, False)])
+    def test_clip_at_0_is_guarded(self, dip, raises):
+        # a planted spectrum whose inverse dips to dip times its maximum 1:
+        # rounding is clipped to 0, a fault below -1e-9 raises
+        f = point_mass(101)
+        (f._dft,) = _zn_dft(np.array([1.0, dip] + [0.0] * 99))
+        if raises:
+            with pytest.raises(InvariantError, match="below -1e-9 of its maximum"):
+                convolve(f)
+        else:
+            assert convolve(f).values[1] == 0.0
 
     def test_mass_multiplies(self):
         f, g = uniform(32), point_mass(32, 5)
@@ -715,18 +733,28 @@ class TestPipeline:
             assert size >= lower
 
     def test_transform_count(self, monkeypatch):
-        # one length-N DFT per distinct weight (a1 = a2, a3) and per Bohr
-        # indicator, and one inverse DFT per smoothing, of the product
-        # spectrum a~ b~ b~
+        # two real signals per length-N DFT: one for the distinct weights
+        # (a1 = a2, a3), one for their Bohr indicators, and one inverse for
+        # both smoothings, of the product spectra a~ b~ b~
         calls = {"fft": 0, "ifft": 0}
         for name in calls:
-            def counting(a, fn=getattr(np.fft, name), name=name):
+            def counting(a, *args, fn=getattr(np.fft, name), name=name, **kwargs):
                 calls[name] += 1
-                return fn(a)
+                return fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
         run_transference(30003)
-        assert calls == {"fft": 4, "ifft": 2}
+        assert calls == {"fft": 2, "ifft": 1}
+
+    def test_spectra_closed_under_negation(self, monkeypatch):
+        # exactly Hermitian transforms: |f~(r)| = |f~(N - r)| bit for bit
+        found = []
+        spectrum = chen3.transference.spectrum
+        monkeypatch.setattr(chen3.transference, "spectrum", lambda *a: found.append(spectrum(*a)) or found[-1])
+        N = run_transference(99999, ground_truth=False)["ledger"]["N"]
+        assert len(found) == 2 and max(sp.members.size for sp in found) > 1
+        for sp in found:
+            assert np.array_equal(np.sort(-sp.members % N), sp.members)
 
     def test_fft_routes_match_direct(self, monkeypatch):
         # N = 5077: the Pollard count and the raw triple sum of the pipeline
