@@ -360,6 +360,7 @@ class MultFunctions:
     factors: tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=1024)
 def mult_functions(x: int) -> MultFunctions:
     """mu, tau, phi and phi2 at x, all exact.
 

@@ -9,8 +9,9 @@ or the Rosser divisor sum over d | (p+2, P(z0)) (modes "rosser_plus" /
 "rosser_minus").  Rational alpha = a/q gets exact integer phase reduction,
 and with q at most the number of terms it is a complete sum over the
 residues mod q: S(a/q) = sum_{r mod q} c_q(r) e(ar/q), where c_q(r) sums the
-weights of the terms with x = r (mod q).  The class sums c_q cost one pass
-over the terms per (mode, q); each a then costs O(q).
+weights of the terms with x = r (mod q).  c_q folds a mode's dense weight
+grid on [0, m] (8(m + 1) bytes) mod q, O(m) per (mode, q); the phases
+e(ar/q) cost O(q) per (a, q), shared by the modes.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ class SieveContext:
 class ExpSumEvaluator:
     """Precomputes the weighted prime sequence for one context.
 
-    Reusable across alphas and modes.  A rational a/q with q at most the
-    number of terms is a complete sum over the class sums mod q, kept for the
-    current q only: one residue array xs mod q and one class-sum array per
-    mode, both replaced when q changes.  A float alpha, or a larger q, is one
-    vectorized phase sum over the terms.
+    Reusable across alphas and modes, each mode's weights kept as a grid on
+    [0, m] with its sum S(0).  A rational a/q with q at most the number of
+    terms is a complete sum over the class sums mod q, kept for the current q
+    only (one per mode), and the phases of the last (a, q).  A float alpha, or
+    a larger q, is one vectorized phase sum over the terms.
     """
 
     MODES = ("moebius", "rosser_plus", "rosser_minus")
@@ -89,23 +90,21 @@ class ExpSumEvaluator:
     def __init__(self, ctx: SieveContext):
         self.ctx = ctx
         ps = primes_up_to(ctx.n)
-        sel = ps[ps % ctx.W == ctx.b % ctx.W]
-        self.primes = sel
-        self.xs = (sel - ctx.b) // ctx.W
-        self.logp = np.log(sel.astype(np.float64))
+        self.xs = (ps[ps % ctx.W == ctx.b % ctx.W] - ctx.b) // ctx.W
         self.small_primes = primes_up_to(math.ceil(ctx.z0) - 1).tolist()  # the primes below z0
-        self._weights: dict[str, np.ndarray] = {}
+        self._grids: dict[str, np.ndarray] = {}
+        self._at_zero: dict[str, float] = {}
         self._q = 0
-        self._residues: np.ndarray | None = None
         self._class_sums: dict[str, np.ndarray] = {}
+        self._phases_aq: tuple[int, int, np.ndarray | None] = (0, 0, None)
 
     def _rosser(self, sign: str) -> RosserWeights:
         return build_rosser(self.ctx.D, sign, primes=np.array(self.small_primes, dtype=np.int64))
 
-    def inner_weights(self, mode: str) -> np.ndarray:
+    def _grid(self, mode: str) -> np.ndarray:
         if mode not in self.MODES:
             raise DomainError(f"unknown mode {mode!r}")
-        if mode not in self._weights:
+        if mode not in self._grids:
             # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
             W, c, size = self.ctx.W, self.ctx.b + 2, self.ctx.m + 1
             if mode == "moebius":
@@ -113,15 +112,19 @@ class ExpSumEvaluator:
             else:
                 rw = self._rosser("+" if mode == "rosser_plus" else "-")
                 w = _class_sums(*_form_roots(*_lambda_terms(rw, self.small_primes), W, c), size)
-            self._weights[mode] = w[self.xs] * self.logp
-        return self._weights[mode]
+            self._grids[mode] = grid = np.zeros(size)
+            grid[self.xs] = np.log((W * self.xs + self.ctx.b).astype(np.float64))
+            grid *= w
+        return self._grids[mode]
+
+    def inner_weights(self, mode: str) -> np.ndarray:
+        return self._grid(mode)[self.xs]
 
     def exp_sum(self, alpha, mode: str) -> complex:
-        w = self.inner_weights(mode)
-        if isinstance(alpha, Fraction) and alpha.denominator <= w.size:
+        if isinstance(alpha, Fraction) and alpha.denominator <= self.xs.size:
             q = alpha.denominator
-            return self._complete_sum(alpha.numerator % q, q, mode, w)
-        return complex(np.sum(w * np.exp(2j * np.pi * self._phases(alpha))))
+            return self._complete_sum(alpha.numerator % q, q, mode)
+        return complex(np.sum(self.inner_weights(mode) * np.exp(2j * np.pi * self._phases(alpha))))
 
     def _phases(self, alpha) -> np.ndarray:
         """alpha x mod 1 for each term x, reduced exactly in Python integers
@@ -131,22 +134,33 @@ class ExpSumEvaluator:
         a, q = alpha.numerator, alpha.denominator
         return (self.xs.astype(object) * a % q / q).astype(np.float64)
 
-    def _complete_sum(self, a: int, q: int, mode: str, w: np.ndarray) -> complex:
-        """sum_{r mod q} c_q(r) e(ar/q) for 0 <= a < q <= the number of terms,
-        with w the weights of mode."""
+    def _complete_sum(self, a: int, q: int, mode: str) -> complex:
+        """sum_{r mod q} c_q(r) e(ar/q) for 0 <= a < q <= the number of terms."""
         if q != self._q:
-            self._q, self._residues, self._class_sums = q, self.xs % q, {}
-        c = self._class_sums.get(mode)
-        if c is None:
-            c = np.bincount(self._residues, weights=w, minlength=q)
-            self._class_sums[mode] = c
-        # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, which primes_up_to(n) in
-        # __init__ enforces, so a r < 2^63
-        t = (a * np.arange(q, dtype=np.int64)) % q / q
-        return complex(np.dot(c, np.exp(2j * np.pi * t)))
+            self._q, self._class_sums = q, {}
+        if mode not in self._class_sums:
+            self._class_sums[mode] = _fold(self._grid(mode), q)
+        if self._phases_aq[:2] != (a, q):
+            # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, which primes_up_to(n) in
+            # __init__ enforces, so a r < 2^63
+            t = (a * np.arange(q, dtype=np.int64)) % q / q
+            self._phases_aq = (a, q, np.exp(2j * np.pi * t))
+        return complex(np.dot(self._class_sums[mode], self._phases_aq[2]))
 
     def at_zero(self, mode: str) -> float:
-        return float(np.sum(self.inner_weights(mode)))
+        if mode not in self._at_zero:
+            self._at_zero[mode] = float(np.sum(self.inner_weights(mode)))
+        return self._at_zero[mode]
+
+
+def _fold(grid: np.ndarray, q: int) -> np.ndarray:
+    """c[r] = sum of grid[x] over x = r (mod q), q <= grid.size: rows of L =
+    q floor(4096/q) or q entries summed, the tail added, then L/q blocks of q."""
+    L = q * max(1, 4096 // q)
+    rows = grid.size // L
+    c = grid[: rows * L].reshape(rows, L).sum(axis=0)
+    c[: grid.size - rows * L] += grid[rows * L:]
+    return c.reshape(-1, q).sum(axis=0)
 
 
 @lru_cache(maxsize=8)
@@ -357,7 +371,9 @@ def minor_major_contrast(
     rng: np.random.Generator | None = None,
 ) -> ContrastReport:
     """Empirical contrast of |S(alpha)| / S(0) between sampled minor-arc
-    rationals (prime q in [Q, 4Q]) and major-arc centers (q <= major_q_max)."""
+    rationals (prime q in [Q, 4Q]) and major-arc centers (q <= major_q_max).
+    All minor (a, q) are drawn first, then evaluated with the centres in
+    increasing (q, a), one fold per q; the ratios keep draw order."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if rng is None:
@@ -369,18 +385,17 @@ def minor_major_contrast(
     qs = qs[qs >= Q]
     if qs.size == 0:
         raise DomainError("no primes in [Q, 4Q]; increase B_exponent")
-    minor = []
+    draws = []
     for _ in range(samples):
         q = int(qs[rng.integers(qs.size)])
         a = int(rng.integers(1, q))
         while gcd(a, q) != 1:
             a = int(rng.integers(1, q))
-        minor.append(abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0)
-    major = []
-    for q in range(1, major_q_max + 1):
-        for a in range(1, q + 1):
-            if gcd(a, q) == 1:
-                major.append(abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0)
+        draws.append((q, a))
+    centres = [(q, a) for q in range(1, major_q_max + 1) for a in range(1, q + 1) if gcd(a, q) == 1]
+    ratio = {(q, a): abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0
+             for q, a in sorted({*draws, *centres})}  # grouped by q: one fold per q
+    minor, major = [ratio[d] for d in draws], [ratio[d] for d in centres]
     med_minor = float(np.median(minor))
     med_major = float(np.median(major))
     return ContrastReport(

@@ -90,7 +90,9 @@ def _squarefree_levels(primes, D: float, check_parity: int | None, cap: int) -> 
     exactly.  Raises ResourceBudgetError before a level would take the
     count past cap.
     """
-    P = np.unique(np.asarray(primes, dtype=np.int64))
+    P = np.asarray(primes, dtype=np.int64)
+    if np.any(P[1:] <= P[:-1]):  # primes_up_to's lists are sorted and distinct already
+        P = np.unique(P)
     P = P[P < D]
     top = math.ceil(D) - 1
     cubes = P[P <= round(max(top, 0) ** (1 / 3)) + 1] ** 3  # the cube of every p with p^3 <= top

@@ -190,13 +190,16 @@ def triple_sum(f: ZnWeight, g: ZnWeight, h: ZnWeight, target: int) -> float:
     (1/N) sum_r f~ g~ h~ e(target r / N), one O(N) dot product of the cached
     transforms, and the linear convolution f*g from a zero-padded real FFT,
     folded mod N and paired with h(target - s).  The second is returned.
+    The cached spectra are exactly Hermitian: the first pairs r with -r.
     """
     if not (f.N == g.N == h.N):
         raise DomainError("mismatched N")
     N = f.N
     t = target % N
-    phases = np.exp(2j * np.pi * (t * np.arange(N, dtype=np.int64) % N) / N)
-    fourier = float(np.dot(f.dft * g.dft * h.dft, phases).real) / N
+    k = N // 2 + 1
+    P = f.dft[:k] * g.dft[:k] * h.dft[:k]
+    P[1:(N + 1) // 2] *= 2
+    fourier = float(np.dot(P, np.exp(2j * np.pi * (t * np.arange(k, dtype=np.int64) % N) / N)).real) / N
     (folded,) = _fft_convolutions(f.values, (g.values,), 2 * N - 1, N)
     linear = float(np.dot(folded, h.values[(t - np.arange(N)) % N]))
     scale = max(abs(linear), abs(fourier), f.total() * g.total() * h.total(), 1e-300)

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from chen3.circle_method import (
     geometric_phase_sum,
     get_evaluator,
     major_arc_model,
+    minor_major_contrast,
     spm_comparison,
     tau_star,
 )
@@ -137,7 +139,7 @@ class TestCompleteSums:
             got = ev.exp_sum(alpha, "moebius")
             assert abs(got - exp_sum_direct(ev, alpha, "moebius")) <= 1e-12 * ev.at_zero("moebius")
         # the cache still holds q = m, and nothing of length q was built
-        assert ev._q == m and ev._residues.size == m and "moebius" in ev._class_sums
+        assert ev._q == m and "moebius" in ev._class_sums
         assert all(c.size == m for c in ev._class_sums.values())
 
     def test_cache_holds_current_q_only(self):
@@ -145,11 +147,31 @@ class TestCompleteSums:
         for q in range(1, 60):
             for mode in ExpSumEvaluator.MODES:
                 ev.exp_sum(Fraction(1, q), mode)
-            assert ev._q == q and ev._residues.size == ev.xs.size
+            assert ev._q == q
             assert sorted(ev._class_sums) == sorted(ExpSumEvaluator.MODES)
             assert all(c.size == q for c in ev._class_sums.values())
         ev.exp_sum(Fraction(1, 61), "moebius")
-        assert list(ev._class_sums) == ["moebius"]
+        assert list(ev._class_sums) == ["moebius"] and ev._class_sums["moebius"].size == 61
+        # one grid on [0, m] per mode asked for, which the terms gather from
+        assert sorted(ev._grids) == sorted(ExpSumEvaluator.MODES)
+        for mode, grid in ev._grids.items():
+            assert grid.shape == (ev.ctx.m + 1,) and np.count_nonzero(grid[ev.xs]) == np.count_nonzero(grid)
+            assert np.array_equal(ev.inner_weights(mode), grid[ev.xs])
+
+    @pytest.mark.parametrize("mode", ExpSumEvaluator.MODES)
+    def test_fold_against_bincount(self, ev, mode):
+        grid = ev._grid(mode)
+        w = ev.inner_weights(mode)
+        L = 4096  # the fold's row length at q = 1, 2, 4, ..., 4096
+        for q in [*range(1, 201), 4095, 4096, 4097, ev.xs.size]:
+            want = np.bincount(ev.xs % q, weights=w, minlength=q)
+            assert np.max(np.abs(circle_method._fold(grid, q) - want)) <= 1e-12 * ev.at_zero(mode), q
+        # m + 1 a multiple of the row length L = q floor(4096/q), and not
+        for size in (3 * L, 3 * L + 1, 3 * L - 1, 7 * 4095):
+            for q in (1, 2, 3, 5, 64, 4095, 4096):
+                want = np.bincount(np.arange(size) % q, weights=grid[:size], minlength=q)
+                got = circle_method._fold(grid[:size], q)
+                assert np.max(np.abs(got - want)) <= 1e-12 * ev.at_zero(mode), (size, q)
 
 
 class TestInnerWeights:
@@ -164,7 +186,8 @@ class TestInnerWeights:
         """weight -> sum of weight(d) over the divisors d of rad(p + 2) made
         of sieving primes, times log p, for each selected prime p."""
         small = np.array(ev.small_primes)
-        divides = (ev.primes[:, None] + 2) % small == 0
+        primes = ev.ctx.W * ev.xs + ev.ctx.b
+        divides = (primes[:, None] + 2) % small == 0
         _, first, inverse = np.unique(np.packbits(divides, axis=1), axis=0,
                                       return_index=True, return_inverse=True)
         divisor_lists = []
@@ -177,7 +200,7 @@ class TestInnerWeights:
         def weights(weight) -> np.ndarray:
             weight = functools.cache(weight)
             sums = np.array([sum(weight(d) for d in divs) for divs in divisor_lists])
-            return sums[inverse.ravel()] * ev.logp
+            return sums[inverse.ravel()] * np.log(primes.astype(np.float64))
 
         return weights
 
@@ -262,6 +285,52 @@ class TestMajorArc:
         ctx = SieveContext(n=100_000, W=6, b=5)
         cmp = major_arc_model(ctx, 1, 1, 0.0)
         assert cmp.rel_err < 0.25
+
+
+class TestContrast:
+    """The contrast draws every minor (a, q) first and then evaluates by q."""
+
+    CTX = SieveContext(**BENCH_CONTEXTS[0])
+    DISSECTION = ArcDissection(10**6, 2)  # Q ~ 190.9: 93 primes in [Q, 4Q]
+
+    def draws(self, samples, seed):
+        """The minor-arc (a, q) in the contrast's draw order."""
+        rng = np.random.default_rng(seed)
+        qs = primes_up_to(int(4 * self.DISSECTION.Q))
+        qs = qs[qs >= self.DISSECTION.Q]
+        out = []
+        for _ in range(samples):
+            q = int(qs[rng.integers(qs.size)])
+            a = int(rng.integers(1, q))
+            while gcd(a, q) != 1:
+                a = int(rng.integers(1, q))
+            out.append((a, q))
+        return out
+
+    def test_ratios_equal_one_by_one(self):
+        rep = minor_major_contrast(self.CTX, self.DISSECTION, samples=300, rng=np.random.default_rng(4))
+        ev = ExpSumEvaluator(self.CTX)
+        s0 = ev.at_zero("moebius")
+        minor = [abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0 for a, q in self.draws(300, 4)]
+        major = [abs(ev.exp_sum(Fraction(a, q), "moebius")) / s0
+                 for q in range(1, 11) for a in range(1, q + 1) if gcd(a, q) == 1]
+        assert rep.minor_ratios == tuple(minor) and rep.major_ratios == tuple(major)
+
+    def test_one_fold_per_q(self, monkeypatch):
+        folded = collections.Counter()
+
+        def spy(grid, q):
+            folded[q] += 1
+            return fold(grid, q)
+
+        fold = circle_method._fold
+        monkeypatch.setattr(circle_method, "_fold", spy)
+        get_evaluator.cache_clear()
+        minor_major_contrast(self.CTX, self.DISSECTION, samples=300, rng=np.random.default_rng(4))
+        get_evaluator.cache_clear()
+        want = {q for _, q in self.draws(300, 4)} | set(range(1, 11))
+        assert set(folded) == want and set(folded.values()) == {1}
+        assert len(want) < 300 / 2  # far fewer folds than samples
 
 
 class TestArcs:

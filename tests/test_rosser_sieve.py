@@ -91,6 +91,15 @@ class TestSupport:
         with pytest.raises(DomainError):  # d p^3 would not fit in int64
             build_rosser(2.0 ** 63, "+", primes=np.array([2, 3]))
 
+    def test_unsorted_primes_with_duplicates(self):
+        # np.unique runs only on a prime array that is not strictly increasing
+        ps = primes_up_to(300)
+        mixed = np.concatenate([ps[::-1], ps[:7], ps[10:20]])
+        for sign in "+-":
+            want, got = build_rosser(5000, sign, primes=ps), build_rosser(5000, sign, primes=mixed)
+            for field in ("d", "value", "parent", "prime"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (sign, field)
+
     def test_level_order(self):
         w = build_rosser(10**4, "-")
         chains = chains_of(w)

@@ -288,7 +288,7 @@ class TestTripleSum:
         )
         assert triple_sum(f, g, h, 7) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("N", [23, 101, 1009])
+    @pytest.mark.parametrize("N", [2, 23, 24, 101, 1009])  # even N has the real term r = N/2
     @pytest.mark.parametrize("kind", ["random", "chen", "point"])
     def test_matches_direct(self, N, kind):
         rng = np.random.default_rng(N)
