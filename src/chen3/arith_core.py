@@ -126,6 +126,16 @@ class FactorTable:
         out += rest > 1
         return out.astype(np.int64)
 
+    def sifted(self, xs, z: float) -> np.ndarray:
+        """True where x in xs (2 <= x <= hi, or DomainError) has no prime
+        factor below z: its least one, 2 for an even x, the entry for an odd
+        composite and x itself for an odd prime, is >= z."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and not (xs.min() >= 2 and xs.max() <= self.hi):
+            raise DomainError(f"table sifts [2, {self.hi}], got x in [{xs.min()}, {xs.max()}]")
+        entry = self.smallest_prime_factor[(xs - 1) >> 1]  # an even x reads x - 1's
+        return np.where(xs & 1, np.where(entry == 0, xs, entry), 2) >= z
+
 
 def build_factor_table(hi: int) -> FactorTable:
     """Build the spf table and prime list for [1, hi].
@@ -171,8 +181,8 @@ def chen_primes(
 
     basic: Omega(p+2) <= 2, read as a prime c = (p+2)/spf(p+2) (c = p + 2
     when p + 2 is prime), off the raw odd entries since p + 2 is odd for
-    p > 2.  strict: additionally gcd(p+2, P(z)) = 1, for any z >= 2 (empty
-    once z > bound + 2).
+    p > 2.  strict: additionally p + 2 has no prime factor below z (the
+    table's sifted), for any z >= 2 (empty once z > bound + 2).
     """
     if bound < 2:
         raise DomainError(f"bound must be >= 2, got {bound}")
@@ -189,7 +199,7 @@ def chen_primes(
     cofactor = (odd + 2) // np.maximum(entry, 1)  # p + 2 itself when it is prime
     cond = spf[(cofactor - 1) >> 1] == 0  # a prime cofactor: Omega(p + 2) <= 2
     if variant == "strict":
-        cond &= np.where(entry == 0, odd + 2, entry) >= z
+        cond &= table.sifted(odd + 2, z)
     two = variant == "basic" or z <= 2  # 2 + 2 = 4 = 2^2
     return np.concatenate((ps[: int(two)], odd[cond]))
 

@@ -29,13 +29,13 @@ from .arith_core import (
     EULER_GAMMA,
     S1_PRIME_BOUND,
     _root,
+    build_factor_table,
     mult_functions,
     primes_up_to,
     singular_series_S1,
 )
 from .errors import DomainError, ResourceBudgetError
-from .rosser_sieve import (DEFAULT_SUPPORT_CAP, RosserWeights, _class_sums, _form_roots,
-                           _lambda_terms, _sifted, build_rosser)
+from .rosser_sieve import DEFAULT_SUPPORT_CAP, _class_sums, _form_roots, _lambda_terms, build_rosser
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,32 @@ class ExpSumEvaluator:
 
     def __init__(self, ctx: SieveContext):
         self.ctx = ctx
-        ps = primes_up_to(ctx.n)
-        self.xs = (ps[ps % ctx.W == ctx.b % ctx.W] - ctx.b) // ctx.W
-        self.small_primes = primes_up_to(math.ceil(ctx.z0) - 1).tolist()  # the primes below z0
+        table = build_factor_table(ctx.n + 2)  # p + 2 <= n + 2
+        ps = table.primes(ctx.n)
+        ps = ps[ps % ctx.W == ctx.b % ctx.W]
+        self.xs = (ps - ctx.b) // ctx.W
+        self.small_primes = table.primes(math.ceil(ctx.z0) - 1).tolist()  # the primes below z0
+        self._moebius = table.sifted(ps + 2, ctx.z0)  # the Moebius weight at the terms
         self._grids: dict[str, np.ndarray] = {}
         self._at_zero: dict[str, float] = {}
         self._q = 0
         self._class_sums: dict[str, np.ndarray] = {}
         self._phases_aq: tuple[int, int, np.ndarray | None] = (0, 0, None)
 
-    def _rosser(self, sign: str) -> RosserWeights:
-        return build_rosser(self.ctx.D, sign, primes=np.array(self.small_primes, dtype=np.int64))
-
     def _grid(self, mode: str) -> np.ndarray:
         if mode not in self.MODES:
             raise DomainError(f"unknown mode {mode!r}")
         if mode not in self._grids:
-            # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
-            W, c, size = self.ctx.W, self.ctx.b + 2, self.ctx.m + 1
+            W, b, xs = self.ctx.W, self.ctx.b, self.xs
             if mode == "moebius":
-                w = _sifted(W, c, self.ctx.z0, size)
-            else:
-                rw = self._rosser("+" if mode == "rosser_plus" else "-")
-                w = _class_sums(*_form_roots(*_lambda_terms(rw, self.small_primes), W, c), size)
-            self._grids[mode] = grid = np.zeros(size)
-            grid[self.xs] = np.log((W * self.xs + self.ctx.b).astype(np.float64))
-            grid *= w
+                w = self._moebius
+            else:  # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
+                rw = build_rosser(self.ctx.D, "+" if mode == "rosser_plus" else "-",
+                                  primes=np.array(self.small_primes, dtype=np.int64))
+                w = _class_sums(*_form_roots(*_lambda_terms(rw, self.small_primes), W, b + 2),
+                                self.ctx.m + 1)[xs]
+            self._grids[mode] = grid = np.zeros(self.ctx.m + 1)
+            grid[xs] = np.log((W * xs + b).astype(np.float64)) * w
         return self._grids[mode]
 
     def inner_weights(self, mode: str) -> np.ndarray:
@@ -141,8 +141,8 @@ class ExpSumEvaluator:
         if mode not in self._class_sums:
             self._class_sums[mode] = _fold(self._grid(mode), q)
         if self._phases_aq[:2] != (a, q):
-            # a, r < q <= n <= DEFAULT_SIEVE_BUDGET, which primes_up_to(n) in
-            # __init__ enforces, so a r < 2^63
+            # a, r < q <= n < DEFAULT_SIEVE_BUDGET, which the table to n + 2
+            # in __init__ enforces, so a r < 2^63
             t = (a * np.arange(q, dtype=np.int64)) % q / q
             self._phases_aq = (a, q, np.exp(2j * np.pi * t))
         return complex(np.dot(self._class_sums[mode], self._phases_aq[2]))
@@ -345,12 +345,9 @@ def bv_delta(x: int, q: int) -> float:
         raise DomainError(f"need q >= 1 and x >= 2, got q={q}, x={x}")
     primes = primes_up_to(x)
     logp = np.log(primes.astype(np.float64))
-    sums = np.zeros(q)
-    np.add.at(sums, primes % q, logp)
-    phi = mult_functions(q).phi
-    target = x / phi
-    rs = [r for r in range(1, q + 1) if gcd(r, q) == 1]
-    return float(max(abs(sums[r % q] - target) for r in rs))
+    sums = np.bincount(primes % q, weights=logp, minlength=q)
+    reduced = np.gcd(np.arange(q), q) == 1  # r = 0 only at q = 1
+    return float(np.max(np.abs(sums[reduced] - x / mult_functions(q).phi)))
 
 
 @dataclass(frozen=True)

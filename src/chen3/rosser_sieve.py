@@ -145,17 +145,6 @@ def _form_roots(d, v, W: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return d, (k * (d // W) + (k * (d % W) - c) // W) % d, v
 
 
-def _sifted(W: int, c: int, z: float, size: int) -> np.ndarray:
-    """The bool mask of the x in [0, size) for which W x + c has no prime
-    factor below z: the x in no root class of a prime p < z.  All False when
-    such a p divides both W and c, since it then divides every W x + c; the
-    other p dividing W divide no W x + c."""
-    P = primes_up_to(math.ceil(z) - 1)  # the primes below z
-    if np.any(math.gcd(W, c) % P == 0):
-        return np.zeros(size, dtype=bool)
-    return _class_sums(*_form_roots(P, np.ones_like(P), W, c), size) == 0
-
-
 def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
     """T[x] = sum of v[i] over the i with x = r[i] (mod d[i]), for 0 <= x < size.
 

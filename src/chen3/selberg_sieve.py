@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import _fft_convolutions, _root, _zn_dft, primes_up_to
+from .arith_core import _fft_convolutions, _root, _zn_dft, build_factor_table, primes_up_to
 from .errors import DomainError
-from .rosser_sieve import _class_sums, _sifted, _squarefree_levels
+from .rosser_sieve import _class_sums, _squarefree_levels
 
 # Caps the support of lambda: lambda, G1 and the quadratic form are exact
 # Fractions whose denominators grow with it.  Stage 1 at M = 5, W = 2,
@@ -227,17 +227,17 @@ def pair_count_bound(
 
     The pointwise form sum_x s1(x)^2 s2(x)^2 dominates every x that survives
     both sieves; primes <= z1 are invisible to the stage-2 sieve, so the
-    asserted comparison uses the count restricted to p1 > z1.  The survivors
-    are the primes p = W x + (b mod W) whose p + 2 _sifted finds free of the
-    primes below z0 on the grid x <= (n - b mod W)/W.
+    asserted comparison uses the count restricted to p1 > z1.  The survivors,
+    the primes p = b (mod W) up to n with no prime factor of p + 2 below z0,
+    are read off one factor table to n + 2, under DEFAULT_SIEVE_BUDGET.
     """
+    table = build_factor_table(n + 2)  # first: the budget is checked before any work
     sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
     sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
 
-    ps = primes_up_to(n)
-    c = b % W  # the primes = b (mod W) are the W x + c, x >= 0
-    xs = (ps[ps % W == c] - c) // W
-    survivors = W * xs[_sifted(W, c + 2, z0, (n - c) // W + 1)[xs]] + c
+    ps = table.primes(n)
+    ps = ps[ps % W == b % W]
+    survivors = ps[table.sifted(ps + 2, z0)]
     paired = np.isin(survivors + W * M, survivors)
     exact = int(np.count_nonzero(paired))
     exact_above = int(np.count_nonzero(paired & (survivors > z1)))

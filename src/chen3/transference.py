@@ -51,7 +51,7 @@ from .arith_core import (
 )
 from .errors import ConfigError, DomainError, InvariantError, PaperAssertionError, ResourceBudgetError
 from .goldbach_verify import _pair_witnesses, representation_count
-from .rosser_sieve import _sifted, linear_sieve_F_f
+from .rosser_sieve import linear_sieve_F_f
 
 # Hard cap on the points of Z_N: every weight and indicator is a length-N array.
 ZN_POINT_BUDGET = 1 << 27
@@ -573,15 +573,14 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         return (ps - b) // W
 
     def weight(xs: np.ndarray, vals_at: np.ndarray) -> ZnWeight:
-        v = np.zeros(N)
-        np.add.at(v, xs % N, vals_at)
-        return ZnWeight(N, v)
+        # choose_parameters' N exceeds n/W >= x; a ledger with a smaller N folds x mod N
+        return ZnWeight(N, np.bincount(xs % N, weights=vals_at, minlength=N))
 
     x1 = support(chen_primes(W * ((n - b1) // (2 * W)) + b1, "strict", z=z1, table=table), b1)
     a1 = weight(x1, ledger.C2 / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
     m3 = (n - b3) // W
     x3 = support(table.primes(W * m3 + b3), b3)
-    x3 = x3[_sifted(W, b3 + 2, z0, m3 + 1)[x3]]
+    x3 = x3[table.sifted(W * x3 + b3 + 2, z0)]
     a3 = weight(x3, math.exp(EULER_GAMMA) * phi2_W * np.log(W * x3 + b3) * math.log(n)
                 / (4.0 * ledger.k0 * S1 * n))
     return BuiltWeights(

@@ -28,6 +28,7 @@ from chen3.arith_core import (
 from chen3.circle_method import ExpSumEvaluator, SieveContext
 from chen3.errors import DomainError, InvariantError, ResourceBudgetError
 from chen3.goldbach_verify import range_survey, representation_count
+from chen3.selberg_sieve import pair_count_bound
 from oracles import is_chen_direct, primes_direct, spf_table_direct
 
 
@@ -121,6 +122,32 @@ class TestFactorTable:
             with pytest.raises(DomainError, match="covers"):
                 table_1e5.omega(xs)
 
+    @pytest.mark.parametrize("z", [1.5, 2, 2.5, 3, 7.4, 30, 31, 317, 100_003])
+    def test_sifted_against_trial_division(self, table_1e5, z):
+        # every x to 3000, the even x among them, x = hi (even) and hi - 1,
+        # and the prime squares and products just around z
+        hi = table_1e5.hi
+        xs = list(range(2, 3001)) + [29 * 29, 29 * 31, 31 * 31, 313 * 313, 313 * 317, hi - 1, hi]
+        got = table_1e5.sifted(xs, z)
+        assert got.dtype == bool and got.tolist() == [spf_oracle(x) >= z for x in xs]
+        assert table_1e5.sifted(np.empty(0, dtype=np.int64), z).shape == (0,)
+
+    def test_sifted_edges(self, table_1e5):
+        # an even x has least prime factor 2, so x = 2 as well; an odd prime
+        # is its own least factor, free of the primes below z iff it is >= z
+        evens = [2, 4, 6, 2**16, table_1e5.hi]
+        assert table_1e5.sifted(evens, 2).all() and not table_1e5.sifted(evens, 2.01).any()
+        assert table_1e5.sifted([29, 31, 37], 31).tolist() == [False, True, True]
+        assert table_1e5.sifted([29, 31, 37], 30.5).tolist() == [False, True, True]
+        assert table_1e5.sifted([29, 31, 37], 29).tolist() == [True, True, True]
+        assert table_1e5.sifted([99991], 99991).tolist() == [True]  # the largest prime below hi
+        assert table_1e5.sifted([99991], 99992).tolist() == [False]
+
+    def test_sifted_outside_the_table_raises(self, table_1e5):
+        for xs in ([1], [0], [-3], [2, table_1e5.hi + 1], [3, 2**32 + 3]):
+            with pytest.raises(DomainError, match="sifts"):
+                table_1e5.sifted(xs, 2)
+
     def test_prime_and_omega_identities(self):
         hi = 2**20 + 3
         t = build_factor_table(hi)
@@ -171,7 +198,8 @@ class TestFactorTable:
         lambda n: range_survey(9, n),
         lambda n: representation_count(n),
         lambda n: ExpSumEvaluator(SieveContext(n=n, W=2, b=1)),
-    ], ids=["chen_primes", "range_survey", "representation_count", "ExpSumEvaluator"])
+        lambda n: pair_count_bound(n, 2, 1, 3, 3.5, 8),
+    ], ids=["chen_primes", "range_survey", "representation_count", "ExpSumEvaluator", "pair_count_bound"])
     def test_budget_covers_every_entry(self, monkeypatch, entry):
         # one sieve, so one budget: each entry that sieves to n raises before
         # the table allocates (n = DEFAULT_SIEVE_BUDGET + 1 is an odd
@@ -494,7 +522,8 @@ def test_np_fft_call_sites():
 
 
 def test_factor_table_arrays_read_in_arith_core_only():
-    # the other modules go through FactorTable.primes and FactorTable.omega
+    # the other modules go through FactorTable.primes, FactorTable.omega and
+    # FactorTable.sifted
     names = {"smallest_prime_factor", "prime_list"}
     readers = set()
     for path in sorted(Path(chen3.__file__).parent.glob("*.py")):

@@ -71,10 +71,30 @@ class TestExpSum:
         assert exp_sum(ctx, 0.0).real == pytest.approx(want, rel=1e-12)
 
     def test_sieve_budget(self, monkeypatch):
-        monkeypatch.setattr(arith_core, "DEFAULT_SIEVE_BUDGET", 3000)  # checked by primes_up_to(n)
-        assert ExpSumEvaluator(CTX).xs.size > 0  # n = 3000 is within the budget
+        # the table reaches p + 2 <= n + 2, so n = budget - 2 is the last n that runs
+        monkeypatch.setattr(arith_core, "DEFAULT_SIEVE_BUDGET", 3002)
+        assert ExpSumEvaluator(CTX).xs.size > 0  # n = 3000
         with pytest.raises(ResourceBudgetError):
             ExpSumEvaluator(SieveContext(n=3001, W=2, b=1, k0=4))
+
+    def test_one_table(self, monkeypatch):
+        # one factor table to n + 2 gives the terms, the primes below z0 and
+        # the Moebius weight; primes_up_to builds no second one
+        sizes = []
+
+        def counted(hi):
+            sizes.append(hi)
+            return arith_core.build_factor_table(hi)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second sieve")
+
+        monkeypatch.setattr(circle_method, "build_factor_table", counted)
+        monkeypatch.setattr(circle_method, "primes_up_to", refuse)
+        ev = ExpSumEvaluator(CTX)
+        assert sizes == [CTX.n + 2]
+        assert ev.small_primes == [2, 3, 5, 7]
+        assert ev.at_zero("moebius") == pytest.approx(brute_moebius_sum(CTX, 0.0).real, rel=1e-12)
 
     def test_periodicity(self):
         a = exp_sum(CTX, Fraction(2, 7), "moebius")
@@ -366,18 +386,27 @@ class TestArcs:
             ArcDissection(10**4, 1.0).rationals
 
 
+def bv_delta_direct(x: int, q: int) -> float:
+    ps = [int(p) for p in primes_up_to(x)]
+    phi = mult_functions(q).phi
+    best = 0.0
+    for r in range(1, q + 1):
+        if gcd(r, q) != 1:
+            continue
+        theta = sum(math.log(p) for p in ps if p % q == r % q)
+        best = max(best, abs(theta - x / phi))
+    return best
+
+
 class TestBVDelta:
     def test_oracle_small(self):
-        x, q = 1000, 7
-        ps = [int(p) for p in primes_up_to(x)]
-        phi = mult_functions(q).phi
-        best = 0.0
-        for r in range(1, q + 1):
-            if gcd(r, q) != 1:
-                continue
-            theta = sum(math.log(p) for p in ps if p % q == r % q)
-            best = max(best, abs(theta - x / phi))
-        assert bv_delta(x, q) == pytest.approx(best, abs=1e-9)
+        assert bv_delta(1000, 7) == pytest.approx(bv_delta_direct(1000, 7), abs=1e-9)
+
+    @pytest.mark.parametrize("x, q", [(2, 1), (3, 3), (10, 2), (1000, 30), (10**4, 1000)])
+    def test_oracle_composite_and_edge_q(self, x, q):
+        # r = 0 is a reduced residue only at q = 1; at composite q the
+        # residues sharing a factor with q are left out
+        assert bv_delta(x, q) == pytest.approx(bv_delta_direct(x, q), abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):

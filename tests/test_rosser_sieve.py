@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chen3.arith_core import DEFAULT_SIEVE_BUDGET, EULER_GAMMA, factorize, mult_functions, primes_up_to
+from chen3.arith_core import (DEFAULT_SIEVE_BUDGET, EULER_GAMMA, build_factor_table, factorize,
+                              mult_functions, primes_up_to)
 from chen3 import rosser_sieve
 from chen3.errors import DomainError, ResourceBudgetError
 from oracles import (
@@ -217,12 +218,14 @@ class TestSifted:
     @pytest.mark.parametrize("W, c", [(2, 3), (6, 7), (6, 3), (30, 9)])
     @pytest.mark.parametrize("z", [1.5, 2, 30, 300])
     def test_matches_trial_division(self, W, c, z):
-        # size 2000: the p > sqrt(2000) go through np.add.at; (6, 3) and
-        # (30, 9) share the prime 3 with W, which divides every W x + c
+        # FactorTable.sifted on the progressions W x + c, x < 2000, that the
+        # sieve weights sift (p + 2 = W x + b + 2); (6, 3) and (30, 9) share
+        # the prime 3 with W, which divides every W x + c
         size = 2000
         small = [p for p in range(2, math.ceil(z)) if factorize(p) == [(p, 1)]]
         want = [all((W * x + c) % p for p in small) for x in range(size)]
-        assert rosser_sieve._sifted(W, c, z, size).tolist() == want
+        xs = W * np.arange(size) + c
+        assert build_factor_table(int(xs[-1])).sifted(xs, z).tolist() == want
 
 
 class TestSandwich:

@@ -187,11 +187,11 @@ class TestPairCount:
     def test_matches_direct(self, args, exact, monkeypatch):
         want = pair_count_direct(*args)
 
-        def refuse(*args, **kwargs):  # the survivors are sifted on the residue-class kernel
-            raise AssertionError("an spf entry was read")
+        def refuse(*args, **kwargs):
+            raise AssertionError("Omega or the Chen test was called")
 
-        # the primes come from the sieve, but no spf entry is read: neither
-        # Omega nor the Chen test
+        # the survivors need only "no prime factor of p + 2 below z0", the
+        # table's sifted: neither Omega nor the Chen test
         monkeypatch.setattr(arith_core.FactorTable, "omega", refuse)
         monkeypatch.setattr(arith_core, "chen_primes", refuse)
         assert not hasattr(selberg_sieve, "chen_primes")
@@ -199,6 +199,35 @@ class TestPairCount:
         assert rep == want
         if exact is not None:
             assert rep.exact_count == exact
+
+    def test_one_table(self, monkeypatch):
+        # one factor table to n + 2 for the survivors; primes_up_to only
+        # lists build_selberg's sieving primes, below z0 and z1
+        sizes, bounds = [], []
+
+        def counted(hi):
+            sizes.append(hi)
+            return arith_core.build_factor_table(hi)
+
+        def listed(bound):
+            bounds.append(bound)
+            return arith_core.primes_up_to(bound)
+
+        args = (20000, 2, 1, 3, 30, 60)
+        want = pair_count_direct(*args)
+        monkeypatch.setattr(selberg_sieve, "build_factor_table", counted)
+        monkeypatch.setattr(selberg_sieve, "primes_up_to", listed)
+        assert pair_count_bound(*args) == want
+        assert sizes == [20002] and bounds == [29, 59]
+
+    def test_sieve_budget(self, monkeypatch):
+        # the table reaches p + 2 <= n + 2, so n = budget - 2 is the last n
+        # that runs; the budget is checked before the Selberg systems are built
+        monkeypatch.setattr(arith_core, "DEFAULT_SIEVE_BUDGET", 3002)
+        assert pair_count_bound(3000, 2, 1, 3, 3.5, 8).ok
+        monkeypatch.setattr(selberg_sieve, "build_selberg", None)
+        with pytest.raises(ResourceBudgetError):
+            pair_count_bound(3001, 2, 1, 3, 3.5, 8)
 
     @pytest.mark.parametrize("args", [
         (10**6, 2, 1, 5, 30, 60),  # the sieve_sums benchmark's arguments

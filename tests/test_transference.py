@@ -671,6 +671,20 @@ class TestPipeline:
                 if is_prime_u64(W * x + b3) and all((W * x + b3 + 2) % p for p in small)]
         assert build_weights(led).support_x[2].tolist() == want
 
+    @pytest.mark.parametrize("k0", [2, 3, 5])
+    def test_a3_support_sifted_below_z0(self, k0):
+        # the desk k0 puts z0 below 2, where nothing is sifted; a smaller k0
+        # makes the condition on p + 2 bite
+        n = 30003
+        led = replace(choose_parameters(n), k0=k0)
+        W, b3 = led.W, led.b3
+        z0 = n ** (1.0 / k0)
+        small = [p for p in range(2, math.ceil(z0)) if is_prime_u64(p)]
+        want = [x for x in range(1, (n - b3) // W + 1)
+                if is_prime_u64(W * x + b3) and all((W * x + b3 + 2) % p for p in small)]
+        assert small and len(want) < build_weights(choose_parameters(n)).support_sizes[2]
+        assert build_weights(led).support_x[2].tolist() == want
+
     def test_end_to_end_small(self):
         rep = run_transference(9_999)
         assert rep["raw_triple_sum_positive"]
