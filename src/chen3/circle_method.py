@@ -81,7 +81,8 @@ class ExpSumEvaluator:
     Reusable across alphas and modes, each mode's weights kept as a grid on
     [0, m] with its sum S(0).  A rational a/q with q at most the number of
     terms is a complete sum over the class sums mod q, kept for the current q
-    only (one per mode), and the phases of the last (a, q).  A float alpha, or
+    only (one per mode) with its root table e(s/q), and the phases of the
+    last (a, q), gathered from that table.  A float alpha, or
     a larger q, is one vectorized phase sum over the terms.
     """
 
@@ -111,8 +112,10 @@ class ExpSumEvaluator:
             else:  # d | p + 2 = W x + b + 2 on one residue class of the x-grid [0, m]
                 rw = build_rosser(self.ctx.D, "+" if mode == "rosser_plus" else "-",
                                   primes=np.array(self.small_primes, dtype=np.int64))
+                # distinct d | W x + b + 2 <= n + 2 <= DEFAULT_SIEVE_BUDGET, |lambda(d)| = 1:
+                # |sum| <= tau <= 2 isqrt(n + 2) < 2^15, so int16 holds it
                 w = _class_sums(*_form_roots(*_lambda_terms(rw, self.small_primes), W, b + 2),
-                                self.ctx.m + 1)[xs]
+                                self.ctx.m + 1, np.int16)[xs]
             self._grids[mode] = grid = np.zeros(self.ctx.m + 1)
             grid[xs] = np.log((W * xs + b).astype(np.float64)) * w
         return self._grids[mode]
@@ -138,13 +141,13 @@ class ExpSumEvaluator:
         """sum_{r mod q} c_q(r) e(ar/q) for 0 <= a < q <= the number of terms."""
         if q != self._q:
             self._q, self._class_sums = q, {}
+            self._roots = np.exp(2j * np.pi * (np.arange(q) / q))  # e(s/q), 0 <= s < q
         if mode not in self._class_sums:
             self._class_sums[mode] = _fold(self._grid(mode), q)
         if self._phases_aq[:2] != (a, q):
             # a, r < q <= n < DEFAULT_SIEVE_BUDGET, which the table to n + 2
             # in __init__ enforces, so a r < 2^63
-            t = (a * np.arange(q, dtype=np.int64)) % q / q
-            self._phases_aq = (a, q, np.exp(2j * np.pi * t))
+            self._phases_aq = (a, q, self._roots[(a * np.arange(q, dtype=np.int64)) % q])
         return complex(np.dot(self._class_sums[mode], self._phases_aq[2]))
 
     def at_zero(self, mode: str) -> float:

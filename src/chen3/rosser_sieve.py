@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .arith_core import EULER_GAMMA, primes_up_to
+from .arith_core import DEFAULT_SIEVE_BUDGET, EULER_GAMMA, primes_up_to
 from .errors import DomainError, ResourceBudgetError
 
 DEFAULT_SUPPORT_CAP = 5_000_000
@@ -145,10 +145,11 @@ def _form_roots(d, v, W: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return d, (k * (d // W) + (k * (d % W) - c) // W) % d, v
 
 
-def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int, dtype=None) -> np.ndarray:
     """T[x] = sum of v[i] over the i with x = r[i] (mod d[i]), for 0 <= x < size.
 
-    Needs 0 <= r[i] < d[i]; T is int64 for integer v and float64 for float v.
+    Needs 0 <= r[i] <= d[i].  T has the caller's dtype, by default int64 for
+    integer v and float64 for float v; the caller bounds every |T[x]| by it.
     Each d <= sqrt(size) adds its value by one strided slice, in input
     order.  The larger d have at most sqrt(size) class members each; sorted
     by member count, the d with an m-th member are a prefix, and one
@@ -156,8 +157,8 @@ def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.nd
     at one x).
     """
     v = np.asarray(v)
-    T = np.zeros(size, dtype=np.result_type(v.dtype, np.int64))
-    d, r = np.asarray(d, dtype=np.int64), np.asarray(r, dtype=np.int64)
+    T = np.zeros(size, dtype=np.result_type(v.dtype, np.int64) if dtype is None else dtype)
+    d, r, v = np.asarray(d, dtype=np.int64), np.asarray(r, dtype=np.int64), v.astype(T.dtype, copy=False)
     strided = d <= isqrt(size)
     for di, ri, vi in zip(d[strided].tolist(), r[strided].tolist(), v[strided].tolist()):
         T[ri::di] += vi
@@ -174,11 +175,21 @@ def _class_sums(d: np.ndarray, r: np.ndarray, v: np.ndarray, size: int) -> np.nd
 
 
 def divisor_sum_table(weights: RosserWeights, limit: int) -> np.ndarray:
-    """T[q] = sum_{d | q} lambda(d) for all 0 <= q <= limit, by sieving."""
-    d, v = _lambda_terms(weights, primes_up_to(limit))
-    T = _class_sums(d, np.zeros_like(d), v, limit + 1)
-    T[0] = 0
-    return T
+    """T[q] = sum_{d | q} lambda(d) for all 0 <= q <= limit (T[0] = 0), by
+    sieving; int64.  Raises ResourceBudgetError, before any allocation, when
+    limit > DEFAULT_SIEVE_BUDGET.
+
+    The terms at q are distinct divisors of q with |lambda| = 1, so |T[q]| <=
+    tau(q) <= 2 isqrt(q) < 2^15 and the sieve accumulates in int16.  Each
+    class starts at d: x = 0, which every d divides, is never met.
+    """
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise ResourceBudgetError(f"divisor-sum table to {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}")
+    # lambda^-(p) = -1 for the primes D <= p <= limit; there are none otherwise
+    pool = primes_up_to(limit) if weights.sign == "-" and limit >= weights.D else ()
+    d, v = _lambda_terms(weights, pool)
+    # int16: |T[q]| <= tau(q) <= 2 isqrt(DEFAULT_SIEVE_BUDGET) = 28284 < 2^15
+    return _class_sums(d, d, v, limit + 1, np.int16).astype(np.int64)
 
 
 def sandwich_check(
@@ -191,7 +202,7 @@ def sandwich_check(
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    # first, so that primes_up_to(limit) checks the budget before any allocation
+    # first, so that divisor_sum_table checks the budget before any allocation
     lower = divisor_sum_table(weights_minus, limit)
     upper = divisor_sum_table(weights_plus, limit)
     squarefree = np.ones(limit + 1, dtype=bool)

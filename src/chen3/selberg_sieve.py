@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import _fft_convolutions, _root, _zn_dft, build_factor_table, primes_up_to
+from .arith_core import _fft_convolutions, _indicator, _root, _zn_dft, build_factor_table, primes_up_to
 from .errors import DomainError
 from .rosser_sieve import _class_sums, _squarefree_levels
 
@@ -238,7 +238,7 @@ def pair_count_bound(
     ps = table.primes(n)
     ps = ps[ps % W == b % W]
     survivors = ps[table.sifted(ps + 2, z0)]
-    paired = np.isin(survivors + W * M, survivors)
+    paired = _indicator(survivors, n + W * M + 1)[survivors + W * M]
     exact = int(np.count_nonzero(paired))
     exact_above = int(np.count_nonzero(paired & (survivors > z1)))
 

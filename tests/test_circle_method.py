@@ -178,6 +178,26 @@ class TestCompleteSums:
             assert grid.shape == (ev.ctx.m + 1,) and np.count_nonzero(grid[ev.xs]) == np.count_nonzero(grid)
             assert np.array_equal(ev.inner_weights(mode), grid[ev.xs])
 
+    def test_phases_from_root_table_bit_for_bit(self, ev):
+        # the per-(a, q) exponential the root table replaced, to the last bit
+        for q in (1, 2, 40, 997):
+            r = np.arange(q, dtype=np.int64)
+            for mode in ExpSumEvaluator.MODES:
+                c = circle_method._fold(ev._grid(mode), q)
+                for a in range(q):
+                    want = complex(np.dot(c, np.exp(2j * np.pi * ((a * r) % q / q))))
+                    assert repr(ev._complete_sum(a, q, mode)) == repr(want), (q, a, mode)
+
+    def test_root_table_once_per_q(self, ev):
+        for q in (7, 40, 997):
+            ev.exp_sum(Fraction(1, q), "moebius")
+            roots = ev._roots
+            assert roots.size == q
+            for a in range(q):
+                for mode in ExpSumEvaluator.MODES:
+                    ev._complete_sum(a, q, mode)
+            assert ev._roots is roots, q
+
     @pytest.mark.parametrize("mode", ExpSumEvaluator.MODES)
     def test_fold_against_bincount(self, ev, mode):
         grid = ev._grid(mode)

@@ -228,6 +228,43 @@ class TestSifted:
         assert build_factor_table(int(xs[-1])).sifted(xs, z).tolist() == want
 
 
+class TestDivisorSumTable:
+    """The tables accumulate in int16 and are returned as int64."""
+
+    def test_tau_bound_fits_int16(self):
+        # tau(q) <= 2 isqrt(q): the divisors pair up as d, q/d, one of them <= isqrt(q)
+        assert 2 * math.isqrt(DEFAULT_SIEVE_BUDGET + 2) < 2**15, (
+            "rosser_sieve.divisor_sum_table and the Rosser modes of "
+            "circle_method.ExpSumEvaluator._grid add lambda(d) = +-1 over distinct d | q, "
+            "q <= DEFAULT_SIEVE_BUDGET + 2, in an int16 accumulator; this budget needs a wider one")
+
+    @pytest.mark.parametrize("sign", "+-")
+    @pytest.mark.parametrize("D, limits", [(10**3, (500, 720720)), (10**4, (5000, 720720)),
+                                           (10**6, (720720, 1000003))])
+    def test_against_divisor_by_divisor(self, sign, D, limits):
+        # 720720 has tau = 240; 1000003 is a prime >= D, where lambda^-(p) = -1 is not stored
+        w = build_rosser(D, sign)
+        rng = np.random.default_rng(D)
+        for limit in limits:
+            T = divisor_sum_table(w, limit)
+            assert T.dtype == np.int64 and T.size == limit + 1 and T[0] == 0
+            qs = [1, 360, 2520, 720720, limit, *rng.integers(1, limit + 1, size=20).tolist()]
+            for q in (q for q in qs if q <= limit):
+                assert T[q] == rosser_divisor_sum(w, q), (D, sign, limit, q)
+
+    @pytest.mark.parametrize("sign", "+-")
+    def test_budget_before_any_sieve(self, sign, monkeypatch):
+        w = build_rosser(10, sign)
+
+        def sieve(*args):
+            raise AssertionError("sieved before the budget check")
+
+        monkeypatch.setattr(rosser_sieve, "primes_up_to", sieve)
+        monkeypatch.setattr(rosser_sieve, "_class_sums", sieve)
+        with pytest.raises(ResourceBudgetError):
+            divisor_sum_table(w, DEFAULT_SIEVE_BUDGET + 1)
+
+
 class TestSandwich:
     def test_example_q15(self):
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
@@ -255,7 +292,7 @@ class TestSandwich:
         assert checked == squarefree_count(limit) and bad.size == 0
 
     def test_limit_above_the_sieve_budget(self):
-        # raised by primes_up_to before any array of length limit + 1 exists
+        # raised by divisor_sum_table before any array of length limit + 1 exists
         wp, wm = build_rosser(10, "+"), build_rosser(10, "-")
         with pytest.raises(ResourceBudgetError):
             sandwich_check(wp, wm, DEFAULT_SIEVE_BUDGET + 1)
