@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 from typing import Callable, Iterable
 
@@ -322,14 +322,9 @@ class LinearSieveFns:
         return F, f
 
 
-_default_fns: LinearSieveFns | None = None
-
-
+@cache
 def default_linear_sieve() -> LinearSieveFns:
-    global _default_fns
-    if _default_fns is None:
-        _default_fns = LinearSieveFns()
-    return _default_fns
+    return LinearSieveFns()
 
 
 def linear_sieve_F_f(s: float) -> tuple[float, float]:

@@ -231,7 +231,9 @@ def pair_count_bound(
     the primes p = b (mod W) up to n with no prime factor of p + 2 below z0,
     are read off one factor table to n + 2, under DEFAULT_SIEVE_BUDGET.
     """
-    table = build_factor_table(n + 2)  # first: the budget is checked before any work
+    if W < 1 or n < b:
+        raise DomainError(f"need W >= 1 and n >= b, got n={n}, W={W}, b={b}")
+    table = build_factor_table(n + 2)  # the budget is checked before any other work
     sys1 = build_selberg(1, M, W, n, k0=8, z0=z0, z1=z1)
     sys2 = build_selberg(2, M, W, n, k0=8, z0=z0, z1=z1)
 
@@ -279,6 +281,8 @@ def additive_energy(weights) -> EnergyReport:
     with f*f from the zero-padded FFT kernel folded mod N, against the
     Fourier fourth moment sum_r |f~(r)|^4 = N * energy from the length-N DFT."""
     values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError(f"weights must be a nonempty 1-d array, got shape {values.shape}")
     N = values.size
     (folded,) = _fft_convolutions(values, (values,), 2 * N - 1, N)
     energy = float(np.sum(folded ** 2))

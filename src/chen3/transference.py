@@ -4,18 +4,19 @@ Normalized weights on Z_N, their DFTs, large spectra, Bohr sets, Bohr-set
 smoothing, the three-fold convolution counts, the Pollard-type sumset bound,
 and the parameter ledger tying everything together.  a2 is a1: the table
 budget on N keeps W <= 6, where one residue is admissible, so b1 = b2 and
-the weights are a1 and a3.  The DFTs on Z_N cost O(N log N) and carry two
-real signals each (arith_core's _zn_dft and _zn_idft): one forward for the
-distinct weights, one for their Bohr indicators, and one inverse for both
-smoothings, from the products of their factors' spectra; two forward and
-one inverse in all.  An
-index set on Z_N (spectrum, Bohr frequencies and members, level and Pollard
-sets) is a sorted int64 array.  A Bohr set filters Z_N by one frequency at
-a time, O(sum_k |B_k|) over the passes that can change the set, with B_k
-the Bohr set of the first k frequencies.  The linear convolutions behind
-triple_sum and the Pollard count are arith_core's FFT kernel of linear
-products, _fft_convolutions, folded mod N.
-The O(N^2) enumerations that check these routes are kept in the tests.
+the weights are a1 and a3, each support point x placed at x (x >= N is an
+InvariantError, not a fold mod N).  The DFTs on Z_N cost O(N log N) and
+carry two real signals each (arith_core's _zn_dft and _zn_idft): build_weights
+makes the forward DFT of the distinct weights, and one smooth_and_bound call
+makes one forward DFT of their Bohr indicators and one inverse for both
+smoothings, from the products of their factors' spectra.  An index set on
+Z_N (spectrum, Bohr frequencies and members, level and Pollard sets) is a
+sorted int64 array.  A Bohr set filters Z_N by one frequency at a time,
+O(sum_k |B_k|) over the passes that can change the set, with B_k the Bohr
+set of the first k frequencies.  The linear convolutions behind triple_sum
+and the Pollard count are arith_core's FFT kernel of linear products,
+_fft_convolutions, folded mod N.  The O(N^2) enumerations that check these
+routes are kept in the tests.
 
 The stage functions compute their inequalities and return the numbers with
 an ok flag; none of them reads the profile.  `run_transference` alone decides
@@ -69,8 +70,8 @@ class ZnWeight:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.N,):
-            raise DomainError(f"values must have length N={self.N}")
+        if self.N < 1 or self.values.shape != (self.N,):
+            raise DomainError(f"need N >= 1 and values of length N, got N={self.N} and shape {self.values.shape}")
         if not np.all((self.values >= 0) & (self.values < np.inf)):
             raise DomainError("weights must be finite and nonnegative")
 
@@ -219,11 +220,19 @@ class SmoothResult:
     sup_ok: bool
 
 
-def _bohr_smoothings(weights, bohrs) -> list[tuple[ZnWeight, float]]:
+def smooth_and_bound(weights, bohrs, kappa: float) -> list[SmoothResult]:
     """a' = a * b * b for one or two weights a, with b = 1_B / |B| the
-    normalized indicator of a's Bohr set B, each with max |1 - b~(r)| over
-    the frequencies of B.  The b are transformed together and the a' come
-    from one inverse DFT; each b~ becomes the spectrum b~^2 a~ in place."""
+    normalized indicator of a's Bohr set B: the b are transformed together,
+    each b~ becomes the spectrum b~^2 a~ in place, and the a' come from one
+    inverse DFT.  One SmoothResult per weight, in order.
+
+    Checks mass preservation exactly (b~(0) = 1) and the Fourier closeness
+    max |1 - b~(r)| <= 16 eps^2 over B's frequencies, raising InvariantError
+    if either fails.  The sup bound sup a' <= (1 + 2 kappa)/N is returned as
+    sup_ok; whether it is asserted is the caller's decision.
+    """
+    if len(weights) != len(bohrs):
+        raise DomainError(f"need one Bohr set per weight, got {len(weights)} and {len(bohrs)}")
     specs = _zn_dft(*(_indicator(bo.members, bo.N) / bo.size for bo in bohrs))
     closeness = [float(np.max(np.abs(1.0 - d[bo.frequencies]), initial=0.0)) for d, bo in zip(specs, bohrs)]
     for a, bo, d in zip(weights, bohrs, specs):
@@ -231,39 +240,20 @@ def _bohr_smoothings(weights, bohrs) -> list[tuple[ZnWeight, float]]:
             raise DomainError(f"mismatched N: {a.N} vs {bo.N}")
         d *= d
         d *= a.dft
-    return list(zip(_from_spectra(*specs), closeness))
-
-
-def smooth_and_bound(a: ZnWeight, bohr: BohrSet, kappa: float, smoothing=None) -> SmoothResult:
-    """Smooth a by the normalized Bohr indicator twice: a' = a * b * b,
-    with smoothing = (a', closeness) from _bohr_smoothings([a], [bohr])
-    unless the caller passes it.
-
-    Checks mass preservation exactly (b~(0) = 1) and the Fourier closeness
-    |1 - b~(r)| <= 16 eps^2 on the Bohr set's frequencies, raising
-    InvariantError if either fails.  The sup bound sup a' <= (1 + 2 kappa)/N
-    is computed and returned as sup_ok; whether it is asserted is the
-    caller's decision.
-    """
-    sm, closeness = smoothing or _bohr_smoothings([a], [bohr])[0]
-    mass_in, mass_out = a.total(), sm.total()
-    if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
-        raise InvariantError("smoothing did not preserve mass")
-    if not closeness <= 16.0 * bohr.epsilon ** 2 + 1e-12:
-        raise InvariantError(
-            f"|1 - b~(r)| = {closeness} exceeds 16 eps^2 = {16 * bohr.epsilon ** 2}"
-        )
-    sup_value = float(np.max(sm.values))
-    sup_bound = (1.0 + 2.0 * kappa) / a.N
-    return SmoothResult(
-        weight=sm,
-        mass_in=mass_in,
-        mass_out=mass_out,
-        fourier_closeness_max=closeness,
-        sup_value=sup_value,
-        sup_bound=sup_bound,
-        sup_ok=sup_value <= sup_bound + 1e-15,
-    )
+    out = []
+    for a, bo, sm, close in zip(weights, bohrs, _from_spectra(*specs), closeness):
+        mass_in, mass_out = a.total(), sm.total()
+        if abs(mass_in - mass_out) > 1e-9 * max(mass_in, 1.0):
+            raise InvariantError("smoothing did not preserve mass")
+        if not close <= 16.0 * bo.epsilon ** 2 + 1e-12:
+            raise InvariantError(f"|1 - b~(r)| = {close} exceeds 16 eps^2 = {16 * bo.epsilon ** 2}")
+        sup_value = float(np.max(sm.values))
+        sup_bound = (1.0 + 2.0 * kappa) / a.N
+        out.append(SmoothResult(
+            weight=sm, mass_in=mass_in, mass_out=mass_out, fourier_closeness_max=close,
+            sup_value=sup_value, sup_bound=sup_bound, sup_ok=sup_value <= sup_bound + 1e-15,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -544,7 +534,8 @@ class BuiltWeights:
 
 
 def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
-    """The normalized weights on Z_N; a1 and a2 are one object.
+    """The normalized weights on Z_N, each with its DFT: a1 and a3 are
+    transformed together, and a1 and a2 are one object.
 
     a1 = a2: strict Chen primes W x + b1 (Omega(p+2) <= 2 and no factor of
     p+2 below n^{1/10}), x <= (n - b1)/(2W), weight
@@ -555,7 +546,8 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
     b1 = b2 for every ledger choose_parameters returns: W = 30 needs
     log n >= 30, and then N > n/W > ZN_POINT_BUDGET, so W <= 6, where
     the one admissible residue (b = 1 mod 2, b = 5 mod 6) is every b_i.  A
-    ledger with b1 != b2 is a DomainError.
+    ledger with b1 != b2 is a DomainError.  No x is folded mod N: x >= N is
+    an InvariantError (choose_parameters' N exceeds n/W >= x).
     """
     if ledger.b1 != ledger.b2:
         raise DomainError(f"a1 and a2 are one weight: need b1 = b2, got {ledger.b1} and {ledger.b2}")
@@ -572,17 +564,17 @@ def build_weights(ledger: ParameterLedger, table=None) -> BuiltWeights:
         ps = ps[(ps % W == b % W) & (ps > b)]
         return (ps - b) // W
 
-    def weight(xs: np.ndarray, vals_at: np.ndarray) -> ZnWeight:
-        # choose_parameters' N exceeds n/W >= x; a ledger with a smaller N folds x mod N
-        return ZnWeight(N, np.bincount(xs % N, weights=vals_at, minlength=N))
-
     x1 = support(chen_primes(W * ((n - b1) // (2 * W)) + b1, "strict", z=z1, table=table), b1)
-    a1 = weight(x1, ledger.C2 / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n)
     m3 = (n - b3) // W
     x3 = support(table.primes(W * m3 + b3), b3)
     x3 = x3[table.sifted(W * x3 + b3 + 2, z0)]
-    a3 = weight(x3, math.exp(EULER_GAMMA) * phi2_W * np.log(W * x3 + b3) * math.log(n)
-                / (4.0 * ledger.k0 * S1 * n))
+    x_max = max(int(np.max(xs, initial=0)) for xs in (x1, x3))
+    if x_max >= N:  # before the length-N arrays
+        raise InvariantError(f"support point x = {x_max} is not below N = {N}")
+    w1 = ledger.C2 / S1 / 1000.0 * phi2_W * np.log(W * x1 + b1) ** 2 / n
+    w3 = math.exp(EULER_GAMMA) * phi2_W * np.log(W * x3 + b3) * math.log(n) / (4.0 * ledger.k0 * S1 * n)
+    values = [np.bincount(xs, weights=w, minlength=N) for xs, w in ((x1, w1), (x3, w3))]
+    a1, a3 = (ZnWeight(N, v, _dft=d) for v, d in zip(values, _zn_dft(*values)))  # one DFT for both
     return BuiltWeights(
         a1=a1, a2=a1, a3=a3,
         support_sizes=(int(x1.size), int(x1.size), int(x3.size)),
@@ -651,8 +643,6 @@ def run_transference(
     # every stage runs once per distinct weight, (a1, a3); the report lists
     # a1, a2, a3, with a2 = a1
     weights, a123 = (built.a1, built.a3), (0, 0, 1)
-    for wt, d in zip(weights, _zn_dft(*(wt.values for wt in weights))):  # one DFT for both
-        wt._dft = d
     delta, eps = ledger.delta, ledger.epsilon
     specs = [spectrum(wt, delta) for wt in weights]
     report["stages"].append({
@@ -675,20 +665,16 @@ def run_transference(
         eps ** len(specs[0].members) >= ledger.C5 / (kappa * math.sqrt(w_val)),
         w_val > 2 and eps ** len(specs[1].members) >= (2.0 / (w_val - 2) + 0.9 * kappa ** 2) / kappa,
     )
-    smooth = []
-    sup_flags = []
-    for wt, bo, sm, precond in zip(weights, bohrs, _bohr_smoothings(weights, bohrs), preconds):
-        res = smooth_and_bound(wt, bo, kappa, sm)
-        smooth.append(res)
-        sup_flags.append({
-            "sup_value": res.sup_value,
-            "sup_bound": res.sup_bound,
-            "sup_ok": res.sup_ok,
-            "precondition_holds": bool(precond),
-            "status": claim(res.sup_ok, f"sup a' = {res.sup_value} exceeds "
-                            f"(1+2kappa)/N = {res.sup_bound}", precondition=precond),
-            "fourier_closeness_max": res.fourier_closeness_max,
-        })
+    smooth = smooth_and_bound(weights, bohrs, kappa)
+    sup_flags = [{
+        "sup_value": res.sup_value,
+        "sup_bound": res.sup_bound,
+        "sup_ok": res.sup_ok,
+        "precondition_holds": bool(precond),
+        "status": claim(res.sup_ok, f"sup a' = {res.sup_value} exceeds "
+                        f"(1+2kappa)/N = {res.sup_bound}", precondition=precond),
+        "fourier_closeness_max": res.fourier_closeness_max,
+    } for res, precond in zip(smooth, preconds)]
     report["stages"].append({"stage": "smoothing", "per_weight": [sup_flags[i] for i in a123]})
 
     level = [np.nonzero(r.weight.values >= ledger.varpi / N)[0] for r in smooth]

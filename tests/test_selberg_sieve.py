@@ -172,6 +172,17 @@ class TestWeights:
 
 
 class TestPairCount:
+    @pytest.mark.parametrize("args", [(0, 2, 1, 1, 2, 3), (100, 0, 1, 1, 2, 3), (100, -2, 1, 1, 2, 3)])
+    def test_rejects_n_below_b_and_W_below_1(self, args, monkeypatch):
+        # library errors in place of numpy's "negative dimensions" (n < b) and
+        # a ZeroDivisionError (W = 0), before the factor table is built
+        def refuse(hi):
+            raise AssertionError("the factor table was built")
+
+        monkeypatch.setattr(selberg_sieve, "build_factor_table", refuse)
+        with pytest.raises(DomainError, match="need W >= 1 and n >= b"):
+            pair_count_bound(*args)
+
     def test_brute_force_comparison(self):
         rep = pair_count_bound(n=3000, W=2, b=1, M=3, z0=3.5, z1=8.0)
         assert rep.ok
@@ -250,6 +261,11 @@ class TestPairCount:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("weights", [np.zeros(0), [], np.ones((3, 3)), np.float64(1.0)])
+    def test_rejects_empty_and_non_1d(self, weights):
+        with pytest.raises(DomainError, match="nonempty 1-d array"):
+            additive_energy(weights)
+
     def test_point_mass(self):
         e = additive_energy(np.eye(1, 7, 3).ravel())
         assert e.energy_count == pytest.approx(1.0)

@@ -43,6 +43,13 @@ class TestZnWeight:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             ZnWeight(5, np.array([bad, 1.0, 1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_rejects_N_below_1(self, N):
+        # on an empty Z_N, dft, spectrum, convolve and triple_sum would raise
+        # numpy's ValueError or a ZeroDivisionError
+        with pytest.raises(DomainError, match="need N >= 1"):
+            ZnWeight(N, [])
+
     def test_dft_against_direct(self):
         rng = np.random.default_rng(3)
         w = ZnWeight(101, rng.random(101))
@@ -88,8 +95,8 @@ class TestConvolve:
     def test_clip_at_0_is_guarded(self, dip, raises):
         # a planted spectrum whose inverse dips to dip times its maximum 1:
         # rounding is clipped to 0, a fault below -1e-9 raises
-        f = point_mass(101)
-        (f._dft,) = _zn_dft(np.array([1.0, dip] + [0.0] * 99))
+        (spec,) = _zn_dft(np.array([1.0, dip] + [0.0] * 99))
+        f = ZnWeight(101, point_mass(101).values, _dft=spec)
         if raises:
             with pytest.raises(InvariantError, match="below -1e-9 of its maximum"):
                 convolve(f)
@@ -245,7 +252,7 @@ class TestSmoothing:
         for w, size in ((noise, 1), (wave, 3)):
             sp = spectrum(w, 0.05)
             b = bohr_set(sp.members, 0.1, N)
-            res = smooth_and_bound(w, b, kappa=0.5)
+            (res,) = smooth_and_bound([w], [b], kappa=0.5)
             ind = np.zeros(N)
             ind[b.members] = 1.0 / b.size
             want = np.max(np.abs(1.0 - dft_direct(ind, sp.members)))
@@ -258,8 +265,34 @@ class TestSmoothing:
         N = 101
         w = point_mass(N, 3)
         b = bohr_set({0}, 0.25, N)  # all of Z_N
-        res = smooth_and_bound(w, b, kappa=0.5)
+        (res,) = smooth_and_bound([w], [b], kappa=0.5)
         assert np.allclose(res.weight.values, 1.0 / N)
+
+    @pytest.mark.parametrize("N", [257, 5077])
+    def test_paired_call_matches_single_calls(self, N):
+        # the two smoothings share their transforms; a leak between the
+        # paired outputs would show as a difference from separate calls.
+        # Both weights have mass 1: a paired transform rounds relative to
+        # the larger of its two signals
+        rng = np.random.default_rng(N)
+        x = np.arange(N)
+        sparse = rng.random(N) * (rng.random(N) < 0.2)
+        ws = [ZnWeight(N, sparse / sparse.sum()), ZnWeight(N, (1.0 + 0.5 * np.cos(2 * np.pi * 5 * x / N)) / N)]
+        bs = [bohr_set(spectrum(w, 0.05).members, 0.1, N) for w in ws]
+        paired = smooth_and_bound(ws, bs, kappa=0.5)
+        assert len(paired) == 2
+        for res, w, b in zip(paired, ws, bs):
+            (alone,) = smooth_and_bound([w], [b], kappa=0.5)
+            scale = np.max(alone.weight.values)
+            assert np.max(np.abs(res.weight.values - alone.weight.values)) <= 1e-12 * scale
+            assert res.fourier_closeness_max == pytest.approx(alone.fourier_closeness_max, abs=1e-12)
+            assert res.sup_value == pytest.approx(alone.sup_value, abs=1e-12 * scale)
+            assert (res.mass_in, res.sup_bound, res.sup_ok) == (alone.mass_in, alone.sup_bound, alone.sup_ok)
+
+    def test_one_bohr_set_per_weight(self):
+        w = uniform(11)
+        with pytest.raises(DomainError, match="one Bohr set per weight"):
+            smooth_and_bound([w, w], [bohr_set([0], 0.25, 11)], kappa=0.5)
 
 
 class TestTripleSum:
@@ -318,7 +351,7 @@ class TestTripleSum:
         # shift is its relative error
         N = 13
         f, g, h = (point_mass(N, x) for x in (2, 3, 4))
-        f._dft = f.dft * (1.0 + shift)
+        f = ZnWeight(N, f.values, _dft=f.dft * (1.0 + shift))
         if raises:
             with pytest.raises(InvariantError):
                 triple_sum(f, g, h, 9)
@@ -660,6 +693,15 @@ class TestPipeline:
 
         assert is_prime_u64(p)
 
+    def test_weights_carry_their_spectra(self):
+        # build_weights transforms a1 and a3 together; run_transference and
+        # the stages read the spectra it stored
+        built = build_weights(choose_parameters(30003))
+        assert built.a2 is built.a1
+        for w in (built.a1, built.a3):
+            assert w._dft is not None
+            assert np.max(np.abs(w._dft - np.fft.fft(w.values))) <= 1e-12 * w.total()
+
     @pytest.mark.parametrize("n", [9999, 30003])
     def test_a3_support_by_trial_division(self, n):
         # the x >= 1 with W x + b3 prime and no prime below z0 dividing W x + b3 + 2
@@ -710,15 +752,21 @@ class TestPipeline:
         assert sum(lift["primes"]) == n and lift["lifts_to_integers"]
 
     def test_wrapping_supports_raise(self, monkeypatch):
-        # the supports at n = 9999 reach x1 + x2 + x3 = 827 + 827 + 1656
-        n, x_sum = 9999, 3310
-        led = choose_parameters(n)
-        n_prime = (n - led.b1 - led.b2 - led.b3) // led.W
-        assert sum(int(xs.max()) for xs in build_weights(led).support_x) == x_sum
-        for N, raises in ((x_sum - n_prime, True), (x_sum - n_prime + 1, False)):
+        # two checks, with N patched below choose_parameters' choice: a
+        # support point x >= N (build_weights places x at x, never mod N),
+        # and support maxima x1 + x2 + x3 >= n' + N (run_transference).  The
+        # supports reach 827 + 827 + 1656 at n = 9999 and 38 + 38 + 76 at
+        # n = 465, where N = 77 clears every x but not the sum n' + N = 152
+        maxima = {9999: [827, 827, 1656], 465: [38, 38, 76]}
+        for n, want in maxima.items():
+            assert [int(xs.max()) for xs in build_weights(choose_parameters(n)).support_x] == want
+        cases = ((9999, 1656, "support point x = 1656 is not below N = 1656"), (9999, 1657, None),
+                 (465, 76, "support point x = 76 is not below N = 76"),
+                 (465, 77, r"support maxima sum to 152 >= n' \+ N = 152"), (465, 78, None))
+        for n, N, message in cases:
             monkeypatch.setattr(chen3.transference, "find_prime_in", lambda lo, hi, N=N: N)
-            if raises:
-                with pytest.raises(InvariantError):
+            if message:
+                with pytest.raises(InvariantError, match=f"^{message}$"):
                     run_transference(n, ground_truth=False)
             else:
                 assert run_transference(n, ground_truth=False)["ledger"]["N"] == N
@@ -812,8 +860,8 @@ def _halved(res):
 # stage -> (stage function to wrap, edit of its result, start of the message)
 FORCED = {
     "weights": ("build_weights", lambda b: replace(b, sums=b.sums[:2] + (5.0,)), "sum a3 = 5.0"),
-    "smoothing": ("smooth_and_bound", lambda r: replace(r, sup_ok=False), "sup a' = "),
-    "level_sets": ("smooth_and_bound", _halved, "|A3| = "),
+    "smoothing": ("smooth_and_bound", lambda rs: [replace(r, sup_ok=False) for r in rs], "sup a' = "),
+    "level_sets": ("smooth_and_bound", lambda rs: [_halved(r) for r in rs], "|A3| = "),
     "threesum_comparison": ("threesum_comparison", lambda c: replace(c, ok=False), "threesum diff"),
 }
 
@@ -876,9 +924,9 @@ class TestPaperClaims:
             a3.append(built.a3)
             return built
 
-        def a3_fails(a, *args):
-            res = smooth(a, *args)
-            return replace(res, sup_ok=False) if a is a3[-1] else res
+        def a3_fails(weights, *args):
+            return [replace(res, sup_ok=False) if a is a3[-1] else res
+                    for a, res in zip(weights, smooth(weights, *args))]
 
         monkeypatch.setattr(chen3.transference, "build_weights", keep_a3)
         monkeypatch.setattr(chen3.transference, "smooth_and_bound", a3_fails)
